@@ -1,4 +1,4 @@
-"""The five bound shapes, crossover winner maps, and log-log exponent fitting.
+"""The six bound shapes, crossover winner maps, and log-log exponent fitting.
 
 Shape names used throughout (CSV columns, reports):
 

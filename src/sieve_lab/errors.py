@@ -10,7 +10,7 @@ class VerificationError(Exception):
 
 
 class EigensolverError(Exception):
-    """Power iteration failed to converge; carries the last iterate's diagnostics."""
+    """The eigensolver hit its product cap; carries the last value, residual and count."""
 
     def __init__(self, message: str, last_value: float, last_residual: float, iterations: int):
         super().__init__(message)

@@ -9,8 +9,10 @@ embedding.
 The autocorrelation c(t) has an exact closed form: per base q and squarefree
 divisor d | q, the full geometric sum over a residue class vanishes unless
 (q^k / d) | t, where it contributes mu(d) * q^k / d.  In particular c(t) is a
-real integer.  The O(|F| N) brute-force path is kept permanently behind the
-method flag as the oracle.
+real integer, so T is real symmetric: its products use real FFTs and its top
+eigenvalue comes from a restarted Lanczos iteration.  The O(|F| N)
+brute-force path (complex, Hermitian) is kept permanently behind the method
+flag as the oracle.
 
 Note on the enumerated range: the zero frequency (base q = 1, value 1, whose
 aligned term would add |sum v_n|^2) is never part of the system, so the
@@ -20,7 +22,6 @@ q^k >= 2^k only.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Literal, NamedTuple
 
@@ -30,13 +31,19 @@ from . import kernels
 from .errors import EigensolverError
 from .farey import Mode, PowerFareySystem, enumerate_system
 
-# Fixed seed of the power-iteration start block; results are deterministic.
+# Fixed seed of the Lanczos start vector; results are deterministic.
 START_SEED = 0xC0FFEE
 ITERATION_CAP_BASE = 1000
-# Block width of the power iteration.  The point sets are symmetric under
-# x -> 1-x, so top eigenvalues routinely come in near-degenerate pairs; a
-# single power vector stalls there, a small block does not.
-BLOCK_SIZE = 8
+# Krylov basis size per Lanczos cycle (capped at N): the basis holds
+# RESTART_LENGTH * N floats, about 34 MB at N = 2^16.
+RESTART_LENGTH = 64
+# beta_j below this fraction of the top Ritz value: the basis spans an
+# invariant subspace to working precision.
+INVARIANT_TOL = 1e-12
+# Vectors T is applied to per step.  Each Lanczos step applies T to one
+# vector, so the trace in perfbench/tracing.py, which counts products as
+# iterations * BLOCK_SIZE, stays true.
+BLOCK_SIZE = 1
 
 
 @dataclass(frozen=True)
@@ -65,32 +72,39 @@ class ToeplitzKernel:
     """Hermitian Toeplitz operator T[m,n] = c(m-n) given c(t) for 0 <= t < N.
 
     c(-t) is the conjugate of c(t).  The circulant embedding (length 2N) is
-    precomputed once, so matvec costs two FFTs.  Immutable after construction.
+    transformed once, so matvec costs two FFTs.  A real c (the closed form)
+    makes T real symmetric and the products use real FFTs; a complex c (the
+    brute-force oracle, hand-built partial point sets) keeps complex FFTs.
+    Immutable after construction.
     """
 
     def __init__(self, c: np.ndarray):
-        c = np.asarray(c, dtype=np.complex128)
+        c = np.asarray(c)
+        self.is_real = not np.iscomplexobj(c)
+        c = c.astype(np.float64 if self.is_real else np.complex128)
         if c.ndim != 1 or c.shape[0] < 1:
             raise ValueError("c must be a nonempty 1-d array")
         self.c = c
         self.N = int(c.shape[0])
-        emb = np.zeros(2 * self.N, dtype=np.complex128)
+        emb = np.zeros(2 * self.N, dtype=c.dtype)
         emb[:self.N] = c
         if self.N > 1:
             emb[self.N + 1:] = np.conj(c[1:][::-1])
-        self._circ_fft = np.fft.fft(emb)
+        self._circ_fft = np.fft.rfft(emb) if self.is_real else np.fft.fft(emb)
+
+    def _real_matvec(self, v: np.ndarray) -> np.ndarray:
+        n2 = 2 * self.N
+        return np.fft.irfft(self._circ_fft * np.fft.rfft(v, n2), n2)[:self.N]
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """T @ v via the circulant embedding, O(N log N)."""
-        v = np.asarray(v, dtype=np.complex128)
-        vf = np.fft.fft(v, 2 * self.N)
-        return np.fft.ifft(self._circ_fft * vf)[:self.N]
-
-    def matvec_block(self, V: np.ndarray) -> np.ndarray:
-        """T @ V for an (N, b) block, one batched FFT per direction."""
-        V = np.asarray(V, dtype=np.complex128)
-        vf = np.fft.fft(V, 2 * self.N, axis=0)
-        return np.fft.ifft(self._circ_fft[:, None] * vf, axis=0)[:self.N]
+        v = np.asarray(v)
+        if not self.is_real:
+            vf = np.fft.fft(v.astype(np.complex128, copy=False), 2 * self.N)
+            return np.fft.ifft(self._circ_fft * vf)[:self.N]
+        if np.iscomplexobj(v):
+            return self._real_matvec(v.real) + 1j * self._real_matvec(v.imag)
+        return self._real_matvec(v.astype(np.float64, copy=False))
 
     def dense(self) -> np.ndarray:
         """Materialized N x N matrix (oracle/cross-check use)."""
@@ -145,7 +159,7 @@ def toeplitz_kernel(system: PowerFareySystem, N: int,
                 c[::step] += weight
             else:
                 c[0] += weight
-    return ToeplitzKernel(c.astype(np.complex128))
+    return ToeplitzKernel(c)
 
 
 class PowerResult(NamedTuple):
@@ -154,16 +168,20 @@ class PowerResult(NamedTuple):
     iterations: int
 
 
-def power_iteration(kernel: ToeplitzKernel, rel_tol: float = 1e-8,
-                    block: int = BLOCK_SIZE) -> PowerResult:
-    """Largest eigenvalue of the PSD kernel by block power iteration.
+def power_iteration(kernel: ToeplitzKernel, rel_tol: float = 1e-8) -> PowerResult:
+    """Largest eigenvalue of the PSD kernel by explicitly restarted Lanczos.
 
-    Each round multiplies an orthonormal block by T (batched FFT products),
-    extracts the top Rayleigh-Ritz pair (theta, x), and stops when
-    ||T x - theta x|| / theta < rel_tol; no deflation is performed.  The start
-    block is a fixed-seed complex Gaussian, so the result is deterministic.
-    Raises EigensolverError with the last Rayleigh quotient and residual if
-    the iteration cap (10N + 1000) is hit.
+    Each cycle builds a Krylov basis of at most RESTART_LENGTH vectors with
+    full (two-pass) reorthogonalisation and stops early once the Ritz
+    estimate beta_j |y_j| / theta of the top Ritz pair falls below rel_tol or
+    the basis spans an invariant subspace.  The normalised top Ritz vector x
+    is then certified by one explicit product: value = x*Tx (a Rayleigh
+    quotient, never above lambda_max) and residual = ||Tx - value x|| / value.
+    The result is returned only when residual < rel_tol; otherwise the next
+    cycle restarts from x, reusing Tx as its first product.  The first cycle
+    starts from a fixed-seed Gaussian vector, so the result is deterministic.
+    `iterations` counts products with T.  Raises EigensolverError with the
+    last value and residual when the cap of 10N + 1000 products is reached.
     """
     if rel_tol <= 0:
         raise ValueError("rel_tol must be > 0")
@@ -173,31 +191,55 @@ def power_iteration(kernel: ToeplitzKernel, rel_tol: float = 1e-8,
         return PowerResult(0.0, 0.0, 0)  # empty system: T = 0
     if n == 1:
         return PowerResult(c0, 0.0, 0)  # 1x1 matrix
-    b = min(max(1, block), n)
-    rng = np.random.default_rng(START_SEED)
-    V = rng.standard_normal((n, b)) + 1j * rng.standard_normal((n, b))
-    V, _ = np.linalg.qr(V)
+    m = min(RESTART_LENGTH, n)
     cap = 10 * n + ITERATION_CAP_BASE
-    lam = c0
-    resid = math.inf
-    for it in range(1, cap + 1):
-        W = kernel.matvec_block(V)
-        B = V.conj().T @ W
-        B = 0.5 * (B + B.conj().T)
-        theta, Y = np.linalg.eigh(B)
-        lam = float(theta[-1])
-        if lam <= 0.0:
-            return PowerResult(0.0, 0.0, it)  # numerically null operator
-        x = V @ Y[:, -1]
-        tx = W @ Y[:, -1]
-        resid = float(np.linalg.norm(tx - lam * x)) / lam
-        if resid < rel_tol:
-            return PowerResult(lam, resid, it)
-        V, _ = np.linalg.qr(W)
-    raise EigensolverError(
-        f"power iteration did not converge in {cap} iterations "
-        f"(last value {lam!r}, residual {resid!r})",
-        last_value=lam, last_residual=resid, iterations=cap)
+    rng = np.random.default_rng(START_SEED)
+    x = rng.standard_normal(n)
+    if not kernel.is_real:
+        x = x + 1j * rng.standard_normal(n)
+    x /= np.linalg.norm(x)
+    V = np.empty((m, n), dtype=x.dtype)
+    alpha = np.zeros(m)
+    beta = np.zeros(m)
+    tx = kernel.matvec(x)
+    matvecs = 1
+    while True:
+        value = float(np.real(np.vdot(x, tx)))
+        if value <= 0.0:
+            return PowerResult(0.0, 0.0, matvecs)  # numerically null operator
+        residual = float(np.linalg.norm(tx - value * x)) / value
+        if residual < rel_tol:
+            return PowerResult(value, residual, matvecs)
+        if matvecs >= cap:
+            raise EigensolverError(
+                f"Lanczos did not converge in {cap} matvecs "
+                f"(last value {value!r}, residual {residual!r})",
+                last_value=value, last_residual=residual, iterations=matvecs)
+        V[0] = x
+        w = tx
+        for j in range(m):
+            if j > 0:
+                w = kernel.matvec(V[j])
+                matvecs += 1
+            alpha[j] = 0.0
+            for _ in range(2):  # full reorthogonalisation, two passes
+                # conj(V @ conj(w)) = V* w without copying V for a real basis
+                h = np.conj(V[:j + 1] @ np.conj(w))
+                w = w - h @ V[:j + 1]
+                alpha[j] += h[j].real
+            beta[j] = float(np.linalg.norm(w))
+            theta, Y = np.linalg.eigh(np.diag(alpha[:j + 1]) + np.diag(beta[:j], 1)
+                                      + np.diag(beta[:j], -1))
+            y = Y[:, -1]
+            if (beta[j] * abs(y[j]) < rel_tol * theta[-1]
+                    or beta[j] <= INVARIANT_TOL * theta[-1]
+                    or j == m - 1 or matvecs >= cap - 1):
+                break
+            V[j + 1] = w / beta[j]
+        x = y @ V[:j + 1]
+        x /= np.linalg.norm(x)
+        tx = kernel.matvec(x)
+        matvecs += 1
 
 
 def lambda_max(kernel: ToeplitzKernel, rel_tol: float = 1e-8) -> float:

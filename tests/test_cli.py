@@ -2,11 +2,12 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 from sieve_lab import cli
-from sieve_lab.errors import EXIT_CAPACITY, EXIT_INVALID_CONFIG, EXIT_OK
+from sieve_lab.errors import EXIT_CAPACITY, EXIT_EIGENSOLVER, EXIT_INVALID_CONFIG, EXIT_OK
 
 
 def run_cli(args, tmp_path, name="out"):
@@ -67,6 +68,15 @@ def test_capacity_exit_code(tmp_path):
                         tmp_path, "a.csv")
     assert code == EXIT_CAPACITY
     assert b"capacity-error" in raw
+
+
+def test_eigensolver_exit_code(tmp_path):
+    start = time.perf_counter()
+    code, raw = run_cli(["constant", "--Q", "2", "--N", "16", "--k", "2",
+                         "--rel-tol", "1e-300"], tmp_path, "a.csv")
+    assert code == EXIT_EIGENSOLVER
+    assert b"eigensolver-error" in raw
+    assert time.perf_counter() - start < 5.0
 
 
 def test_config_file_and_cli_precedence(tmp_path, monkeypatch):
@@ -163,3 +173,15 @@ def test_entry_point_subprocess(tmp_path):
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert out.read_text().startswith("schema,")
+
+
+def test_import_does_not_load_scipy():
+    # scipy is a test-only dependency; importing it would add to every CLI
+    # start-up time and resident memory
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, sieve_lab; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True, env=dict(os.environ))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

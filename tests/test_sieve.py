@@ -113,6 +113,15 @@ def test_lambda_max_matches_dense_on_grid():
             dense = dense_lambda_max(kern)
             assert fast == pytest.approx(dense, rel=1e-6, abs=1e-12)
 
+    # (Q, N, k) full: two k = 4 cells with dense values 3188 and 5236, and two
+    # whose top eigenvalues are a near-degenerate even/odd pair (286.11 vs
+    # 285.19, 2291.2 vs 2288.7)
+    for Q, n, k in [(7, 16, 4), (8, 16, 4), (4, 256, 2), (6, 1000, 3)]:
+        kern = toeplitz_kernel(enumerate_system(Q, k, "full"), n)
+        res = power_iteration(kern, 1e-8)
+        assert res.residual < 1e-8
+        assert res.value == pytest.approx(dense_lambda_max(kern), rel=1e-9)
+
 
 def test_power_iteration_reports_and_nonconvergence():
     kern = toeplitz_kernel(enumerate_system(2, 2, "full"), 16)
