@@ -4,7 +4,9 @@
 Run: python benchmarks/bench_kernels.py [--Q 8] [--k 3] [--N 2048] [--repeats 5]
 
 The numba lane is warmed once before timing so JIT compilation is excluded.
-If numba is unavailable only the numpy lane is timed.
+If numba is unavailable only the numpy lane is timed.  The numpy-only batched
+quadratic form is timed on BATCH vectors and reported per vector, next to the
+single-vector quadform line.
 """
 
 import argparse
@@ -15,6 +17,8 @@ import numpy as np
 
 from sieve_lab import kernels
 from sieve_lab.farey import enumerate_system
+
+BATCH = 100
 
 
 def best_of(func, repeats, *args):
@@ -58,6 +62,13 @@ def main():
     bench("quadform", kernels.quadform_numpy,
           kernels.quadform_numba if have else None,
           (system.numerators, system.moduli, 0, v), args.repeats)
+
+    offsets = rng.integers(-64, 65, BATCH)
+    vs = rng.standard_normal((BATCH, args.N)) + 1j * rng.standard_normal((BATCH, args.N))
+    t_batch, _ = best_of(kernels.quadform_batch, args.repeats,
+                         system.numerators, system.moduli, offsets, vs)
+    print(f"{f'quadform_batch B={BATCH}':<24} numpy {t_batch / BATCH * 1e3:9.3f} ms   "
+          "per vector (numpy only)")
 
     bench("autocorr", kernels.autocorr_numpy,
           kernels.autocorr_loop if have else None,

@@ -149,7 +149,7 @@ def phi_hat(s: float) -> float:
 
 
 def fourier_majorant(system: PowerFareySystem, center_base: tuple[int, int],
-                     x, n_unused=None) -> MajorantResult:
+                     x) -> MajorantResult:
     """Exact near-point count around the member point b/r^k at radius x, with the
     Poisson-transformed majorant that dominates it.
 
@@ -157,8 +157,7 @@ def fourier_majorant(system: PowerFareySystem, center_base: tuple[int, int],
     e(a b q^k / r^k) with B_q = 1/(2 q^k x); each B_q is rounded one step
     toward zero so majorant_value >= exact_count holds exactly (up to the trig
     roundoff of the finite sum).  If the shortest truncation is < 1 the trivial
-    majorant |points| is reported instead.  The last parameter is accepted for
-    interface symmetry and ignored.
+    majorant |points| is reported instead.
     """
     b, r = center_base
     if x <= 0:

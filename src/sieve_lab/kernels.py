@@ -4,6 +4,8 @@ The lane is picked once at import time: numba is used when it imports cleanly
 unless the environment variable SIEVE_LAB_NO_NUMBA is set to a truthy value
 (1/true/yes/on).  The numpy lane is always available; the *_numba twins exist
 only when numba does, so tests and benchmarks can compare lanes side by side.
+The batched quadratic form quadform_batch has no loop twin: it is numpy-only,
+and the numpy lane's single-vector quadform is its batch of one.
 
 All integer phase arithmetic stays inside int64: callers guarantee that every
 modulus is < 2**31 (see farey.MODULUS_CAP), so products of two reduced
@@ -21,6 +23,9 @@ TWO_PI = 2.0 * math.pi
 _SPLIT_BITS = 26
 _SPLIT = 1 << _SPLIT_BITS  # high/low split of a float phase for exact mod-1 reduction
 PI_SQ_OVER_4 = math.pi * math.pi / 4.0
+# Element budget of one dense numpy block: phase matrices, their products and
+# the coefficient batches the lemma1 command evaluates at once.
+BLOCK_ELEMENTS = 1 << 21
 
 
 def numba_disabled_by_env() -> bool:
@@ -178,21 +183,57 @@ def _pairwise_integral_core(nums, mods, n_len):
 # numpy lane
 # ---------------------------------------------------------------------------
 
-def quadform_numpy(nums, mods, m_off, v):
-    total = 0.0
-    n = v.shape[0]
-    ns = np.arange(m_off + 1, m_off + n + 1, dtype=np.int64)
-    for qk in np.unique(mods):
+def quadform_batch(nums, mods, m_offs, vs):
+    """Per row b of vs (shape (B, N)) with offset m_offs[b], the quadratic form
+    sum_j |sum_i vs[b, i] e(a_j * (m_offs[b]+1+i) / qk_j)|^2, as an array of B.
+
+    The phase of n depends only on n mod q^k, so per modulus each row folds
+    into its residue sums w_r = sum_{n = r mod q^k} v_n and
+    sum_n v_n e(a n / q^k) = sum_r w_r e(a r / q^k).  When q^k exceeds the
+    span of the batch (N plus the spread of the offsets) the rows are instead
+    placed at their offsets in the covered interval, one column per n.  Either
+    way one phase matrix, built from the exact integer residues a*r mod q^k,
+    serves the whole batch through one matrix product per block of points.
+    Memory per block is at most BLOCK_ELEMENTS for the phase matrix and for
+    the product, plus B x min(q^k, span) for the folded or placed rows.
+    """
+    vs = np.asarray(vs, dtype=np.complex128)
+    m_offs = np.asarray(m_offs, dtype=np.int64)
+    nb, n = vs.shape
+    totals = np.zeros(nb)
+    lo = int(m_offs.min())
+    span = n + int(m_offs.max()) - lo
+    placed = None
+    for qk in np.unique(mods).tolist():
         sel = nums[mods == qk]
-        nmod = ns % qk
-        block = max(1, (1 << 21) // max(1, n))
+        if qk <= span:
+            full = n - n % qk
+            w = vs[:, :full].reshape(nb, full // qk, qk).sum(axis=1)
+            w[:, :n - full] += vs[:, full:]
+            # w[b, i mod qk] sums v_n for n = m_b+1+i: rotate by (m_b+1) mod qk
+            shift = (m_offs + 1) % qk
+            w = np.take_along_axis(w, (np.arange(qk) - shift[:, None]) % qk, axis=1)
+            cols = np.arange(qk, dtype=np.int64)
+        else:
+            if placed is None:
+                placed = np.zeros((nb, span), dtype=np.complex128)
+                for m in np.unique(m_offs).tolist():
+                    same = m_offs == m
+                    placed[same, m - lo:m - lo + n] = vs[same]
+            w = placed
+            cols = np.arange(lo + 1, lo + span + 1, dtype=np.int64) % qk
+        block = max(1, BLOCK_ELEMENTS // max(cols.shape[0], nb))
         for start in range(0, sel.shape[0], block):
             rows = sel[start:start + block]
-            ph = (rows[:, None] * nmod[None, :]) % qk
-            e = np.exp((2j * np.pi / qk) * ph)
-            s = e @ v
-            total += float(np.sum(s.real * s.real + s.imag * s.imag))
-    return total
+            e = np.exp((2j * np.pi / qk) * ((rows[:, None] * cols[None, :]) % qk))
+            s = w @ e.T
+            totals += np.sum(s.real * s.real + s.imag * s.imag, axis=1)
+    return totals
+
+
+def quadform_numpy(nums, mods, m_off, v):
+    """One vector v with offset m_off through quadform_batch, as a float."""
+    return float(quadform_batch(nums, mods, [m_off], np.asarray(v)[None])[0])
 
 
 def autocorr_numpy(nums, mods, n_len):
@@ -201,7 +242,7 @@ def autocorr_numpy(nums, mods, n_len):
     for qk in np.unique(mods):
         sel = nums[mods == qk]
         tmod = ts % qk
-        block = max(1, (1 << 21) // max(1, n_len))
+        block = max(1, BLOCK_ELEMENTS // max(1, n_len))
         for start in range(0, sel.shape[0], block):
             rows = sel[start:start + block]
             ph = (rows[:, None] * tmod[None, :]) % qk

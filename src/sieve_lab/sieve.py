@@ -251,13 +251,27 @@ def dense_lambda_max(kernel: ToeplitzKernel) -> float:
     return float(np.linalg.eigvalsh(kernel.dense())[-1])
 
 
+def sigma_exact_batch(system: PowerFareySystem, vecs) -> np.ndarray:
+    """sigma_exact of each CoefficientVector in vecs (one common length N), as
+    an array: sum over points of |sum_n v_n e((a/q^k) n)|^2, n = M+1..M+N.
+
+    The batch is evaluated in one pass (kernels.quadform_batch): per modulus
+    q^k the coefficients are folded by residue class mod q^k, and one phase
+    matrix with exact integer phase reduction serves every vector.
+    """
+    vecs = list(vecs)
+    if len({vec.N for vec in vecs}) > 1:
+        raise ValueError("all vectors of a batch must have the same length")
+    if system.size == 0 or not vecs:
+        return np.zeros(len(vecs))
+    return kernels.quadform_batch(system.numerators, system.moduli,
+                                  [vec.M for vec in vecs],
+                                  np.stack([vec.values for vec in vecs]))
+
+
 def sigma_exact(system: PowerFareySystem, vec: CoefficientVector) -> float:
-    """The sieve quadratic form: sum over points of |sum_n v_n e((a/q^k) n)|^2,
-    n = M+1..M+N, with exact integer phase reduction per term."""
-    if system.size == 0:
-        return 0.0
-    return float(kernels.quadform(system.numerators, system.moduli,
-                                  vec.M, vec.values))
+    """The sieve quadratic form of one vector: sigma_exact_batch of [vec]."""
+    return float(sigma_exact_batch(system, [vec])[0])
 
 
 def rayleigh_lower_bound(kernel: ToeplitzKernel, vec: CoefficientVector) -> float:

@@ -18,7 +18,8 @@ from sieve_lab.expsums import fourier_majorant
 from sieve_lab.farey import count_near, counting_rhs, enumerate_system, stieltjes_integral
 from sieve_lab.frozen import FROZEN_RATIOS
 from sieve_lab.sieve import (CoefficientVector, dense_lambda_max,
-                             power_iteration, sigma_exact, toeplitz_kernel)
+                             power_iteration, sigma_exact_batch,
+                             toeplitz_kernel)
 
 from test_farey import _quadrature_oracle
 
@@ -84,10 +85,10 @@ def _ensure_sigma_cache():
     for k, mode, Q, N in _cell_keys():
         system = enumerate_system(Q, k, mode)
         rhs_unit = counting_rhs(system, N, 1.0)
+        vecs = [CoefficientVector(m_off, values)
+                for m_off, values in _cell_vectors(k, mode, Q, N)]
         stats = []
-        for m_off, values in _cell_vectors(k, mode, Q, N):
-            vec = CoefficientVector(m_off, values)
-            lhs = sigma_exact(system, vec)
+        for vec, lhs in zip(vecs, sigma_exact_batch(system, vecs).tolist()):
             stats.append((lhs, vec.norm_sq))
             if system.size == 0:
                 continue

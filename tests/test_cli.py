@@ -4,9 +4,12 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
-from sieve_lab import cli
+from sieve_lab import cli, kernels
+from sieve_lab.farey import counting_rhs, enumerate_system
+from sieve_lab.sieve import CoefficientVector, sigma_exact, sigma_exact_batch
 from sieve_lab.errors import EXIT_CAPACITY, EXIT_EIGENSOLVER, EXIT_INVALID_CONFIG, EXIT_OK
 
 
@@ -114,6 +117,56 @@ def test_lemma1_runs_clean(tmp_path, capsys):
     code, raw = run_cli(args, tmp_path, "a.csv")
     assert code == EXIT_OK
     assert b"violations" in raw and b"verification-failure" not in raw
+
+
+@pytest.mark.parametrize("block", [None, 448])
+def test_lemma1_matches_per_vector_reference(tmp_path, monkeypatch, block):
+    """The batched lemma1 cells see the same draws, in order and in chunks of
+    at most max(1, BLOCK_ELEMENTS // N) vectors, and give the same max_ratio
+    and violations as a loop of single sigma_exact calls; block 448 splits
+    the N=64 cells into chunks of 7 vectors."""
+    if block is not None:
+        monkeypatch.setattr(kernels, "BLOCK_ELEMENTS", block)
+    seen = {}
+
+    def recording(system, vecs):
+        key = (system.k, system.Q, vecs[0].N)
+        assert len(vecs) <= max(1, kernels.BLOCK_ELEMENTS // vecs[0].N)
+        seen.setdefault(key, []).extend(vecs)
+        return sigma_exact_batch(system, vecs)
+
+    monkeypatch.setattr(cli, "sigma_exact_batch", recording)
+    seed, vectors = 5, 25
+    for mode_idx, mode in enumerate(("full", "dyadic")):
+        seen.clear()
+        args = ["lemma1", "--Q", "1..3", "--N", "16,64", "--k", "2,3", "--mode", mode,
+                "--vectors", str(vectors), "--seed", str(seed), "--format", "json"]
+        code, raw = run_cli(args, tmp_path, f"{mode}.json")
+        assert code == EXIT_OK
+        rows = json.loads(raw)
+        assert len(rows) == 12
+        for row in rows:
+            k, Q, N = row["k"], row["Q"], row["N"]
+            system = enumerate_system(Q, k, mode)
+            if system.size == 0:
+                assert row["max_ratio"] == 0.0 and row["violations"] == 0
+                continue
+            rhs_unit = counting_rhs(system, N, 1.0)
+            rng = np.random.default_rng([seed, k, Q, N, mode_idx])
+            batched = seen[(k, Q, N)]
+            assert len(batched) == vectors
+            max_ratio, violations = 0.0, 0
+            for got in batched:
+                m_off = int(rng.integers(-64, 65))
+                v = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+                assert got.M == m_off and np.array_equal(got.values, v)
+                vec = CoefficientVector(m_off, v)
+                lhs = sigma_exact(system, vec)
+                rhs = rhs_unit * vec.norm_sq
+                max_ratio = max(max_ratio, lhs / rhs)
+                violations += lhs > rhs * (1.0 + cli.REL_SLACK)
+            assert row["max_ratio"] == pytest.approx(max_ratio, rel=1e-12)
+            assert row["violations"] == violations
 
 
 def test_weyl_rows_and_determinism(tmp_path):

@@ -37,6 +37,43 @@ def test_quadform_matches_brute_force(system, vec):
     assert got == pytest.approx(want, rel=1e-9)
 
 
+BATCH_CASES = [
+    # (Q, k, mode, N, offsets): every q^k folds
+    (3, 2, "dyadic", 48, [-7, 5, 0, 64, -64]),
+    # q^k = 8 folds; 27 and 64 exceed the span 16 and are placed unfolded
+    (4, 3, "full", 16, [0, 0, 0]),
+    # all offsets negative: span 16 + 17
+    (4, 3, "full", 16, [-3, -20]),
+    (3, 2, "full", 1, [-5, 0, 7]),
+    (3, 3, "dyadic", 20, [-9]),
+]
+
+
+@pytest.mark.parametrize("Q,k,mode,n,offsets", BATCH_CASES)
+def test_quadform_batch_matches_brute_force_per_row(Q, k, mode, n, offsets):
+    s = enumerate_system(Q, k, mode)
+    rng = np.random.default_rng([Q, k, n])
+    vs = rng.standard_normal((len(offsets), n)) + 1j * rng.standard_normal((len(offsets), n))
+    got = kernels.quadform_batch(s.numerators, s.moduli, offsets, vs)
+    assert got.shape == (len(offsets),)
+    for b, m_off in enumerate(offsets):
+        assert got[b] == pytest.approx(brute_sigma(int_points(s), m_off, vs[b]), rel=1e-12)
+
+
+def test_quadform_batch_over_several_blocks(system, monkeypatch):
+    rng = np.random.default_rng(5)
+    offsets = rng.integers(-64, 65, 9)
+    vs = rng.standard_normal((9, 20)) + 1j * rng.standard_normal((9, 20))
+    whole = kernels.quadform_batch(system.numerators, system.moduli, offsets, vs)
+    # at most 64 elements per phase matrix or product: 1 to 4 points per block
+    monkeypatch.setattr(kernels, "BLOCK_ELEMENTS", 64)
+    blocked = kernels.quadform_batch(system.numerators, system.moduli, offsets, vs)
+    for b, m_off in enumerate(offsets.tolist()):
+        want = brute_sigma(int_points(system), m_off, vs[b])
+        assert blocked[b] == pytest.approx(want, rel=1e-12)
+        assert blocked[b] == pytest.approx(whole[b], rel=1e-12)
+
+
 @needs_numba
 def test_autocorr_lanes_agree(system):
     a = kernels.autocorr_loop(system.numerators, system.moduli, 40)

@@ -5,7 +5,8 @@ from sieve_lab.errors import EigensolverError
 from sieve_lab.farey import enumerate_system
 from sieve_lab.sieve import (CoefficientVector, dense_lambda_max, lambda_max,
                              power_iteration, rayleigh_lower_bound,
-                             sieve_constant, sigma_exact, toeplitz_kernel)
+                             sieve_constant, sigma_exact, sigma_exact_batch,
+                             toeplitz_kernel)
 
 from helpers import brute_sigma, int_points
 from test_farey import make_singleton
@@ -49,6 +50,27 @@ def test_sigma_matches_brute_force():
         v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         got = sigma_exact(s, CoefficientVector(m_off, v))
         assert got == pytest.approx(brute_sigma(int_points(s), m_off, v), rel=1e-9)
+
+
+def test_sigma_exact_is_batch_of_one():
+    rng = np.random.default_rng(4)
+    for Q, k, mode in GRID:
+        s = enumerate_system(Q, k, mode)
+        for n in (1, 7):
+            v = random_vec(n, int(rng.integers(1 << 30)), int(rng.integers(-30, 31)))
+            single = sigma_exact(s, v)
+            assert isinstance(single, float)
+            assert single == pytest.approx(sigma_exact_batch(s, [v])[0], rel=1e-12)
+
+
+def test_sigma_exact_batch_shapes():
+    s = enumerate_system(2, 2, "dyadic")
+    assert sigma_exact_batch(s, []).shape == (0,)
+    empty = enumerate_system(1, 2, "full")
+    assert empty.size == 0
+    assert sigma_exact_batch(empty, [random_vec(4, 1), random_vec(4, 2)]).tolist() == [0.0, 0.0]
+    with pytest.raises(ValueError):
+        sigma_exact_batch(s, [random_vec(4, 1), random_vec(5, 2)])
 
 
 def test_kernel_c0_is_size_and_examples():
