@@ -17,7 +17,7 @@ from .bounds import (
     fit_exponent,
     shape_value,
 )
-from .errors import CapacityError, EigensolverError, VerificationError
+from .errors import CapacityError, EigensolverError
 from .expsums import (
     MajorantResult,
     MonomialPhase,
@@ -42,11 +42,9 @@ from .sieve import (
     CoefficientVector,
     ToeplitzKernel,
     dense_lambda_max,
-    lambda_max,
     measure_constant,
     power_iteration,
     rayleigh_lower_bound,
-    sieve_constant,
     sigma_exact,
     toeplitz_kernel,
 )

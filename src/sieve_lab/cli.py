@@ -7,9 +7,8 @@ occur in one scan the most severe code wins (3, then 4, then 5).
 
 Config precedence: command-line flags override the --config file, which
 overrides the file named by SIEVE_LAB_CONFIG, which overrides per-command
-defaults.  Config files are flat key=value lines with '#' comments.
-SIEVE_LAB_THREADS sets the worker-pool width (default: logical cores); rows
-are always emitted in deterministic sorted order regardless of it.
+defaults.  Config files are flat key=value lines with '#' comments.  Rows
+are emitted in deterministic sorted order.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ import io
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -36,8 +34,8 @@ from .expsums import fourier_majorant
 from .farey import count_near, counting_rhs, enumerate_system
 # sigma_exact is unused here but stays importable from cli, where
 # perfbench/tracing.py wraps it.
-from .sieve import (CoefficientVector, dense_lambda_max, power_iteration,  # noqa: F401
-                    sigma_exact, sigma_exact_batch, toeplitz_kernel)
+from .sieve import (CoefficientVector, dense_lambda_max, measure_constant,  # noqa: F401
+                    power_iteration, sigma_exact, sigma_exact_batch, toeplitz_kernel)
 
 SCHEMA = "sieve-lab-1"
 DEFAULT_SEED = 0xC0FFEE
@@ -84,7 +82,6 @@ class RunConfig:
     points: int
     vectors: int
     samples: int
-    threads: int
 
 
 def parse_int_values(text: str, name: str) -> tuple[int, ...]:
@@ -140,19 +137,6 @@ def _as_bool(value) -> bool:
     return str(value).strip().lower() in {"1", "true", "yes", "on"}
 
 
-def resolve_threads() -> int:
-    raw = os.environ.get("SIEVE_LAB_THREADS", "").strip()
-    if raw:
-        try:
-            n = int(raw)
-        except ValueError as exc:
-            raise ConfigError(f"SIEVE_LAB_THREADS must be an integer, got {raw!r}") from exc
-        if n < 1:
-            raise ConfigError("SIEVE_LAB_THREADS must be >= 1")
-        return n
-    return os.cpu_count() or 1
-
-
 def build_config(args: argparse.Namespace) -> RunConfig:
     merged: dict = dict(_COMMON_DEFAULTS)
     merged.update(_COMMAND_DEFAULTS[args.command])
@@ -186,7 +170,6 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             points=int(merged["points"]),
             vectors=int(merged["vectors"]),
             samples=int(merged["samples"]),
-            threads=resolve_threads(),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid configuration value: {exc}") from exc
@@ -250,10 +233,8 @@ def write_records(records: list[dict], columns: list[str], cfg: RunConfig) -> No
 
 
 def map_cells(func, cells, threads: int) -> list:
-    if threads <= 1 or len(cells) <= 1:
-        return [func(cell) for cell in cells]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(func, cells))
+    # Serial: BLAS already spreads a cell over the cores; perfbench's tracer passes `threads`.
+    return [func(cell) for cell in cells]
 
 
 def _aggregate_exit(statuses) -> int:
@@ -318,7 +299,7 @@ def cmd_constant(cfg: RunConfig) -> tuple[list[dict], list[str], int, list[str]]
             row["status"], row["detail"] = "eigensolver-error", str(exc)
         return row
 
-    rows = map_cells(run, cells, cfg.threads)
+    rows = map_cells(run, cells, 1)
     code = _aggregate_exit(r["status"] for r in rows)
     return rows, CONSTANT_COLUMNS, code, []
 
@@ -368,7 +349,7 @@ def cmd_lemma1(cfg: RunConfig) -> tuple[list[dict], list[str], int, list[str]]:
             row["status"], row["detail"] = "capacity-error", str(exc)
         return row
 
-    rows = map_cells(run, cells, cfg.threads)
+    rows = map_cells(run, cells, 1)
     ratios = [r["max_ratio"] for r in rows if isinstance(r.get("max_ratio"), float)]
     summary = [f"max LHS/RHS observed: {max(ratios)!r}" if ratios else "no cells"]
     code = _aggregate_exit(r["status"] for r in rows)
@@ -518,9 +499,7 @@ def cmd_fit(cfg: RunConfig) -> tuple[list[dict], list[str], int, list[str]]:
                    "theta": cfg.theta, "mode": cfg.mode, "Q": Q, "N": N,
                    "status": "ok", "detail": ""}
             try:
-                system = enumerate_system(Q, k, cfg.mode)
-                kern = toeplitz_kernel(system, N)
-                res = power_iteration(kern, cfg.rel_tol)
+                res = measure_constant(Q, N, k, cfg.mode, cfg.rel_tol)
                 row.update({"measured": res.value, "residual": res.residual})
                 if res.value > 0:
                     samples.append((float(Q), res.value))

@@ -5,10 +5,6 @@ class CapacityError(Exception):
     """A requested computation would overflow the supported integer width."""
 
 
-class VerificationError(Exception):
-    """An inequality that must hold exactly was violated."""
-
-
 class EigensolverError(Exception):
     """The eigensolver hit its product cap; carries the last value, residual and count."""
 

@@ -22,6 +22,9 @@ Mode = Literal["full", "dyadic"]
 
 # Keeps every int64 kernel product a*b with a, b < modulus below 2**62.
 MODULUS_CAP = 1 << 31
+# Most points enumerate_system allocates: three int64 arrays of 24 bytes per
+# point, about 400 MB at the budget (twice that while the parts are joined).
+POINT_BUDGET = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -44,19 +47,9 @@ class PowerFareySystem:
     def size(self) -> int:
         return int(self.numerators.shape[0])
 
-    @property
-    def base_range(self) -> range:
-        if self.mode == "full":
-            return range(1, self.Q + 1)
-        return range(self.Q + 1, 2 * self.Q + 1)
-
     def distinct_bases(self) -> list[int]:
         """Bases that contribute at least one point, ascending."""
         return np.unique(self.bases).tolist()
-
-    def values(self) -> np.ndarray:
-        """Point values a/q^k as float64 (for plots and rough work only)."""
-        return self.numerators / self.moduli
 
     def iter_int_points(self) -> Iterator[tuple[int, int]]:
         """(a, q^k) pairs as exact Python ints."""
@@ -73,11 +66,22 @@ class PowerFareySystem:
         return bool(pos < sub.shape[0] and sub[pos] == b)
 
 
+def _totients(n: int) -> np.ndarray:
+    """phi[q] for 0 <= q <= n by a sieve over the primes."""
+    phi = np.arange(n + 1, dtype=np.int64)
+    for p in range(2, n + 1):
+        if phi[p] == p:  # untouched by any smaller prime, so p is prime
+            phi[p::p] -= phi[p::p] // p
+    return phi
+
+
 def enumerate_system(Q: int, k: int, mode: Mode) -> PowerFareySystem:
     """Enumerate the system for (Q, k, mode), sorted by (q, a).
 
     Rejects any modulus q**k >= 2**31 with CapacityError: beyond that the exact
-    int64 phase arithmetic in the kernels would overflow.
+    int64 phase arithmetic in the kernels would overflow.  Also rejects, before
+    allocating, any system of more than POINT_BUDGET points; its size is
+    sum of phi(q) * q**(k-1) over the base range.
     """
     if Q < 1:
         raise ValueError(f"Q must be >= 1, got {Q}")
@@ -91,6 +95,11 @@ def enumerate_system(Q: int, k: int, mode: Mode) -> PowerFareySystem:
     if top ** k >= MODULUS_CAP:
         raise CapacityError(
             f"modulus {top}^{k} = {top ** k} exceeds the supported width (< 2^31)")
+    phi = _totients(top).tolist()
+    size = sum(phi[q] * q ** (k - 1) for q in q_values if q > 1)
+    if size > POINT_BUDGET:
+        raise CapacityError(
+            f"system has {size} points, above the budget of {POINT_BUDGET}")
 
     num_parts: list[np.ndarray] = []
     base_parts: list[np.ndarray] = []

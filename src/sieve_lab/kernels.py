@@ -1,11 +1,8 @@
-"""Hot numeric kernels, each in two lanes: a numba @njit loop and a pure-numpy path.
+"""Hot numeric kernels in numpy: quadratic forms, autocorrelation, Weyl phase
+sums, the majorant transform sum and the pairwise counting integral.
 
-The lane is picked once at import time: numba is used when it imports cleanly
-unless the environment variable SIEVE_LAB_NO_NUMBA is set to a truthy value
-(1/true/yes/on).  The numpy lane is always available; the *_numba twins exist
-only when numba does, so tests and benchmarks can compare lanes side by side.
-The batched quadratic form quadform_batch has no loop twin: it is numpy-only,
-and the numpy lane's single-vector quadform is its batch of one.
+The quadratic form is batched: quadform_batch evaluates many coefficient
+vectors in one pass, and quadform is its batch of one.
 
 All integer phase arithmetic stays inside int64: callers guarantee that every
 modulus is < 2**31 (see farey.MODULUS_CAP), so products of two reduced
@@ -15,7 +12,6 @@ residues never exceed 2**62.
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
@@ -26,162 +22,9 @@ PI_SQ_OVER_4 = math.pi * math.pi / 4.0
 # Element budget of one dense numpy block: phase matrices, their products and
 # the coefficient batches the lemma1 command evaluates at once.
 BLOCK_ELEMENTS = 1 << 21
+# The one kernel implementation; printed in run manifests.
+ACTIVE_LANE = "numpy"
 
-
-def numba_disabled_by_env() -> bool:
-    return os.environ.get("SIEVE_LAB_NO_NUMBA", "").strip().lower() in {"1", "true", "yes", "on"}
-
-
-try:
-    import numba
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    numba = None
-    HAVE_NUMBA = False
-
-USE_NUMBA = HAVE_NUMBA and not numba_disabled_by_env()
-
-
-# ---------------------------------------------------------------------------
-# loop cores (numba lane; also plain-Python runnable, which the tests exploit)
-# ---------------------------------------------------------------------------
-
-def _quadform_core(nums, mods, m_off, v):
-    """sum_j |sum_i v[i] e(a_j * (m_off+1+i) / qk_j)|^2 with exact residues."""
-    total = 0.0
-    n = v.shape[0]
-    for j in range(nums.shape[0]):
-        a = nums[j]
-        qk = mods[j]
-        r = (a * ((m_off + 1) % qk)) % qk
-        sre = 0.0
-        sim = 0.0
-        for i in range(n):
-            ang = TWO_PI * (r / qk)
-            c = math.cos(ang)
-            s = math.sin(ang)
-            sre += v[i].real * c - v[i].imag * s
-            sim += v[i].real * s + v[i].imag * c
-            r += a
-            if r >= qk:
-                r -= qk
-        total += sre * sre + sim * sim
-    return total
-
-
-def _autocorr_core(nums, mods, out):
-    """out[t] += sum_j e(a_j * t / qk_j) for t = 0..len(out)-1."""
-    n = out.shape[0]
-    for j in range(nums.shape[0]):
-        a = nums[j]
-        qk = mods[j]
-        r = 0
-        for t in range(n):
-            ang = TWO_PI * (r / qk)
-            out[t] += complex(math.cos(ang), math.sin(ang))
-            r += a
-            if r >= qk:
-                r -= qk
-
-
-def _weyl_rational_core(num_red, den, k, q_lo, q_hi):
-    """sum_{q_lo < q <= q_hi} e(num_red * q**k / den) via exact modular residues."""
-    sre = 0.0
-    sim = 0.0
-    for q in range(q_lo + 1, q_hi + 1):
-        p = q % den
-        pw = 1
-        for _ in range(k):
-            pw = (pw * p) % den
-        r = (num_red * pw) % den
-        ang = TWO_PI * (r / den)
-        sre += math.cos(ang)
-        sim += math.sin(ang)
-    return complex(sre, sim)
-
-
-def _weyl_float_core(alpha_frac, k, q_lo, q_hi):
-    """sum e(alpha_frac * q**k) with the phase split into an exact 2**-26 grid part
-    plus a small float remainder, so the mod-1 reduction never loses the phase."""
-    m = int(alpha_frac * _SPLIT)
-    lo_part = alpha_frac - m / _SPLIT
-    sre = 0.0
-    sim = 0.0
-    for q in range(q_lo + 1, q_hi + 1):
-        p = 1
-        for _ in range(k):
-            p *= q
-        hi = ((m * (p % _SPLIT)) % _SPLIT) / _SPLIT
-        ph = (hi + lo_part * p) % 1.0
-        ang = TWO_PI * ph
-        sre += math.cos(ang)
-        sim += math.sin(ang)
-    return complex(sre, sim)
-
-
-def _majorant_core(b_red, rk, mods, bqs):
-    """Poisson-transformed majorant sum over the given moduli; returns (value, a0_term).
-
-    bqs[j] is the truncation length for modulus mods[j] (1/(2*qk*x), rounded
-    down by the caller so the transform provably dominates the exact count).
-    The a-sum uses the exact residue of a*b*qk mod rk and the triangular
-    weight (pi^2/4) * max(1 - |a|/B_q, 0).
-    """
-    total = 0.0
-    main = 0.0
-    for j in range(mods.shape[0]):
-        qk = mods[j]
-        bq = bqs[j]
-        s0 = (b_red * (qk % rk)) % rk
-        n_a = int(bq)
-        inv_b = 1.0 / bq
-        acc = 1.0  # a = 0 term carries weight 1
-        r = 0
-        for a in range(1, n_a + 1):
-            r += s0
-            if r >= rk:
-                r -= rk
-            w = 1.0 - a * inv_b
-            if w < 0.0:
-                w = 0.0
-            acc += 2.0 * w * math.cos(TWO_PI * (r / rk))
-        total += PI_SQ_OVER_4 * inv_b * acc
-        main += PI_SQ_OVER_4 * inv_b
-    return total, main
-
-
-def _pairwise_integral_core(nums, mods, n_len):
-    """max over centers (b, rk) in the system of
-    sum_{points with d <= 1/2} (1/max(d, 1/N) - 2), d = |a*rk - b*qk|/(qk*rk).
-
-    All comparisons are exact in int64; the single float division per term is
-    the only rounding.
-    """
-    best = 0.0
-    npts = nums.shape[0]
-    for j in range(npts):
-        b = nums[j]
-        rk = mods[j]
-        acc = 0.0
-        for i in range(npts):
-            big = nums[i] * rk - b * mods[i]
-            if big < 0:
-                big = -big
-            vol = mods[i] * rk
-            if big <= vol // 2:
-                if big <= vol // n_len:
-                    acc += n_len - 2.0
-                else:
-                    acc += vol / big - 2.0
-        if acc > best:
-            best = acc
-    return best
-
-
-# ---------------------------------------------------------------------------
-# numpy lane
-# ---------------------------------------------------------------------------
 
 def quadform_batch(nums, mods, m_offs, vs):
     """Per row b of vs (shape (B, N)) with offset m_offs[b], the quadratic form
@@ -231,12 +74,13 @@ def quadform_batch(nums, mods, m_offs, vs):
     return totals
 
 
-def quadform_numpy(nums, mods, m_off, v):
+def quadform(nums, mods, m_off, v):
     """One vector v with offset m_off through quadform_batch, as a float."""
     return float(quadform_batch(nums, mods, [m_off], np.asarray(v)[None])[0])
 
 
-def autocorr_numpy(nums, mods, n_len):
+def autocorr(nums, mods, n_len):
+    """c[t] = sum_j e(a_j * t / qk_j) for t = 0..n_len-1, from exact residues."""
     out = np.zeros(n_len, dtype=np.complex128)
     ts = np.arange(n_len, dtype=np.int64)
     for qk in np.unique(mods):
@@ -250,7 +94,8 @@ def autocorr_numpy(nums, mods, n_len):
     return out
 
 
-def weyl_rational_numpy(num_red, den, k, q_lo, q_hi):
+def weyl_rational(num_red, den, k, q_lo, q_hi):
+    """sum_{q_lo < q <= q_hi} e(num_red * q**k / den) via exact modular residues."""
     qs = np.arange(q_lo + 1, q_hi + 1, dtype=np.int64)
     p = qs % den
     pw = np.ones_like(qs)
@@ -260,7 +105,10 @@ def weyl_rational_numpy(num_red, den, k, q_lo, q_hi):
     return complex(np.sum(np.exp((2j * np.pi / den) * r)))
 
 
-def weyl_float_numpy(alpha_frac, k, q_lo, q_hi):
+def weyl_float(alpha_frac, k, q_lo, q_hi):
+    """sum_{q_lo < q <= q_hi} e(alpha_frac * q**k) with the phase split into an
+    exact 2**-26 grid part plus a small float remainder, so the mod-1
+    reduction never loses the phase."""
     qs = np.arange(q_lo + 1, q_hi + 1, dtype=np.int64)
     m = int(alpha_frac * _SPLIT)
     lo_part = alpha_frac - m / _SPLIT
@@ -272,7 +120,14 @@ def weyl_float_numpy(alpha_frac, k, q_lo, q_hi):
     return complex(np.sum(np.exp(2j * np.pi * ph)))
 
 
-def majorant_numpy(b_red, rk, mods, bqs):
+def majorant_sum(b_red, rk, mods, bqs):
+    """Poisson-transformed majorant sum over the given moduli; returns (value, a0_term).
+
+    bqs[j] is the truncation length for modulus mods[j] (1/(2*qk*x), rounded
+    down by the caller so the transform provably dominates the exact count).
+    The a-sum uses the exact residue of a*b*qk mod rk and the triangular
+    weight (pi^2/4) * max(1 - |a|/B_q, 0).
+    """
     total = 0.0
     main = 0.0
     for qk, bq in zip(mods.tolist(), bqs.tolist()):
@@ -287,7 +142,13 @@ def majorant_numpy(b_red, rk, mods, bqs):
     return total, main
 
 
-def pairwise_integral_max_numpy(nums, mods, n_len):
+def pairwise_integral_max(nums, mods, n_len):
+    """max over centers (b, rk) in the system of
+    sum_{points with d <= 1/2} (1/max(d, 1/N) - 2), d = |a*rk - b*qk|/(qk*rk).
+
+    All comparisons are exact in int64; the single float division per term is
+    the only rounding.
+    """
     best = 0.0
     for j in range(nums.shape[0]):
         big = np.abs(nums * mods[j] - nums[j] * mods)
@@ -299,41 +160,3 @@ def pairwise_integral_max_numpy(nums, mods, n_len):
         if acc > best:
             best = acc
     return best
-
-
-# ---------------------------------------------------------------------------
-# lane selection
-# ---------------------------------------------------------------------------
-
-if HAVE_NUMBA:
-    _njit = numba.njit(cache=True, nogil=True)
-    quadform_numba = _njit(_quadform_core)
-    autocorr_numba = _njit(_autocorr_core)
-    weyl_rational_numba = _njit(_weyl_rational_core)
-    weyl_float_numba = _njit(_weyl_float_core)
-    majorant_numba = _njit(_majorant_core)
-    pairwise_integral_max_numba = _njit(_pairwise_integral_core)
-
-
-def autocorr_loop(nums, mods, n_len):
-    out = np.zeros(n_len, dtype=np.complex128)
-    autocorr_numba(nums, mods, out)
-    return out
-
-
-if USE_NUMBA:
-    quadform = quadform_numba
-    autocorr = autocorr_loop
-    weyl_rational = weyl_rational_numba
-    weyl_float = weyl_float_numba
-    majorant_sum = majorant_numba
-    pairwise_integral_max = pairwise_integral_max_numba
-else:
-    quadform = quadform_numpy
-    autocorr = autocorr_numpy
-    weyl_rational = weyl_rational_numpy
-    weyl_float = weyl_float_numpy
-    majorant_sum = majorant_numpy
-    pairwise_integral_max = pairwise_integral_max_numpy
-
-ACTIVE_LANE = "numba" if USE_NUMBA else "numpy"

@@ -242,10 +242,6 @@ def power_iteration(kernel: ToeplitzKernel, rel_tol: float = 1e-8) -> PowerResul
         matvecs += 1
 
 
-def lambda_max(kernel: ToeplitzKernel, rel_tol: float = 1e-8) -> float:
-    return power_iteration(kernel, rel_tol).value
-
-
 def dense_lambda_max(kernel: ToeplitzKernel) -> float:
     """Dense Hermitian eigensolver oracle for the same matrix."""
     return float(np.linalg.eigvalsh(kernel.dense())[-1])
@@ -294,15 +290,9 @@ class ConstantResult(NamedTuple):
 
 def measure_constant(Q: int, N: int, k: int, mode: Mode = "full",
                      rel_tol: float = 1e-8) -> ConstantResult:
-    """Optimal constant for (Q, N, k, mode) plus eigensolver diagnostics."""
+    """Optimal constant Delta(Q, N, k): the largest Rayleigh quotient of the
+    sieve quadratic form per unit |v|^2, plus eigensolver diagnostics."""
     system = enumerate_system(Q, k, mode)
     kern = toeplitz_kernel(system, N)
     res = power_iteration(kern, rel_tol)
     return ConstantResult(res.value, res.residual, res.iterations, system.size)
-
-
-def sieve_constant(Q: int, N: int, k: int, mode: Mode = "full",
-                   rel_tol: float = 1e-8) -> float:
-    """Optimal constant Delta(Q, N, k): the largest Rayleigh quotient of the
-    sieve quadratic form per unit |v|^2."""
-    return measure_constant(Q, N, k, mode, rel_tol).value

@@ -69,6 +69,28 @@ def brute_sigma(points: list[tuple[int, int]], m_off: int,
     return total
 
 
+def brute_weyl_rational(num: int, den: int, k: int, q_lo: int, q_hi: int) -> complex:
+    """sum_{q_lo < q <= q_hi} e(num * q^k / den) with the residue num * q^k mod den
+    taken in Python ints."""
+    return sum(cmath.exp(2j * cmath.pi * ((num * pow(q, k, den)) % den) / den)
+               for q in range(q_lo + 1, q_hi + 1))
+
+
+def brute_majorant(b: int, rk: int, mods, bqs) -> tuple[float, float]:
+    """(sum over moduli q^k of sum_{|a| <= B_q} phi_hat(a/B_q)/B_q * cos(2 pi a b q^k / r^k),
+    sum of phi_hat(0)/B_q), with phi_hat(s) = (pi^2/4) max(1 - |s|, 0) and the
+    residue a*b*q^k mod r^k in Python ints."""
+    weight = math.pi ** 2 / 4
+    value = main = 0.0
+    for qk, bq in zip(mods, bqs):
+        top = math.floor(bq)
+        for a in range(-top, top + 1):
+            r = (a * b * qk) % rk
+            value += weight * max(1.0 - abs(a) / bq, 0.0) / bq * math.cos(2 * math.pi * r / rk)
+        main += weight / bq
+    return value, main
+
+
 def int_points(system) -> list[tuple[int, int]]:
     """(a, q^k) pairs of a PowerFareySystem as Python ints."""
     return list(system.iter_int_points())

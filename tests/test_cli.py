@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -71,6 +72,23 @@ def test_capacity_exit_code(tmp_path):
                         tmp_path, "a.csv")
     assert code == EXIT_CAPACITY
     assert b"capacity-error" in raw
+
+
+def test_point_budget_exit_code(tmp_path):
+    # every modulus q^4 <= 10^8 passes the 2^31 cap, but the system has about
+    # 1.2e9 points (29 GB of int64); the child's 2 GiB address-space limit turns
+    # any attempt to allocate them into a MemoryError instead of exit 4
+    out = tmp_path / "a.csv"
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "sieve_lab.cli", "constant", "--Q", "100", "--N", "16",
+         "--k", "4", "--out", str(out)],
+        capture_output=True, text=True, env=dict(os.environ),
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)))
+    assert proc.returncode == EXIT_CAPACITY, proc.stderr
+    assert time.perf_counter() - start < 5.0
+    assert "capacity-error" in out.read_text()
+    assert "above the budget" in out.read_text()
 
 
 def test_eigensolver_exit_code(tmp_path):
@@ -203,18 +221,6 @@ def test_fit_emits_slope(tmp_path):
     fit_rows = [r for r in json.loads(raw) if r["table"] == "fit"]
     assert len(fit_rows) == 1
     assert 2.0 <= fit_rows[0]["slope"] <= 4.0
-
-
-def test_thread_pool_keeps_output_deterministic(tmp_path, monkeypatch):
-    args = ["constant", "--Q", "1..3", "--N", "4,16", "--k", "2,3", "--mode", "dyadic"]
-    code, serial = run_cli(args, tmp_path, "serial.csv")
-    assert code == EXIT_OK
-    monkeypatch.setenv("SIEVE_LAB_THREADS", "4")
-    code, pooled = run_cli(args, tmp_path, "pooled.csv")
-    assert code == EXIT_OK
-    assert serial == pooled
-    monkeypatch.setenv("SIEVE_LAB_THREADS", "zero")
-    assert cli.main(args + ["--out", str(tmp_path / "x.csv")]) == EXIT_INVALID_CONFIG
 
 
 def test_entry_point_subprocess(tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from sieve_lab import farey
 from sieve_lab.errors import CapacityError
 from sieve_lab.farey import (PowerFareySystem, count_near, counting_rhs,
                              enumerate_system, stieltjes_integral)
@@ -59,6 +60,17 @@ def test_enumerate_validation():
         enumerate_system(2, 2, "half")
     with pytest.raises(CapacityError):
         enumerate_system(1 << 16, 2, "full")
+
+
+def test_point_budget_is_the_exact_size(monkeypatch):
+    for Q, k, mode in [(6, 3, "full"), (4, 2, "dyadic")]:
+        qs = range(1, Q + 1) if mode == "full" else range(Q + 1, 2 * Q + 1)
+        size = sum(totient(q) * q ** (k - 1) for q in qs if q > 1)
+        monkeypatch.setattr(farey, "POINT_BUDGET", size)
+        assert enumerate_system(Q, k, mode).size == size
+        monkeypatch.setattr(farey, "POINT_BUDGET", size - 1)
+        with pytest.raises(CapacityError):
+            enumerate_system(Q, k, mode)
 
 
 def test_count_near_examples():

@@ -1,4 +1,4 @@
-"""Lane equivalence: every numba kernel must agree with its numpy twin."""
+"""The numpy kernels against direct plain-Python oracles (see helpers.py)."""
 
 import math
 
@@ -8,9 +8,7 @@ import pytest
 from sieve_lab import kernels
 from sieve_lab.farey import enumerate_system
 
-from helpers import brute_sigma, int_points
-
-needs_numba = pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba not installed")
+from helpers import brute_majorant, brute_sigma, brute_weyl_rational, int_points
 
 
 @pytest.fixture(scope="module")
@@ -22,13 +20,6 @@ def system():
 def vec():
     rng = np.random.default_rng(3)
     return rng.standard_normal(48) + 1j * rng.standard_normal(48)
-
-
-@needs_numba
-def test_quadform_lanes_agree(system, vec):
-    a = kernels.quadform_numba(system.numerators, system.moduli, -7, vec)
-    b = kernels.quadform_numpy(system.numerators, system.moduli, -7, vec)
-    assert a == pytest.approx(b, rel=1e-11)
 
 
 def test_quadform_matches_brute_force(system, vec):
@@ -74,29 +65,6 @@ def test_quadform_batch_over_several_blocks(system, monkeypatch):
         assert blocked[b] == pytest.approx(whole[b], rel=1e-12)
 
 
-@needs_numba
-def test_autocorr_lanes_agree(system):
-    a = kernels.autocorr_loop(system.numerators, system.moduli, 40)
-    b = kernels.autocorr_numpy(system.numerators, system.moduli, 40)
-    assert np.max(np.abs(a - b)) < 1e-11
-
-
-@needs_numba
-def test_weyl_rational_lanes_agree():
-    for num, den, k, Q in [(1, 7, 2, 50), (3, 11, 3, 33), (0, 1, 2, 10), (122, 123, 4, 20)]:
-        a = kernels.weyl_rational_numba(num, den, k, Q, 2 * Q)
-        b = kernels.weyl_rational_numpy(num, den, k, Q, 2 * Q)
-        assert a == pytest.approx(b, abs=1e-11)
-
-
-@needs_numba
-def test_weyl_float_lanes_agree():
-    for alpha, k, Q in [(math.pi % 1, 2, 64), (0.123456789, 3, 32), (0.9999, 4, 16)]:
-        a = kernels.weyl_float_numba(alpha, k, Q, 2 * Q)
-        b = kernels.weyl_float_numpy(alpha, k, Q, 2 * Q)
-        assert a == pytest.approx(b, abs=1e-11)
-
-
 def test_weyl_float_matches_naive_at_small_sizes():
     # q**k stays tiny here, so the naive product-then-mod evaluation is accurate
     for alpha in (0.1234, 0.777, 1 / math.e):
@@ -107,28 +75,27 @@ def test_weyl_float_matches_naive_at_small_sizes():
             assert got == pytest.approx(naive, abs=1e-9)
 
 
-@needs_numba
-def test_majorant_lanes_agree():
-    mods = np.array([9, 16], dtype=np.int64)
-    bqs = np.array([11.75, 6.6], dtype=np.float64)
-    a = kernels.majorant_numba(2, 9, mods, bqs)
-    b = kernels.majorant_numpy(2, 9, mods, bqs)
-    assert a[0] == pytest.approx(b[0], rel=1e-12)
-    assert a[1] == pytest.approx(b[1], rel=1e-12)
+@pytest.mark.parametrize("num,den,k,q_lo,q_hi", [
+    (1, 7, 2, 50, 100),          # q runs past den: q mod den matters
+    (3, 11, 3, 33, 66),
+    (0, 1, 2, 10, 20),
+    (122, 123, 4, 20, 40),
+    (2**31 - 2, 2**31 - 1, 3, 1000, 1200),   # den near 2^31: residues near the int64 limit
+    (123456789, 2**31 - 1, 4, 5000, 5100),   # q^4 far above den
+])
+def test_weyl_rational_matches_exact_residues(num, den, k, q_lo, q_hi):
+    got = kernels.weyl_rational(num, den, k, q_lo, q_hi)
+    assert got == pytest.approx(brute_weyl_rational(num, den, k, q_lo, q_hi), abs=1e-9)
 
 
-@needs_numba
-def test_pairwise_integral_lanes_agree(system):
-    for n in (4, 64, 256):
-        a = kernels.pairwise_integral_max_numba(system.numerators, system.moduli, n)
-        b = kernels.pairwise_integral_max_numpy(system.numerators, system.moduli, n)
-        assert a == pytest.approx(b, rel=1e-12)
-
-
-def test_lane_flag_env(monkeypatch):
-    monkeypatch.setenv("SIEVE_LAB_NO_NUMBA", "1")
-    assert kernels.numba_disabled_by_env()
-    monkeypatch.setenv("SIEVE_LAB_NO_NUMBA", "0")
-    assert not kernels.numba_disabled_by_env()
-    monkeypatch.delenv("SIEVE_LAB_NO_NUMBA")
-    assert not kernels.numba_disabled_by_env()
+@pytest.mark.parametrize("b,rk,mods,bqs", [
+    (2, 9, [9, 16], [11.75, 6.6]),
+    (5, 27, [8, 27, 64], [5.0, 0.75, 40.25]),       # integer B_q, and B_q < 1 (only a = 0)
+    (2**31 - 4, 2**31 - 1, [2**31 - 2, 46337**2], [300.5, 97.0]),  # a*b*q^k beyond int64
+])
+def test_majorant_sum_matches_direct_sum(b, rk, mods, bqs):
+    value, main = kernels.majorant_sum(b, rk, np.array(mods, dtype=np.int64),
+                                       np.array(bqs, dtype=np.float64))
+    want_value, want_main = brute_majorant(b, rk, mods, bqs)
+    assert main == pytest.approx(want_main, rel=1e-13)
+    assert value == pytest.approx(want_value, rel=1e-12, abs=1e-12 * want_main)

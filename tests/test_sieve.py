@@ -3,10 +3,9 @@ import pytest
 
 from sieve_lab.errors import EigensolverError
 from sieve_lab.farey import enumerate_system
-from sieve_lab.sieve import (CoefficientVector, dense_lambda_max, lambda_max,
-                             power_iteration, rayleigh_lower_bound,
-                             sieve_constant, sigma_exact, sigma_exact_batch,
-                             toeplitz_kernel)
+from sieve_lab.sieve import (CoefficientVector, dense_lambda_max, measure_constant,
+                             power_iteration, rayleigh_lower_bound, sigma_exact,
+                             sigma_exact_batch, toeplitz_kernel)
 
 from helpers import brute_sigma, int_points
 from test_farey import make_singleton
@@ -115,15 +114,15 @@ def test_lambda_max_examples():
     s = make_singleton(1, 2, 2)
     for n in (1, 5, 33):
         kern = toeplitz_kernel(s, n, method="brute_force")
-        assert lambda_max(kern) == pytest.approx(n, rel=1e-10)
+        assert power_iteration(kern).value == pytest.approx(n, rel=1e-10)
 
     for Q, k, mode in GRID:
         sys_ = enumerate_system(Q, k, mode)
         kern = toeplitz_kernel(sys_, 1)
-        assert lambda_max(kern) == pytest.approx(sys_.size, rel=1e-12, abs=1e-12)
+        assert power_iteration(kern).value == pytest.approx(sys_.size, rel=1e-12, abs=1e-12)
 
     kern = toeplitz_kernel(enumerate_system(2, 2, "full"), 8)
-    assert lambda_max(kern) == pytest.approx(dense_lambda_max(kern), rel=1e-8)
+    assert power_iteration(kern).value == pytest.approx(dense_lambda_max(kern), rel=1e-8)
 
 
 def test_lambda_max_matches_dense_on_grid():
@@ -131,7 +130,7 @@ def test_lambda_max_matches_dense_on_grid():
         s = enumerate_system(Q, k, mode)
         for n in (4, 16, 64):
             kern = toeplitz_kernel(s, n)
-            fast = lambda_max(kern)
+            fast = power_iteration(kern).value
             dense = dense_lambda_max(kern)
             assert fast == pytest.approx(dense, rel=1e-6, abs=1e-12)
 
@@ -160,7 +159,7 @@ def test_rayleigh_bounds():
     s = enumerate_system(3, 2, "dyadic")
     n = 24
     kern = toeplitz_kernel(s, n)
-    lam = lambda_max(kern)
+    lam = power_iteration(kern).value
 
     basis = np.zeros(n, dtype=complex)
     basis[0] = 1.0
@@ -181,14 +180,14 @@ def test_rayleigh_bounds():
 
 
 def test_sieve_constant_examples():
-    assert sieve_constant(2, 1, 2, "full") == pytest.approx(2.0, rel=1e-12)
+    assert measure_constant(2, 1, 2, "full").value == pytest.approx(2.0, rel=1e-12)
     # rank-one lower bound: the constant is at least N
     for Q, k, mode in [(2, 2, "full"), (3, 2, "dyadic"), (2, 3, "full")]:
         for n in (4, 32):
-            assert sieve_constant(Q, n, k, mode) >= n * (1 - 1e-9)
+            assert measure_constant(Q, n, k, mode).value >= n * (1 - 1e-9)
     kern = toeplitz_kernel(enumerate_system(2, 2, "full"), 16)
-    assert sieve_constant(2, 16, 2, "full") == pytest.approx(dense_lambda_max(kern),
-                                                             rel=1e-6)
+    assert measure_constant(2, 16, 2, "full").value == pytest.approx(
+        dense_lambda_max(kern), rel=1e-6)
 
 
 def test_duality_sandwich():
@@ -196,7 +195,7 @@ def test_duality_sandwich():
     for Q, k, mode in [(2, 2, "full"), (2, 2, "dyadic"), (3, 3, "dyadic")]:
         s = enumerate_system(Q, k, mode)
         n = 32
-        lam = sieve_constant(Q, n, k, mode)
+        lam = measure_constant(Q, n, k, mode).value
         kern = toeplitz_kernel(s, n)
         best_rayleigh = 0.0
         for _ in range(100):
