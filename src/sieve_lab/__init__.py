@@ -5,7 +5,6 @@ from .bounds import (
     BoundParams,
     CrossoverReport,
     FitResult,
-    ScanRecord,
     SHAPE_NAMES,
     bound_conjecture,
     bound_delta,

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -158,30 +158,6 @@ def evaluate_bounds(p: BoundParams) -> dict[str, float]:
         "loglog": bound_loglog(p),
         "delta": bound_delta(p),
     }
-
-
-@dataclass
-class ScanRecord:
-    """One grid point's measured constant, bound values, and ratios."""
-
-    params: BoundParams
-    mode: str
-    measured: float
-    residual: float
-    size: int
-    bounds: dict[str, float] = field(default_factory=dict)
-    ratios: dict[str, float] = field(default_factory=dict)
-    status: str = "ok"
-    detail: str = ""
-
-    @classmethod
-    def build(cls, params: BoundParams, mode: str, measured: float,
-              residual: float, size: int) -> "ScanRecord":
-        values = evaluate_bounds(params)
-        ratios = {name: (measured / value if value > 0 else math.inf)
-                  for name, value in values.items()}
-        return cls(params=params, mode=mode, measured=measured,
-                   residual=residual, size=size, bounds=values, ratios=ratios)
 
 
 @dataclass(frozen=True)

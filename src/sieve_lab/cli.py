@@ -17,6 +17,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -25,13 +26,12 @@ from pathlib import Path
 
 import numpy as np
 
-from . import kernels, regression
-from .bounds import (BoundParams, SHAPE_NAMES, ScanRecord, crossover_analysis,
-                     fit_exponent)
+from . import bounds, kernels, regression
+from .bounds import BoundParams, SHAPE_NAMES, crossover_analysis, fit_exponent
 from .errors import (EXIT_CAPACITY, EXIT_EIGENSOLVER, EXIT_INVALID_CONFIG,
                      EXIT_OK, EXIT_VERIFICATION, CapacityError, EigensolverError)
 from .expsums import fourier_majorant
-from .farey import count_near, counting_rhs, enumerate_system
+from .farey import count_near, counting_rhs, enumerate_system, system_size
 # sigma_exact is unused here but stays importable from cli, where
 # perfbench/tracing.py wraps it.
 from .sieve import (CoefficientVector, dense_lambda_max, measure_constant,  # noqa: F401
@@ -43,6 +43,11 @@ ORACLE_N_CAP = 512
 REL_SLACK = 1e-9
 
 COMMANDS = ("constant", "lemma1", "weyl", "majorant", "crossover", "fit")
+
+# Keys a config file, the environment's config file or a flag may set.
+CONFIG_KEYS = ("Q", "N", "k", "mode", "eps", "rel_tol", "seed", "oracle",
+               "normalization", "format", "out", "theta", "points", "vectors",
+               "samples")
 
 _COMMON_DEFAULTS = {
     "mode": "full", "eps": 0.05, "rel_tol": 1e-8, "seed": DEFAULT_SEED,
@@ -108,9 +113,6 @@ def parse_int_values(text: str, name: str) -> tuple[int, ...]:
 
 
 def load_config_file(path: str) -> dict[str, str]:
-    known = {"Q", "N", "k", "mode", "eps", "rel_tol", "seed", "oracle",
-             "normalization", "format", "out", "theta", "points", "vectors",
-             "samples"}
     data: dict[str, str] = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -124,10 +126,9 @@ def load_config_file(path: str) -> dict[str, str]:
             raise ConfigError(f"bad config line (expected key=value): {raw!r}")
         key, value = line.split("=", 1)
         key = key.strip().replace("-", "_")
-        if key == "rel_tol" or key in known:
-            data[key] = value.strip()
-        else:
-            raise ConfigError(f"unknown config key {key.strip()!r}")
+        if key not in CONFIG_KEYS:
+            raise ConfigError(f"unknown config key {key!r}")
+        data[key] = value.strip()
     return data
 
 
@@ -145,9 +146,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         merged.update(load_config_file(env_cfg))
     if args.config:
         merged.update(load_config_file(args.config))
-    for key in ("Q", "N", "k", "mode", "eps", "rel_tol", "seed", "oracle",
-                "normalization", "format", "out", "theta", "points", "vectors",
-                "samples"):
+    for key in CONFIG_KEYS:
         flag = getattr(args, key, None)
         if flag is not None:
             merged[key] = flag
@@ -273,21 +272,21 @@ def cmd_constant(cfg: RunConfig) -> tuple[list[dict], list[str], int, list[str]]
             params = BoundParams(Q, N, k, cfg.eps)
             row["delta"] = params.delta
             row["kappa"] = params.kappa
-            system = enumerate_system(Q, k, cfg.mode)
-            kern = toeplitz_kernel(system, N)
+            kern = toeplitz_kernel(Q, N, k, cfg.mode)
             res = power_iteration(kern, cfg.rel_tol)
-            record = ScanRecord.build(params, cfg.mode, res.value, res.residual,
-                                      system.size)
-            row.update({"size": system.size, "measured": res.value,
+            row.update({"size": system_size(Q, k, cfg.mode), "measured": res.value,
                         "residual": res.residual, "iterations": res.iterations})
+            values = bounds.evaluate_bounds(params)  # perfbench/tracing.py wraps it there
             for name in SHAPE_NAMES:
-                row[f"bound_{name}"] = record.bounds[name]
-                row[f"ratio_{name}"] = record.ratios[name]
+                row[f"bound_{name}"] = values[name]
+                row[f"ratio_{name}"] = (res.value / values[name] if values[name] > 0
+                                        else math.inf)
             if cfg.oracle and N <= ORACLE_N_CAP:
+                system = enumerate_system(Q, k, cfg.mode)
+                brute = kernels.autocorr(system.numerators, system.moduli, N)
+                kernel_err = float(np.max(np.abs(kern.c - brute)))
                 dense = dense_lambda_max(kern)
                 rel = abs(res.value - dense) / max(abs(dense), 1e-300)
-                brute = toeplitz_kernel(system, N, method="brute_force")
-                kernel_err = float(np.max(np.abs(kern.c - brute.c)))
                 row.update({"oracle_lambda": dense, "oracle_rel_err": rel,
                             "oracle_kernel_abs_err": kernel_err})
                 if rel > 1e-6 or kernel_err > 1e-10:

@@ -22,8 +22,8 @@ Mode = Literal["full", "dyadic"]
 
 # Keeps every int64 kernel product a*b with a, b < modulus below 2**62.
 MODULUS_CAP = 1 << 31
-# Most points enumerate_system allocates: three int64 arrays of 24 bytes per
-# point, about 400 MB at the budget (twice that while the parts are joined).
+# Most points enumerate_system allocates: three int64 arrays, 24 bytes per
+# point, about 400 MB at the budget.
 POINT_BUDGET = 1 << 24
 
 
@@ -75,13 +75,11 @@ def _totients(n: int) -> np.ndarray:
     return phi
 
 
-def enumerate_system(Q: int, k: int, mode: Mode) -> PowerFareySystem:
-    """Enumerate the system for (Q, k, mode), sorted by (q, a).
+def system_bases(Q: int, k: int, mode: Mode) -> range:
+    """The bases q >= 2 of the system for (Q, k, mode), ascending.
 
     Rejects any modulus q**k >= 2**31 with CapacityError: beyond that the exact
-    int64 phase arithmetic in the kernels would overflow.  Also rejects, before
-    allocating, any system of more than POINT_BUDGET points; its size is
-    sum of phi(q) * q**(k-1) over the base range.
+    int64 phase arithmetic in the kernels would overflow.
     """
     if Q < 1:
         raise ValueError(f"Q must be >= 1, got {Q}")
@@ -89,41 +87,47 @@ def enumerate_system(Q: int, k: int, mode: Mode) -> PowerFareySystem:
         raise ValueError(f"k must be >= 2, got {k}")
     if mode not in ("full", "dyadic"):
         raise ValueError(f"mode must be 'full' or 'dyadic', got {mode!r}")
-
-    q_values = range(1, Q + 1) if mode == "full" else range(Q + 1, 2 * Q + 1)
-    top = max(q_values)
+    top = Q if mode == "full" else 2 * Q
     if top ** k >= MODULUS_CAP:
         raise CapacityError(
             f"modulus {top}^{k} = {top ** k} exceeds the supported width (< 2^31)")
-    phi = _totients(top).tolist()
-    size = sum(phi[q] * q ** (k - 1) for q in q_values if q > 1)
+    # q = 1 contributes no point: there is no a with 0 < a < 1
+    return range(2 if mode == "full" else Q + 1, top + 1)
+
+
+def system_size(Q: int, k: int, mode: Mode) -> int:
+    """Number of points of the system, sum of phi(q) * q**(k-1) over its bases,
+    computed without building them."""
+    bases = system_bases(Q, k, mode)
+    phi = _totients(bases.stop - 1).tolist()
+    return sum(phi[q] * q ** (k - 1) for q in bases)
+
+
+def enumerate_system(Q: int, k: int, mode: Mode) -> PowerFareySystem:
+    """Enumerate the system for (Q, k, mode), sorted by (q, a).
+
+    Validates as system_bases does, and rejects before allocating any system
+    of more than POINT_BUDGET points with CapacityError.
+    """
+    size = system_size(Q, k, mode)
     if size > POINT_BUDGET:
         raise CapacityError(
             f"system has {size} points, above the budget of {POINT_BUDGET}")
 
-    num_parts: list[np.ndarray] = []
-    base_parts: list[np.ndarray] = []
-    mod_parts: list[np.ndarray] = []
-    for q in q_values:
-        if q == 1:
-            continue  # no a with 0 < a < 1
+    nums = np.empty(size, dtype=np.int64)
+    bases = np.empty(size, dtype=np.int64)
+    mods = np.empty(size, dtype=np.int64)
+    start = 0
+    for q in system_bases(Q, k, mode):
         qk = q ** k
         residues = np.array([r for r in range(1, q) if math.gcd(r, q) == 1],
                             dtype=np.int64)
         offsets = np.arange(0, qk, q, dtype=np.int64)
-        a = (offsets[:, None] + residues[None, :]).ravel()
-        num_parts.append(a)
-        base_parts.append(np.full(a.shape[0], q, dtype=np.int64))
-        mod_parts.append(np.full(a.shape[0], qk, dtype=np.int64))
-
-    if num_parts:
-        nums = np.concatenate(num_parts)
-        bases = np.concatenate(base_parts)
-        mods = np.concatenate(mod_parts)
-    else:
-        nums = np.empty(0, dtype=np.int64)
-        bases = np.empty(0, dtype=np.int64)
-        mods = np.empty(0, dtype=np.int64)
+        stop = start + offsets.shape[0] * residues.shape[0]
+        nums[start:stop] = (offsets[:, None] + residues[None, :]).ravel()
+        bases[start:stop] = q
+        mods[start:stop] = qk
+        start = stop
     return PowerFareySystem(Q=Q, k=k, mode=mode, numerators=nums, bases=bases,
                             moduli=mods)
 

@@ -1,18 +1,18 @@
 """Exact evaluation of the sieve quadratic form and its optimal constant.
 
-The optimal constant is the largest eigenvalue of the Hermitian Toeplitz Gram
-matrix T[m,n] = c(m-n), c(t) = sum over points of e(a t / q^k).  We eigensolve
-the N x N Toeplitz side (not the |F| x |F| side): both carry the same nonzero
+The optimal constant is the largest eigenvalue of the Toeplitz Gram matrix
+T[m,n] = c(m-n), c(t) = sum over points of e(a t / q^k).  We eigensolve the
+N x N Toeplitz side (not the |F| x |F| side): both carry the same nonzero
 spectrum and Toeplitz structure gives O(N log N) products via a circulant
 embedding.
 
-The autocorrelation c(t) has an exact closed form: per base q and squarefree
-divisor d | q, the full geometric sum over a residue class vanishes unless
-(q^k / d) | t, where it contributes mu(d) * q^k / d.  In particular c(t) is a
-real integer, so T is real symmetric: its products use real FFTs and its top
-eigenvalue comes from a restarted Lanczos iteration.  The O(|F| N)
-brute-force path (complex, Hermitian) is kept permanently behind the method
-flag as the oracle.
+The autocorrelation c(t) has an exact closed form over the bases alone: per
+base q and squarefree divisor d | q, the full geometric sum over a residue
+class vanishes unless (q^k / d) | t, where it contributes mu(d) * q^k / d.  So
+the constant is computed from (Q, N, k, mode) without building any point.
+c(t) is a real integer, so T is real symmetric: its products use real FFTs
+and its top eigenvalue comes from a restarted Lanczos iteration.  The O(|F| N)
+brute-force sum over the enumerated points, kernels.autocorr, is the oracle.
 
 Note on the enumerated range: the zero frequency (base q = 1, value 1, whose
 aligned term would add |sum v_n|^2) is never part of the system, so the
@@ -23,13 +23,13 @@ q^k >= 2^k only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from . import kernels
 from .errors import EigensolverError
-from .farey import Mode, PowerFareySystem, enumerate_system
+from .farey import Mode, PowerFareySystem, system_bases, system_size
 
 # Fixed seed of the Lanczos start vector; results are deterministic.
 START_SEED = 0xC0FFEE
@@ -69,28 +69,27 @@ class CoefficientVector:
 
 
 class ToeplitzKernel:
-    """Hermitian Toeplitz operator T[m,n] = c(m-n) given c(t) for 0 <= t < N.
+    """Real symmetric Toeplitz operator T[m,n] = c(|m-n|) given real c(t) for
+    0 <= t < N.
 
-    c(-t) is the conjugate of c(t).  The circulant embedding (length 2N) is
-    transformed once, so matvec costs two FFTs.  A real c (the closed form)
-    makes T real symmetric and the products use real FFTs; a complex c (the
-    brute-force oracle, hand-built partial point sets) keeps complex FFTs.
-    Immutable after construction.
+    The circulant embedding (length 2N) is transformed once by a real FFT, so
+    a product costs two real FFTs; a complex vector v is applied as
+    T Re v + i T Im v.  A complex c is rejected.  Immutable after construction.
     """
 
     def __init__(self, c: np.ndarray):
         c = np.asarray(c)
-        self.is_real = not np.iscomplexobj(c)
-        c = c.astype(np.float64 if self.is_real else np.complex128)
+        if np.iscomplexobj(c):
+            raise ValueError("c must be real: T is real symmetric")
+        c = c.astype(np.float64)
         if c.ndim != 1 or c.shape[0] < 1:
             raise ValueError("c must be a nonempty 1-d array")
         self.c = c
         self.N = int(c.shape[0])
-        emb = np.zeros(2 * self.N, dtype=c.dtype)
+        emb = np.zeros(2 * self.N)
         emb[:self.N] = c
-        if self.N > 1:
-            emb[self.N + 1:] = np.conj(c[1:][::-1])
-        self._circ_fft = np.fft.rfft(emb) if self.is_real else np.fft.fft(emb)
+        emb[self.N + 1:] = c[1:][::-1]
+        self._circ_fft = np.fft.rfft(emb)
 
     def _real_matvec(self, v: np.ndarray) -> np.ndarray:
         n2 = 2 * self.N
@@ -99,9 +98,6 @@ class ToeplitzKernel:
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """T @ v via the circulant embedding, O(N log N)."""
         v = np.asarray(v)
-        if not self.is_real:
-            vf = np.fft.fft(v.astype(np.complex128, copy=False), 2 * self.N)
-            return np.fft.ifft(self._circ_fft * vf)[:self.N]
         if np.iscomplexobj(v):
             return self._real_matvec(v.real) + 1j * self._real_matvec(v.imag)
         return self._real_matvec(v.astype(np.float64, copy=False))
@@ -109,9 +105,7 @@ class ToeplitzKernel:
     def dense(self) -> np.ndarray:
         """Materialized N x N matrix (oracle/cross-check use)."""
         idx = np.arange(self.N)
-        diff = idx[:, None] - idx[None, :]
-        out = np.where(diff >= 0, self.c[np.abs(diff)], np.conj(self.c[np.abs(diff)]))
-        return out
+        return self.c[np.abs(idx[:, None] - idx[None, :])]
 
 
 def _squarefree_divisors_with_mu(q: int) -> list[tuple[int, int]]:
@@ -133,25 +127,17 @@ def _squarefree_divisors_with_mu(q: int) -> list[tuple[int, int]]:
     return divs
 
 
-def toeplitz_kernel(system: PowerFareySystem, N: int,
-                    method: Literal["closed_form", "brute_force"] = "closed_form",
-                    ) -> ToeplitzKernel:
-    """Autocorrelation kernel c(t), t = 0..N-1, of the system's point set.
+def toeplitz_kernel(Q: int, N: int, k: int, mode: Mode = "full") -> ToeplitzKernel:
+    """Autocorrelation kernel c(t), t = 0..N-1, of the system for (Q, k, mode),
+    in closed form from its bases (see the module docstring).
 
-    The closed form requires the complete coprime residue set per base (what
-    enumerate_system produces); hand-built partial point sets must use the
-    brute_force method, which sums over the points as given.
+    Raises CapacityError as system_bases does; builds no point.
     """
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
-    if method == "brute_force":
-        c = kernels.autocorr(system.numerators, system.moduli, N)
-        return ToeplitzKernel(c)
-    if method != "closed_form":
-        raise ValueError(f"unknown method {method!r}")
     c = np.zeros(N, dtype=np.float64)
-    for q in system.distinct_bases():
-        qk = q ** system.k
+    for q in system_bases(Q, k, mode):
+        qk = q ** k
         for d, mu in _squarefree_divisors_with_mu(q):
             step = qk // d
             weight = float(mu * step)
@@ -186,7 +172,7 @@ def power_iteration(kernel: ToeplitzKernel, rel_tol: float = 1e-8) -> PowerResul
     if rel_tol <= 0:
         raise ValueError("rel_tol must be > 0")
     n = kernel.N
-    c0 = float(kernel.c[0].real)
+    c0 = float(kernel.c[0])
     if c0 <= 0.0:
         return PowerResult(0.0, 0.0, 0)  # empty system: T = 0
     if n == 1:
@@ -195,16 +181,14 @@ def power_iteration(kernel: ToeplitzKernel, rel_tol: float = 1e-8) -> PowerResul
     cap = 10 * n + ITERATION_CAP_BASE
     rng = np.random.default_rng(START_SEED)
     x = rng.standard_normal(n)
-    if not kernel.is_real:
-        x = x + 1j * rng.standard_normal(n)
     x /= np.linalg.norm(x)
-    V = np.empty((m, n), dtype=x.dtype)
+    V = np.empty((m, n))
     alpha = np.zeros(m)
     beta = np.zeros(m)
     tx = kernel.matvec(x)
     matvecs = 1
     while True:
-        value = float(np.real(np.vdot(x, tx)))
+        value = float(np.vdot(x, tx))
         if value <= 0.0:
             return PowerResult(0.0, 0.0, matvecs)  # numerically null operator
         residual = float(np.linalg.norm(tx - value * x)) / value
@@ -223,10 +207,9 @@ def power_iteration(kernel: ToeplitzKernel, rel_tol: float = 1e-8) -> PowerResul
                 matvecs += 1
             alpha[j] = 0.0
             for _ in range(2):  # full reorthogonalisation, two passes
-                # conj(V @ conj(w)) = V* w without copying V for a real basis
-                h = np.conj(V[:j + 1] @ np.conj(w))
+                h = V[:j + 1] @ w
                 w = w - h @ V[:j + 1]
-                alpha[j] += h[j].real
+                alpha[j] += h[j]
             beta[j] = float(np.linalg.norm(w))
             theta, Y = np.linalg.eigh(np.diag(alpha[:j + 1]) + np.diag(beta[:j], 1)
                                       + np.diag(beta[:j], -1))
@@ -243,7 +226,7 @@ def power_iteration(kernel: ToeplitzKernel, rel_tol: float = 1e-8) -> PowerResul
 
 
 def dense_lambda_max(kernel: ToeplitzKernel) -> float:
-    """Dense Hermitian eigensolver oracle for the same matrix."""
+    """Dense symmetric eigensolver oracle for the same matrix."""
     return float(np.linalg.eigvalsh(kernel.dense())[-1])
 
 
@@ -291,8 +274,8 @@ class ConstantResult(NamedTuple):
 def measure_constant(Q: int, N: int, k: int, mode: Mode = "full",
                      rel_tol: float = 1e-8) -> ConstantResult:
     """Optimal constant Delta(Q, N, k): the largest Rayleigh quotient of the
-    sieve quadratic form per unit |v|^2, plus eigensolver diagnostics."""
-    system = enumerate_system(Q, k, mode)
-    kern = toeplitz_kernel(system, N)
-    res = power_iteration(kern, rel_tol)
-    return ConstantResult(res.value, res.residual, res.iterations, system.size)
+    sieve quadratic form per unit |v|^2, plus eigensolver diagnostics and the
+    system size.  Builds no point."""
+    res = power_iteration(toeplitz_kernel(Q, N, k, mode), rel_tol)
+    return ConstantResult(res.value, res.residual, res.iterations,
+                          system_size(Q, k, mode))

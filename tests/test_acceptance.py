@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sieve_lab import cli, regression
+from sieve_lab import cli, kernels, regression
 from sieve_lab.bounds import crossover_analysis, fit_exponent
 from sieve_lab.expsums import fourier_majorant
 from sieve_lab.farey import count_near, counting_rhs, enumerate_system, stieltjes_integral
@@ -57,16 +57,11 @@ def _cell_vectors(k: int, mode: str, Q: int, N: int):
 
 @pytest.fixture(scope="module")
 def grid():
-    """system, kernel, and eigensolver result for every grid cell."""
+    """Closed-form kernel and eigensolver result for every grid cell."""
     cells = {}
-    for k in GRID_K:
-        for mode in GRID_MODES:
-            for Q in GRID_Q:
-                system = enumerate_system(Q, k, mode)
-                for N in GRID_N:
-                    kern = toeplitz_kernel(system, N)
-                    res = power_iteration(kern, 1e-8)
-                    cells[(k, mode, Q, N)] = (system, kern, res)
+    for k, mode, Q, N in _cell_keys():
+        kern = toeplitz_kernel(Q, N, k, mode)
+        cells[(k, mode, Q, N)] = (kern, power_iteration(kern, 1e-8))
     return cells
 
 
@@ -114,7 +109,7 @@ def test_criterion_01_counting_inequality_exact():
 def test_criterion_02_classical_bound_constant_one(grid):
     worst = ("", 0.0)
     violations = 0
-    for (k, mode, Q, N), (_, _, res) in grid.items():
+    for (k, mode, Q, N), (_, res) in grid.items():
         top = Q if mode == "full" else 2 * Q
         bound = N + float(top) ** (2 * k)
         ratio = res.value / bound
@@ -130,14 +125,15 @@ def test_criterion_02_classical_bound_constant_one(grid):
 def test_criterion_03_eigensolver_oracles(grid):
     rng = np.random.default_rng([SEED, 3])
     worst_lam = worst_kernel = worst_mult = 0.0
-    for (k, mode, Q, N), (system, kern, res) in grid.items():
+    for (k, mode, Q, N), (kern, res) in grid.items():
         if N > 64:
             continue
         dense_val = dense_lambda_max(kern)
         if dense_val > 0:
             worst_lam = max(worst_lam, abs(res.value - dense_val) / dense_val)
-        brute = toeplitz_kernel(system, N, method="brute_force")
-        worst_kernel = max(worst_kernel, float(np.max(np.abs(kern.c - brute.c))))
+        system = enumerate_system(Q, k, mode)
+        brute = kernels.autocorr(system.numerators, system.moduli, N)
+        worst_kernel = max(worst_kernel, float(np.max(np.abs(kern.c - brute))))
         dense_mat = kern.dense()
         for _ in range(20):
             v = rng.standard_normal(N) + 1j * rng.standard_normal(N)
@@ -156,7 +152,7 @@ def test_criterion_04_quadratic_form_consistency(grid):
     worst = 0.0
     for key in _cell_keys():
         k, mode, Q, N = key
-        _, kern, _ = grid[key]
+        kern, _ = grid[key]
         for (m_off, values), (sigma, _) in zip(_cell_vectors(*key),
                                                _sigma_cache[key]):
             quad = float(np.real(np.vdot(values, kern.matvec(values))))
@@ -271,9 +267,7 @@ def test_criterion_09_exponent_fit():
     samples = []
     for Q in range(2, 9):
         N = Q * Q
-        system = enumerate_system(Q, 2, "full")
-        kern = toeplitz_kernel(system, N)
-        samples.append((float(Q), power_iteration(kern).value))
+        samples.append((float(Q), power_iteration(toeplitz_kernel(Q, N, 2)).value))
     slope = fit_exponent(samples).slope
     ok = ok and 2.0 <= slope <= 4.0
     _report("criterion 9: exponent fit sanity", ok,

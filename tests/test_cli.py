@@ -8,10 +8,12 @@ import time
 import numpy as np
 import pytest
 
-from sieve_lab import cli, kernels
+from sieve_lab import cli, farey, kernels
 from sieve_lab.farey import counting_rhs, enumerate_system
 from sieve_lab.sieve import CoefficientVector, sigma_exact, sigma_exact_batch
 from sieve_lab.errors import EXIT_CAPACITY, EXIT_EIGENSOLVER, EXIT_INVALID_CONFIG, EXIT_OK
+
+from helpers import totient
 
 
 def run_cli(args, tmp_path, name="out"):
@@ -74,21 +76,54 @@ def test_capacity_exit_code(tmp_path):
     assert b"capacity-error" in raw
 
 
-def test_point_budget_exit_code(tmp_path):
-    # every modulus q^4 <= 10^8 passes the 2^31 cap, but the system has about
-    # 1.2e9 points (29 GB of int64); the child's 2 GiB address-space limit turns
-    # any attempt to allocate them into a MemoryError instead of exit 4
+def run_limited(args, tmp_path):
+    """The CLI in a child process under a 2 GiB address-space limit, which turns
+    any attempt to allocate the points of a huge system into a MemoryError:
+    (exit code, output text, seconds taken)."""
     out = tmp_path / "a.csv"
     start = time.perf_counter()
     proc = subprocess.run(
-        [sys.executable, "-m", "sieve_lab.cli", "constant", "--Q", "100", "--N", "16",
-         "--k", "4", "--out", str(out)],
+        [sys.executable, "-m", "sieve_lab.cli", *args, "--out", str(out)],
         capture_output=True, text=True, env=dict(os.environ),
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)))
-    assert proc.returncode == EXIT_CAPACITY, proc.stderr
-    assert time.perf_counter() - start < 5.0
-    assert "capacity-error" in out.read_text()
-    assert "above the budget" in out.read_text()
+    elapsed = time.perf_counter() - start
+    return proc.returncode, out.read_text() if out.exists() else proc.stderr, elapsed
+
+
+def test_point_budget_exit_code(tmp_path):
+    # every modulus q^4 <= 10^8 passes the 2^31 cap, but the system has about
+    # 1.2e9 points (29 GB of int64), which lemma1 would have to build
+    code, text, elapsed = run_limited(["lemma1", "--Q", "100", "--N", "16", "--k", "4"],
+                                      tmp_path)
+    assert code == EXIT_CAPACITY, text
+    assert elapsed < 5.0
+    assert "capacity-error" in text
+    assert "above the budget" in text
+
+
+def test_constant_needs_no_points(tmp_path):
+    # the same system as above: the closed-form kernel reads only its 99 bases
+    code, text, elapsed = run_limited(["constant", "--Q", "100", "--N", "16", "--k", "4"],
+                                      tmp_path)
+    assert code == EXIT_OK, text
+    assert elapsed < 5.0
+    header, row = text.splitlines()
+    rec = dict(zip(header.split(","), row.split(",")))
+    assert rec["status"] == "ok"
+    assert int(rec["size"]) == sum(totient(q) * q ** 3 for q in range(2, 101))
+
+
+def test_constant_oracle_over_point_budget(tmp_path, monkeypatch):
+    monkeypatch.setattr(farey, "POINT_BUDGET", 1)  # the system has 2 points
+    code, raw = run_cli(["constant", "--oracle", "--Q", "2", "--N", "4", "--k", "2",
+                         "--format", "json"], tmp_path, "a.json")
+    assert code == EXIT_CAPACITY
+    (rec,) = json.loads(raw)
+    assert rec["status"] == "capacity-error"
+    assert "above the budget of 1" in rec["detail"]
+    assert rec["size"] == 2 and rec["measured"] > 0 and rec["iterations"] >= 0
+    assert rec["bound_ls_a"] == 20.0 and rec["ratio_ls_a"] == rec["measured"] / 20.0
+    assert rec["oracle_kernel_abs_err"] is None
 
 
 def test_eigensolver_exit_code(tmp_path):

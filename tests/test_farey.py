@@ -40,6 +40,7 @@ def test_enumerate_sizes_match_totient_sum(mode, k):
         s = enumerate_system(Q, k, mode)
         qs = range(2, Q + 1) if mode == "full" else range(Q + 1, 2 * Q + 1)
         assert s.size == sum(q ** (k - 1) * totient(q) for q in qs)
+        assert farey.system_size(Q, k, mode) == s.size
 
 
 @pytest.mark.parametrize("mode", ["full", "dyadic"])

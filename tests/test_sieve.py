@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+from sieve_lab import kernels
 from sieve_lab.errors import EigensolverError
 from sieve_lab.farey import enumerate_system
-from sieve_lab.sieve import (CoefficientVector, dense_lambda_max, measure_constant,
-                             power_iteration, rayleigh_lower_bound, sigma_exact,
-                             sigma_exact_batch, toeplitz_kernel)
+from sieve_lab.sieve import (CoefficientVector, ToeplitzKernel, dense_lambda_max,
+                             measure_constant, power_iteration, rayleigh_lower_bound,
+                             sigma_exact, sigma_exact_batch, toeplitz_kernel)
 
 from helpers import brute_sigma, int_points
 from test_farey import make_singleton
@@ -75,10 +76,10 @@ def test_sigma_exact_batch_shapes():
 def test_kernel_c0_is_size_and_examples():
     for Q, k, mode in GRID:
         s = enumerate_system(Q, k, mode)
-        kern = toeplitz_kernel(s, 4)
+        kern = toeplitz_kernel(Q, 4, k, mode)
         assert kern.c[0] == pytest.approx(s.size, abs=1e-12)
 
-    full = toeplitz_kernel(enumerate_system(2, 2, "full"), 4)
+    full = toeplitz_kernel(2, 4, 2, "full")
     assert full.c[1] == pytest.approx(0.0, abs=1e-12)
     assert full.c[2] == pytest.approx(-2.0, abs=1e-12)
 
@@ -88,17 +89,16 @@ def test_kernel_closed_form_matches_brute_force(k):
     for Q in range(1, 7):
         for mode in ("full", "dyadic"):
             s = enumerate_system(Q, k, mode)
-            closed = toeplitz_kernel(s, 64).c
-            brute = toeplitz_kernel(s, 64, method="brute_force").c
+            closed = toeplitz_kernel(Q, 64, k, mode).c
+            brute = kernels.autocorr(s.numerators, s.moduli, 64)
             assert np.max(np.abs(closed - brute)) < 1e-10
 
 
 def test_fast_multiply_matches_dense():
     rng = np.random.default_rng(13)
     for Q, k, mode in GRID:
-        s = enumerate_system(Q, k, mode)
         for n in (1, 8, 64):
-            kern = toeplitz_kernel(s, n)
+            kern = toeplitz_kernel(Q, n, k, mode)
             dense = kern.dense()
             for _ in range(20):
                 v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -108,28 +108,27 @@ def test_fast_multiply_matches_dense():
                 assert float(np.linalg.norm(fast - ref)) / scale < 1e-10
 
 
-def test_lambda_max_examples():
-    # a synthetic one-point set is not a complete residue system, so the
-    # rank-one check goes through the brute-force kernel
-    s = make_singleton(1, 2, 2)
-    for n in (1, 5, 33):
-        kern = toeplitz_kernel(s, n, method="brute_force")
-        assert power_iteration(kern).value == pytest.approx(n, rel=1e-10)
+def test_toeplitz_kernel_rejects_complex_c():
+    with pytest.raises(ValueError):
+        ToeplitzKernel(np.array([2.0, 1.0 + 1.0j]))
+    with pytest.raises(ValueError):
+        ToeplitzKernel(np.array([2.0 + 0.0j]))
 
+
+def test_lambda_max_examples():
     for Q, k, mode in GRID:
         sys_ = enumerate_system(Q, k, mode)
-        kern = toeplitz_kernel(sys_, 1)
+        kern = toeplitz_kernel(Q, 1, k, mode)
         assert power_iteration(kern).value == pytest.approx(sys_.size, rel=1e-12, abs=1e-12)
 
-    kern = toeplitz_kernel(enumerate_system(2, 2, "full"), 8)
+    kern = toeplitz_kernel(2, 8, 2, "full")
     assert power_iteration(kern).value == pytest.approx(dense_lambda_max(kern), rel=1e-8)
 
 
 def test_lambda_max_matches_dense_on_grid():
     for Q, k, mode in GRID:
-        s = enumerate_system(Q, k, mode)
         for n in (4, 16, 64):
-            kern = toeplitz_kernel(s, n)
+            kern = toeplitz_kernel(Q, n, k, mode)
             fast = power_iteration(kern).value
             dense = dense_lambda_max(kern)
             assert fast == pytest.approx(dense, rel=1e-6, abs=1e-12)
@@ -138,14 +137,14 @@ def test_lambda_max_matches_dense_on_grid():
     # whose top eigenvalues are a near-degenerate even/odd pair (286.11 vs
     # 285.19, 2291.2 vs 2288.7)
     for Q, n, k in [(7, 16, 4), (8, 16, 4), (4, 256, 2), (6, 1000, 3)]:
-        kern = toeplitz_kernel(enumerate_system(Q, k, "full"), n)
+        kern = toeplitz_kernel(Q, n, k, "full")
         res = power_iteration(kern, 1e-8)
         assert res.residual < 1e-8
         assert res.value == pytest.approx(dense_lambda_max(kern), rel=1e-9)
 
 
 def test_power_iteration_reports_and_nonconvergence():
-    kern = toeplitz_kernel(enumerate_system(2, 2, "full"), 16)
+    kern = toeplitz_kernel(2, 16, 2, "full")
     res = power_iteration(kern, 1e-8)
     assert res.residual < 1e-8 and res.iterations >= 1
 
@@ -158,7 +157,7 @@ def test_power_iteration_reports_and_nonconvergence():
 def test_rayleigh_bounds():
     s = enumerate_system(3, 2, "dyadic")
     n = 24
-    kern = toeplitz_kernel(s, n)
+    kern = toeplitz_kernel(3, n, 2, "dyadic")
     lam = power_iteration(kern).value
 
     basis = np.zeros(n, dtype=complex)
@@ -185,7 +184,7 @@ def test_sieve_constant_examples():
     for Q, k, mode in [(2, 2, "full"), (3, 2, "dyadic"), (2, 3, "full")]:
         for n in (4, 32):
             assert measure_constant(Q, n, k, mode).value >= n * (1 - 1e-9)
-    kern = toeplitz_kernel(enumerate_system(2, 2, "full"), 16)
+    kern = toeplitz_kernel(2, 16, 2, "full")
     assert measure_constant(2, 16, 2, "full").value == pytest.approx(
         dense_lambda_max(kern), rel=1e-6)
 
@@ -196,7 +195,7 @@ def test_duality_sandwich():
         s = enumerate_system(Q, k, mode)
         n = 32
         lam = measure_constant(Q, n, k, mode).value
-        kern = toeplitz_kernel(s, n)
+        kern = toeplitz_kernel(Q, n, k, mode)
         best_rayleigh = 0.0
         for _ in range(100):
             v = CoefficientVector(int(rng.integers(-16, 17)),
@@ -212,7 +211,7 @@ def test_sigma_equals_kernel_quadratic_form():
     for Q, k, mode in GRID:
         s = enumerate_system(Q, k, mode)
         for n in (4, 16):
-            kern = toeplitz_kernel(s, n)
+            kern = toeplitz_kernel(Q, n, k, mode)
             for _ in range(10):
                 values = rng.standard_normal(n) + 1j * rng.standard_normal(n)
                 vec = CoefficientVector(0, values)
