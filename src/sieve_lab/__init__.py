@@ -1,6 +1,6 @@
 """sieve-lab: numerical laboratory for large sieve constants with power moduli."""
 
-from .arith import ApproxPair, Rational, dirichlet_approx, e_of, nearest_int_distance, reduce
+from .arith import ApproxPair, Rational, dirichlet_approx
 from .bounds import (
     BoundParams,
     CrossoverReport,
@@ -24,7 +24,6 @@ from .expsums import (
     min_sum,
     min_sum_bound,
     phi_hat,
-    phi_kernel,
     weyl_min_sum_bound,
     weyl_pair_bound,
     weyl_sum,

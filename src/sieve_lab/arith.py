@@ -1,4 +1,4 @@
-"""Exact integer/rational arithmetic, circle-group primitives, and Dirichlet approximation.
+"""Exact rational arithmetic and Dirichlet approximation.
 
 Rationals are plain fractions.Fraction values (always stored reduced, positive
 denominator), so every counting comparison downstream can be done in exact
@@ -7,15 +7,12 @@ integer arithmetic.  Reals are double precision throughout.
 
 from __future__ import annotations
 
-import cmath
 import math
 from fractions import Fraction
 from typing import NamedTuple, Union
 
 Rational = Fraction
 Real = Union[int, float, Fraction]
-
-TWO_PI = 2.0 * math.pi
 
 
 class ApproxPair(NamedTuple):
@@ -24,25 +21,6 @@ class ApproxPair(NamedTuple):
     u: int
     v: int
     residual: float
-
-
-def reduce(num: int, den: int) -> Fraction:
-    """Reduced fraction num/den; rejects den <= 0."""
-    if den <= 0:
-        raise ValueError(f"denominator must be a positive integer, got {den}")
-    return Fraction(num, den)
-
-
-def e_of(alpha: Real) -> complex:
-    """exp(2*pi*i*alpha), with the argument reduced mod 1 first."""
-    frac = alpha % 1
-    return cmath.exp(complex(0.0, TWO_PI * float(frac)))
-
-
-def nearest_int_distance(alpha: Real) -> float:
-    """Distance from alpha to the nearest integer, in [0, 1/2]."""
-    frac = alpha % 1
-    return float(min(frac, 1 - frac))
 
 
 def _continued_fraction_convergents(alpha: Fraction):

@@ -4,6 +4,13 @@ Rational phase coefficients are evaluated with exact modular arithmetic
 (a * q^k mod denominator), so the phase never degrades no matter how large
 q^k gets; float coefficients go through a split reduction that keeps the
 mod-1 phase accurate to ~1e-13 at desk scale.
+
+The minimum sums sum_v min(XY/v, 1/||v alpha||) behind min_sum and
+weyl_min_sum_bound are one numpy pass over v: exact int64 residues v * num mod
+den for rational alpha, np.remainder for floats, added left to right so the
+result is the double a plain loop gives.  The exact paths (Weyl sums and
+minimum sums) take rational denominators below 2^31 only and raise
+CapacityError above.
 """
 
 from __future__ import annotations
@@ -53,18 +60,23 @@ class MajorantResult:
     B: float
 
 
+def _reduced(alpha: int | Fraction) -> tuple[int, int]:
+    """(numerator mod denominator, denominator) of a rational coefficient, for
+    the exact int64 paths; raises CapacityError when the denominator is >= 2^31."""
+    frac = Fraction(alpha)
+    den = frac.denominator
+    if den >= MODULUS_CAP:
+        raise CapacityError(f"denominator {den} exceeds the exact-path width (< 2^31)")
+    return frac.numerator % den, den
+
+
 def weyl_sum(phase: MonomialPhase, Q: int) -> complex:
     """sum_{Q < q <= 2Q} e(alpha * q**k), phase-reduced mod 1 before exponentiating."""
     if Q < 1:
         raise ValueError(f"Q must be >= 1, got {Q}")
     alpha, k = phase.alpha, phase.k
     if isinstance(alpha, (int, Fraction)):
-        frac = Fraction(alpha)
-        den = frac.denominator
-        if den >= MODULUS_CAP:
-            raise CapacityError(
-                f"denominator {den} exceeds the exact-path width (< 2^31)")
-        num_red = frac.numerator % den
+        num_red, den = _reduced(alpha)
         return complex(kernels.weyl_rational(num_red, den, k, Q, 2 * Q))
     if (2 * Q) ** k >= _FLOAT_POWER_CAP:
         raise CapacityError(
@@ -84,20 +96,26 @@ def weyl_pair_bound(approx: ApproxPair, Q: int, k: int, eps: float) -> float:
     return Q ** (1.0 + eps) * (1.0 / v + 1.0 / Q + v / float(Q) ** k) ** delta
 
 
-def _inv_circle_dist(alpha: Coeff, v: int) -> float:
-    """1/||v*alpha||, or +inf when v*alpha is an integer (exact for rationals)."""
+def _min_terms_sum(alpha: Coeff, count: int, xy: float) -> float:
+    """sum_{1 <= v <= count} min(xy/v, 1/||v*alpha||) in one numpy pass; a
+    vanishing ||v*alpha|| picks the xy/v branch.
+
+    Rational alpha uses the exact int64 residues v*num mod den (den < 2^31, so
+    v*num cannot overflow for count < 2^32); float alpha reduces v*alpha mod 1.
+    The terms are added left to right (cumsum), so the result is the same
+    double as a plain Python loop.
+    """
+    v = np.arange(1, count + 1)
     if isinstance(alpha, (int, Fraction)):
-        frac = Fraction(alpha)
-        m = (v * frac.numerator) % frac.denominator
-        if m == 0:
-            return math.inf
-        return frac.denominator / min(m, frac.denominator - m)
-    prod = v * float(alpha)
-    r = prod % 1.0
-    d = min(r, 1.0 - r)
-    if d == 0.0:
-        return math.inf
-    return 1.0 / d
+        num_red, den = _reduced(alpha)
+        m = v * num_red % den
+        scale, dist = den, np.minimum(m, den - m)
+    else:
+        r = np.remainder(v * float(alpha), 1.0)
+        scale, dist = 1.0, np.minimum(r, 1.0 - r)
+    with np.errstate(divide="ignore"):
+        inv = scale / dist
+    return float(np.cumsum(np.minimum(xy / v, inv))[-1])
 
 
 def min_sum(alpha: Coeff, X: float, Y: float) -> float:
@@ -105,11 +123,7 @@ def min_sum(alpha: Coeff, X: float, Y: float) -> float:
     vanishing ||alpha*v|| picks the X*Y/v branch."""
     if X < 1 or Y < 1:
         raise ValueError("X and Y must be >= 1")
-    xy = float(X) * float(Y)
-    total = 0.0
-    for v in range(1, math.floor(X) + 1):
-        total += min(xy / v, _inv_circle_dist(alpha, v))
-    return total
+    return _min_terms_sum(alpha, math.floor(X), float(X) * float(Y))
 
 
 def min_sum_bound(X: float, Y: float, approx: ApproxPair) -> float:
@@ -129,22 +143,13 @@ def weyl_min_sum_bound(phase: MonomialPhase, Q: int, eps: float) -> float:
     k = phase.k
     delta = 1.0 / (2 * k * (k - 1))
     qk = float(Q) ** k
-    inner = 0.0
-    for v in range(1, Q + 1):
-        inner += min(qk / v, _inv_circle_dist(phase.alpha, v))
+    inner = _min_terms_sum(phase.alpha, Q, qk)
     return Q ** (1.0 + eps) * (1.0 / Q + inner / qk) ** delta
 
 
-def phi_kernel(x: float) -> float:
-    """(sin(pi x) / (2x))^2, continuously extended to pi^2/4 at x = 0."""
-    if x == 0.0:
-        return kernels.PI_SQ_OVER_4
-    s = math.sin(math.pi * x) / (2.0 * x)
-    return s * s
-
-
 def phi_hat(s: float) -> float:
-    """Fourier transform of phi_kernel: (pi^2/4) * max(1 - |s|, 0)."""
+    """(pi^2/4) * max(1 - |s|, 0): the Fourier transform of the Fejer-type
+    kernel (sin(pi x) / (2x))^2, which majorises the indicator of [-1/2, 1/2]."""
     return kernels.PI_SQ_OVER_4 * max(1.0 - abs(s), 0.0)
 
 

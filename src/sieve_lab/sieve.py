@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels
-from .errors import EigensolverError
+from .errors import CapacityError, EigensolverError
 from .farey import Mode, PowerFareySystem, system_bases, system_size
 
 # Fixed seed of the Lanczos start vector; results are deterministic.
@@ -37,6 +37,11 @@ ITERATION_CAP_BASE = 1000
 # Krylov basis size per Lanczos cycle (capped at N): the basis holds
 # RESTART_LENGTH * N floats, about 34 MB at N = 2^16.
 RESTART_LENGTH = 64
+# Largest estimated eigensolve footprint toeplitz_kernel accepts, in bytes:
+# the basis plus 16 more float64 N-vectors (c, the 2N embedding and its rfft,
+# the FFT temporaries of one product and the iteration vectors).  2 GiB admits
+# N up to about 3.3e6; N = 2^16 needs about 42 MB.
+EIGEN_BUDGET_BYTES = 1 << 31
 # beta_j below this fraction of the top Ritz value: the basis spans an
 # invariant subspace to working precision.
 INVARIANT_TOL = 1e-12
@@ -131,12 +136,19 @@ def toeplitz_kernel(Q: int, N: int, k: int, mode: Mode = "full") -> ToeplitzKern
     """Autocorrelation kernel c(t), t = 0..N-1, of the system for (Q, k, mode),
     in closed form from its bases (see the module docstring).
 
-    Raises CapacityError as system_bases does; builds no point.
+    Raises CapacityError as system_bases does, or before allocating anything
+    when the eigensolve at this N would need more than EIGEN_BUDGET_BYTES;
+    builds no point.
     """
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
+    bases = system_bases(Q, k, mode)
+    need = 8 * N * (min(RESTART_LENGTH, N) + 16)
+    if need > EIGEN_BUDGET_BYTES:
+        raise CapacityError(f"N = {N} needs about {need} bytes for the eigensolve, "
+                            f"above the budget of {EIGEN_BUDGET_BYTES}")
     c = np.zeros(N, dtype=np.float64)
-    for q in system_bases(Q, k, mode):
+    for q in bases:
         qk = q ** k
         for d, mu in _squarefree_divisors_with_mu(q):
             step = qk // d

@@ -91,6 +91,27 @@ def brute_majorant(b: int, rk: int, mods, bqs) -> tuple[float, float]:
     return value, main
 
 
+def brute_min_sum(alpha, count: int, xy: float) -> float:
+    """sum_{1 <= v <= count} min(xy/v, 1/||v*alpha||), term by term in a Python
+    loop added left to right; ||v*alpha|| from exact integer residues for
+    rational alpha, from (v*alpha) % 1.0 for floats; a zero distance picks xy/v."""
+    exact = isinstance(alpha, (int, Fraction))
+    if exact:
+        frac = Fraction(alpha)
+        num, den = frac.numerator, frac.denominator
+    total = 0.0
+    for v in range(1, count + 1):
+        if exact:
+            m = (v * num) % den
+            inv = math.inf if m == 0 else den / min(m, den - m)
+        else:
+            r = (v * float(alpha)) % 1.0
+            d = min(r, 1.0 - r)
+            inv = math.inf if d == 0.0 else 1.0 / d
+        total += min(xy / v, inv)
+    return total
+
+
 def int_points(system) -> list[tuple[int, int]]:
     """(a, q^k) pairs of a PowerFareySystem as Python ints."""
     return list(system.iter_int_points())

@@ -4,52 +4,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sieve_lab.arith import dirichlet_approx, e_of, nearest_int_distance, reduce
+from sieve_lab.arith import dirichlet_approx
 
 from helpers import brute_dirichlet, valid_pairs
-
-
-def test_e_of_examples():
-    assert e_of(0) == pytest.approx(1 + 0j, abs=1e-15)
-    assert e_of(0.5) == pytest.approx(-1 + 0j, abs=1e-12)
-    assert e_of(0.25) == pytest.approx(1j, abs=1e-12)
-    assert e_of(Fraction(1, 4)) == pytest.approx(1j, abs=1e-15)
-
-
-def test_e_of_is_multiplicative_and_unimodular():
-    rng = np.random.default_rng(7)
-    for _ in range(200):
-        a, b = rng.uniform(-5, 5, size=2)
-        assert abs(e_of(a) * e_of(b) - e_of(a + b)) < 1e-12
-        assert abs(abs(e_of(a)) - 1.0) < 1e-12
-
-
-def test_nearest_int_distance_examples():
-    assert nearest_int_distance(0.4) == pytest.approx(0.4, abs=1e-15)
-    assert nearest_int_distance(0.6) == pytest.approx(0.4, abs=1e-15)
-    assert nearest_int_distance(3.0) == 0.0
-    assert nearest_int_distance(Fraction(7, 3)) == pytest.approx(1 / 3, abs=1e-15)
-
-
-def test_nearest_int_distance_properties():
-    rng = np.random.default_rng(11)
-    for _ in range(300):
-        alpha = float(rng.uniform(-4, 4))
-        shift = int(rng.integers(-5, 6))
-        d = nearest_int_distance(alpha)
-        assert 0.0 <= d <= 0.5
-        assert nearest_int_distance(alpha + shift) == pytest.approx(d, abs=1e-12)
-        assert nearest_int_distance(-alpha) == pytest.approx(d, abs=1e-12)
-
-
-def test_reduce():
-    assert reduce(2, 4) == Fraction(1, 2)
-    assert reduce(0, 7) == Fraction(0, 1)
-    assert reduce(9, 16) == Fraction(9, 16)
-    with pytest.raises(ValueError):
-        reduce(1, 0)
-    with pytest.raises(ValueError):
-        reduce(1, -2)
 
 
 def test_dirichlet_exact_rational():

@@ -4,6 +4,7 @@ import resource
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,18 @@ from sieve_lab.sieve import CoefficientVector, sigma_exact, sigma_exact_batch
 from sieve_lab.errors import EXIT_CAPACITY, EXIT_EIGENSOLVER, EXIT_INVALID_CONFIG, EXIT_OK
 
 from helpers import totient
+
+
+# the directory that holds the sieve_lab package under test
+SRC = Path(cli.__file__).resolve().parents[1]
+
+
+def child_env():
+    """os.environ with SRC first on PYTHONPATH, so a child interpreter imports
+    the same package however pytest was started."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
 
 
 def run_cli(args, tmp_path, name="out"):
@@ -78,13 +91,13 @@ def test_capacity_exit_code(tmp_path):
 
 def run_limited(args, tmp_path):
     """The CLI in a child process under a 2 GiB address-space limit, which turns
-    any attempt to allocate the points of a huge system into a MemoryError:
-    (exit code, output text, seconds taken)."""
+    any attempt to allocate the points or the eigensolve of a huge system into
+    a MemoryError: (exit code, output text, seconds taken)."""
     out = tmp_path / "a.csv"
     start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "sieve_lab.cli", *args, "--out", str(out)],
-        capture_output=True, text=True, env=dict(os.environ),
+        capture_output=True, text=True, env=child_env(),
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)))
     elapsed = time.perf_counter() - start
     return proc.returncode, out.read_text() if out.exists() else proc.stderr, elapsed
@@ -111,6 +124,17 @@ def test_constant_needs_no_points(tmp_path):
     rec = dict(zip(header.split(","), row.split(",")))
     assert rec["status"] == "ok"
     assert int(rec["size"]) == sum(totient(q) * q ** 3 for q in range(2, 101))
+
+
+def test_eigensolve_budget_exit_code(tmp_path):
+    # two points, but N = 10^8 would need a 6.4 GB Lanczos basis
+    code, text, elapsed = run_limited(["constant", "--Q", "2", "--N", "100000000",
+                                       "--k", "2", "--format", "json"], tmp_path)
+    assert code == EXIT_CAPACITY, text
+    assert elapsed < 5.0
+    (rec,) = json.loads(text)
+    assert rec["status"] == "capacity-error"
+    assert "above the budget of 2147483648" in rec["detail"]
 
 
 def test_constant_oracle_over_point_budget(tmp_path, monkeypatch):
@@ -259,12 +283,11 @@ def test_fit_emits_slope(tmp_path):
 
 
 def test_entry_point_subprocess(tmp_path):
-    env = dict(os.environ)
     out = tmp_path / "cli.csv"
     proc = subprocess.run(
         [sys.executable, "-m", "sieve_lab.cli", "constant", "--Q", "2", "--N", "4",
          "--k", "2", "--out", str(out)],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0
     assert out.read_text().startswith("schema,")
 
@@ -276,6 +299,6 @@ def test_import_does_not_load_scipy():
         [sys.executable, "-c",
          "import sys, sieve_lab; "
          "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
-        capture_output=True, text=True, env=dict(os.environ))
+        capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

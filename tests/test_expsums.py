@@ -7,11 +7,12 @@ import pytest
 from sieve_lab.arith import ApproxPair
 from sieve_lab.errors import CapacityError
 from sieve_lab.expsums import (MonomialPhase, fourier_majorant, min_sum,
-                               min_sum_bound, phi_hat, phi_kernel,
+                               min_sum_bound, phi_hat,
                                weyl_min_sum_bound, weyl_pair_bound, weyl_sum)
 from sieve_lab.farey import count_near, enumerate_system
+from sieve_lab.regression import sample_alphas
 
-from helpers import valid_pairs
+from helpers import brute_min_sum, valid_pairs
 
 
 def test_weyl_sum_examples():
@@ -87,6 +88,47 @@ def test_min_sum_examples():
         min_sum(0.5, 0.5, 2)
 
 
+# alphas past the sampled ones: integers, negatives, exact zero distances on
+# the float path, and the largest denominator the exact path takes
+EDGE_ALPHAS = [0, 3, -2, Fraction(-3, 7), Fraction(-1000, 2 ** 31 - 1),
+               Fraction(12345, 2 ** 31 - 1), Fraction(2 ** 31 - 2, 2 ** 31 - 1),
+               0.0, 0.5, 0.25, -0.37, -math.pi, 1e-9]
+MIN_SUM_XY = [(1.0, 1.0), (1.0, 250.5), (2.5, 7.3), (100.0, 3.0), (511.75, 480.5)]
+
+
+def _oracle_alphas():
+    return [a for seed in (0xC0FFEE, 1, 7) for _, a in sample_alphas(seed)] + EDGE_ALPHAS
+
+
+def test_min_sum_equals_the_term_by_term_loop():
+    # the same double, not an approximation: the vectorised pass must add the
+    # terms in the loop's order
+    for alpha in _oracle_alphas():
+        for X, Y in MIN_SUM_XY:
+            assert min_sum(alpha, X, Y) == brute_min_sum(alpha, math.floor(X), X * Y), (
+                alpha, X, Y)
+
+
+def test_weyl_min_sum_bound_equals_the_term_by_term_loop():
+    eps = 0.05
+    for alpha in _oracle_alphas():
+        for k in (2, 3, 4):
+            delta = 1.0 / (2 * k * (k - 1))
+            for Q in (1, 4, 64, 1024):
+                qk = float(Q) ** k
+                want = Q ** (1.0 + eps) * (1.0 / Q + brute_min_sum(alpha, Q, qk) / qk) ** delta
+                assert weyl_min_sum_bound(MonomialPhase(alpha, k), Q, eps) == want, (
+                    alpha, k, Q)
+
+
+def test_min_sums_reject_wide_denominators():
+    alpha = Fraction(1, 2 ** 31)
+    with pytest.raises(CapacityError, match="exact-path width"):
+        min_sum(alpha, 3, 3)
+    with pytest.raises(CapacityError, match="exact-path width"):
+        weyl_min_sum_bound(MonomialPhase(alpha, 2), 4, 0.0)
+
+
 def test_min_sum_bound_examples():
     assert min_sum_bound(1, 1, ApproxPair(0, 1, 0.0)) == pytest.approx(
         3 * math.log(2), rel=1e-12)
@@ -94,18 +136,6 @@ def test_min_sum_bound_examples():
     assert min_sum_bound(10, 10, ApproxPair(0, 3, 0.0)) == pytest.approx(want, rel=1e-12)
     want = 100 * (1 + 1 + 1 / 100) * math.log(200)
     assert min_sum_bound(100, 1, ApproxPair(0, 1, 0.0)) == pytest.approx(want, rel=1e-12)
-
-
-def test_phi_kernel():
-    assert phi_kernel(0.0) == pytest.approx(math.pi ** 2 / 4, rel=1e-15)
-    assert phi_kernel(0.5) == pytest.approx(1.0, rel=1e-12)
-    assert phi_kernel(1.0) == pytest.approx(0.0, abs=1e-12)
-    # continuity at 0 by approach
-    for x in (1e-3, 1e-6, 1e-9):
-        assert phi_kernel(x) == pytest.approx(math.pi ** 2 / 4, rel=1e-5)
-    # the majorant property on [-1/2, 1/2], sampled on a 10^4 grid
-    xs = np.linspace(-0.5, 0.5, 10 ** 4)
-    assert all(phi_kernel(float(x)) >= 1.0 - 1e-12 for x in xs)
 
 
 def test_phi_hat():

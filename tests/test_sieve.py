@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from sieve_lab import kernels
-from sieve_lab.errors import EigensolverError
+from sieve_lab import kernels, sieve
+from sieve_lab.errors import CapacityError, EigensolverError
 from sieve_lab.farey import enumerate_system
 from sieve_lab.sieve import (CoefficientVector, ToeplitzKernel, dense_lambda_max,
                              measure_constant, power_iteration, rayleigh_lower_bound,
@@ -218,3 +218,13 @@ def test_sigma_equals_kernel_quadratic_form():
                 sig = sigma_exact(s, vec)
                 quad = float(np.real(np.vdot(values, kern.matvec(values))))
                 assert sig == pytest.approx(quad, rel=1e-8, abs=1e-9)
+
+
+def test_eigensolve_budget_boundary(monkeypatch):
+    # N = 16: a basis of 16 vectors plus 16 more N-vectors, 8 bytes each
+    need = 8 * 16 * (16 + 16)
+    monkeypatch.setattr(sieve, "EIGEN_BUDGET_BYTES", need)
+    assert toeplitz_kernel(2, 16, 2).N == 16
+    monkeypatch.setattr(sieve, "EIGEN_BUDGET_BYTES", need - 1)
+    with pytest.raises(CapacityError, match="above the budget"):
+        toeplitz_kernel(2, 16, 2)
