@@ -49,7 +49,7 @@ def dirichlet_approx(alpha: Real, bound: int) -> ApproxPair:
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
     exact = alpha if isinstance(alpha, Fraction) else Fraction(alpha)
-    best: tuple[int, int] | None = None
+    best: tuple[int, int] | None = None  # the first convergent has v = 1 <= bound
     best_res: Fraction | None = None
     for u, v in _continued_fraction_convergents(exact):
         if v > bound:
@@ -59,7 +59,5 @@ def dirichlet_approx(alpha: Real, bound: int) -> ApproxPair:
             best, best_res = (u, v), res
         if res == 0:
             break
-    if best is None:  # alpha integral and the loop yielded nothing: cannot happen, but be safe
-        best = (round(float(exact)), 1)
     u, v = best
     return ApproxPair(u=u, v=v, residual=float(abs(alpha * v - u)))

@@ -5,10 +5,14 @@ that must hold exactly failed, or a crossover inconsistency), 4 capacity
 overflow, 5 eigensolver non-convergence.  When several kinds of row failures
 occur in one scan the most severe code wins (3, then 4, then 5).
 
+Each command takes only the options it reads (the COMMANDS table), plus
+--format, --out and --config; any other flag is a usage error (exit 2).
 Config precedence: command-line flags override the --config file, which
-overrides the file named by SIEVE_LAB_CONFIG, which overrides per-command
-defaults.  Config files are flat key=value lines with '#' comments.  Rows
-are emitted in deterministic sorted order.
+overrides the file named by SIEVE_LAB_CONFIG, which overrides the command's
+defaults.  Config files are flat key=value lines with '#' comments.  One
+config file serves every command: it may set any option some command reads,
+and each command ignores the keys it does not read; a key no command reads
+is invalid.  Rows are emitted in deterministic sorted order.
 """
 
 from __future__ import annotations
@@ -20,9 +24,9 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -42,51 +46,32 @@ DEFAULT_SEED = 0xC0FFEE
 ORACLE_N_CAP = 512
 REL_SLACK = 1e-9
 
-COMMANDS = ("constant", "lemma1", "weyl", "majorant", "crossover", "fit")
-
-# Keys a config file, the environment's config file or a flag may set.
-CONFIG_KEYS = ("Q", "N", "k", "mode", "eps", "rel_tol", "seed", "oracle",
-               "normalization", "format", "out", "theta", "points", "vectors",
-               "samples")
-
-_COMMON_DEFAULTS = {
-    "mode": "full", "eps": 0.05, "rel_tol": 1e-8, "seed": DEFAULT_SEED,
-    "oracle": False, "normalization": "shapes", "format": "csv", "out": "-",
-    "theta": 2.0, "points": 13, "vectors": 100, "samples": 8,
+# Each command and the options it reads, with their defaults.  Every command
+# also takes --format, --out and --config.
+COMMANDS = {
+    "constant": {"Q": "1..4", "N": "4,16,64,256", "k": "2,3", "mode": "full",
+                 "eps": 0.05, "rel_tol": 1e-8, "seed": DEFAULT_SEED, "oracle": False},
+    "lemma1": {"Q": "1..4", "N": "4,16,64,256", "k": "2,3", "mode": "full",
+               "seed": DEFAULT_SEED, "vectors": 100},
+    "weyl": {"Q": "4,16,64,256", "k": "2,3,4", "eps": 0.05, "seed": DEFAULT_SEED,
+             "samples": 200},
+    "majorant": {"Q": "1..4", "k": "2,3", "mode": "full", "seed": DEFAULT_SEED,
+                 "samples": 8},
+    "crossover": {"Q": "4..32", "k": "3", "eps": 0.05, "normalization": "shapes",
+                  "points": 13},
+    "fit": {"Q": "2..8", "k": "2", "mode": "full", "rel_tol": 1e-8, "theta": 2.0},
 }
-
-_COMMAND_DEFAULTS = {
-    "constant": {"Q": "1..4", "N": "4,16,64,256", "k": "2,3"},
-    "lemma1": {"Q": "1..4", "N": "4,16,64,256", "k": "2,3"},
-    "weyl": {"Q": "4,16,64,256", "N": "1", "k": "2,3,4", "samples": 200},
-    "majorant": {"Q": "1..4", "N": "1", "k": "2,3"},
-    "crossover": {"Q": "4..32", "N": "1", "k": "3"},
-    "fit": {"Q": "2..8", "N": "1", "k": "2"},
-}
+_OUTPUT_DEFAULTS = {"format": "csv", "out": "-"}
 
 
 class ConfigError(Exception):
     """Invalid configuration; maps to exit code 2."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    q_values: tuple[int, ...]
-    n_values: tuple[int, ...]
-    k_values: tuple[int, ...]
-    mode: str
-    eps: float
-    rel_tol: float
-    seed: int
-    oracle: bool
-    normalization: str
-    fmt: str
-    out: str
-    theta: float
-    points: int
-    vectors: int
-    samples: int
+class RunConfig(SimpleNamespace):
+    """One run: its command, the output settings fmt and out, and the parsed
+    options that command reads, under the attribute names in _OPTIONS.  An
+    option the command does not read is not an attribute."""
 
 
 def parse_int_values(text: str, name: str) -> tuple[int, ...]:
@@ -126,7 +111,7 @@ def load_config_file(path: str) -> dict[str, str]:
             raise ConfigError(f"bad config line (expected key=value): {raw!r}")
         key, value = line.split("=", 1)
         key = key.strip().replace("-", "_")
-        if key not in CONFIG_KEYS:
+        if key not in _OPTIONS:
             raise ConfigError(f"unknown config key {key!r}")
         data[key] = value.strip()
     return data
@@ -138,64 +123,75 @@ def _as_bool(value) -> bool:
     return str(value).strip().lower() in {"1", "true", "yes", "on"}
 
 
+def _range(name: str):
+    return lambda text: parse_int_values(text, name)
+
+
+# Every option some command reads: its argparse keywords, the RunConfig
+# attribute it sets, and how a flag or config-file value converts.
+_OPTIONS = {
+    "Q": ({"help": "base range, e.g. 1..4 or 2,3,8"}, "q_values", _range("Q")),
+    "N": ({"help": "length range, e.g. 4,16,64,256"}, "n_values", _range("N")),
+    "k": ({"help": "power range, e.g. 2..3"}, "k_values", _range("k")),
+    "mode": ({"choices": ("full", "dyadic")}, "mode", str),
+    "eps": ({"type": float}, "eps", float),
+    "rel_tol": ({"type": float}, "rel_tol", float),
+    "seed": ({"type": int}, "seed", int),
+    "oracle": ({"action": "store_const", "const": True,
+                "help": "enable brute-force/dense cross-checks"}, "oracle", _as_bool),
+    "normalization": ({"choices": ("shapes", "literal")}, "normalization", str),
+    "format": ({"choices": ("csv", "json")}, "fmt", str),
+    "out": ({"help": "output path, '-' for stdout"}, "out", str),
+    "theta": ({"type": float, "help": "path exponent for fit"}, "theta", float),
+    "points": ({"type": int, "help": "grid points per column"}, "points", int),
+    "vectors": ({"type": int, "help": "random vectors per cell"}, "vectors", int),
+    "samples": ({"type": int, "help": "samples per cell/table"}, "samples", int),
+}
+
+
 def build_config(args: argparse.Namespace) -> RunConfig:
-    merged: dict = dict(_COMMON_DEFAULTS)
-    merged.update(_COMMAND_DEFAULTS[args.command])
-    env_cfg = os.environ.get("SIEVE_LAB_CONFIG", "").strip()
-    if env_cfg:
-        merged.update(load_config_file(env_cfg))
-    if args.config:
-        merged.update(load_config_file(args.config))
-    for key in CONFIG_KEYS:
-        flag = getattr(args, key, None)
+    """The command's options: its defaults, overridden by the SIEVE_LAB_CONFIG
+    file, then the --config file, then the flags.  A config file may set any
+    option some command reads; keys this command does not read are ignored."""
+    merged: dict = {**COMMANDS[args.command], **_OUTPUT_DEFAULTS}
+    for path in (os.environ.get("SIEVE_LAB_CONFIG", "").strip(), args.config):
+        if path:
+            merged.update({key: value for key, value in load_config_file(path).items()
+                           if key in merged})
+    for key in merged:
+        flag = getattr(args, key)
         if flag is not None:
             merged[key] = flag
 
     try:
-        cfg = RunConfig(
-            command=args.command,
-            q_values=parse_int_values(merged["Q"], "Q"),
-            n_values=parse_int_values(merged["N"], "N"),
-            k_values=parse_int_values(merged["k"], "k"),
-            mode=str(merged["mode"]),
-            eps=float(merged["eps"]),
-            rel_tol=float(merged["rel_tol"]),
-            seed=int(merged["seed"]),
-            oracle=_as_bool(merged["oracle"]),
-            normalization=str(merged["normalization"]),
-            fmt=str(merged["format"]),
-            out=str(merged["out"]),
-            theta=float(merged["theta"]),
-            points=int(merged["points"]),
-            vectors=int(merged["vectors"]),
-            samples=int(merged["samples"]),
-        )
+        cfg = RunConfig(command=args.command, **{
+            _OPTIONS[key][1]: _OPTIONS[key][2](value) for key, value in merged.items()})
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid configuration value: {exc}") from exc
 
-    if cfg.mode not in ("full", "dyadic"):
+    if "mode" in merged and cfg.mode not in ("full", "dyadic"):
         raise ConfigError(f"mode must be full or dyadic, got {cfg.mode!r}")
-    if cfg.normalization not in ("shapes", "literal"):
+    if "normalization" in merged and cfg.normalization not in ("shapes", "literal"):
         raise ConfigError(f"normalization must be shapes or literal, got {cfg.normalization!r}")
     if cfg.fmt not in ("csv", "json"):
         raise ConfigError(f"format must be csv or json, got {cfg.fmt!r}")
-    if cfg.eps <= 0:
+    if "eps" in merged and cfg.eps <= 0:
         raise ConfigError("eps must be > 0")
-    if cfg.rel_tol <= 0:
+    if "rel_tol" in merged and cfg.rel_tol <= 0:
         raise ConfigError("rel-tol must be > 0")
     if min(cfg.q_values) < 1:
         raise ConfigError("Q values must be >= 1")
     if min(cfg.k_values) < 2:
         raise ConfigError("k values must be >= 2")
-    if min(cfg.n_values) < 1:
+    if "N" in merged and min(cfg.n_values) < 1:
         raise ConfigError("N values must be >= 1")
     if cfg.command == "lemma1" and min(cfg.n_values) < 2:
         raise ConfigError("lemma1 requires N >= 2")
-    if cfg.points < 2:
+    if "points" in merged and cfg.points < 2:
         raise ConfigError("points must be >= 2")
-    if cfg.vectors < 1 or cfg.samples < 1:
+    if ("vectors" in merged and cfg.vectors < 1) or ("samples" in merged and cfg.samples < 1):
         raise ConfigError("vectors and samples must be >= 1")
-    if cfg.theta <= 0:
+    if "theta" in merged and cfg.theta <= 0:
         raise ConfigError("theta must be > 0")
     return cfg
 
@@ -554,25 +550,11 @@ def build_parser() -> argparse.ArgumentParser:
         "crossover": "map the winning bound shape and check the crossover boundary",
         "fit": "fit the growth exponent of the measured constant along N = Q^theta",
     }
-    for name in COMMANDS:
+    for name, defaults in COMMANDS.items():
         sp = sub.add_parser(name, help=helps[name])
-        sp.add_argument("--Q", help="base range, e.g. 1..4 or 2,3,8")
-        sp.add_argument("--N", help="length range, e.g. 4,16,64,256")
-        sp.add_argument("--k", help="power range, e.g. 2..3")
-        sp.add_argument("--mode", choices=("full", "dyadic"))
-        sp.add_argument("--eps", type=float)
-        sp.add_argument("--rel-tol", dest="rel_tol", type=float)
-        sp.add_argument("--seed", type=int)
-        sp.add_argument("--oracle", action="store_const", const=True,
-                        help="enable brute-force/dense cross-checks")
-        sp.add_argument("--normalization", choices=("shapes", "literal"))
-        sp.add_argument("--format", choices=("csv", "json"))
-        sp.add_argument("--out", help="output path, '-' for stdout")
+        for key in [*defaults, *_OUTPUT_DEFAULTS]:
+            sp.add_argument("--" + key.replace("_", "-"), dest=key, **_OPTIONS[key][0])
         sp.add_argument("--config", help="flat key=value config file")
-        sp.add_argument("--theta", type=float, help="path exponent for fit")
-        sp.add_argument("--points", type=int, help="grid points per column")
-        sp.add_argument("--vectors", type=int, help="random vectors per cell")
-        sp.add_argument("--samples", type=int, help="samples per cell/table")
     return parser
 
 
@@ -586,15 +568,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INVALID_CONFIG
     try:
         records, columns, code, summary = _DISPATCH[cfg.command](cfg)
-    except ConfigError as exc:
-        print(f"sieve-lab: invalid config: {exc}", file=sys.stderr)
-        return EXIT_INVALID_CONFIG
     except CapacityError as exc:
         print(f"sieve-lab: capacity error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
-    except EigensolverError as exc:
-        print(f"sieve-lab: eigensolver error: {exc}", file=sys.stderr)
-        return EXIT_EIGENSOLVER
     write_records(records, list(columns), cfg)
     for line in summary:
         print(line, file=sys.stderr)

@@ -10,7 +10,8 @@ weyl_min_sum_bound are one numpy pass over v: exact int64 residues v * num mod
 den for rational alpha, np.remainder for floats, added left to right so the
 result is the double a plain loop gives.  The exact paths (Weyl sums and
 minimum sums) take rational denominators below 2^31 only and raise
-CapacityError above.
+CapacityError above.  Every Weyl and minimum sum raises CapacityError, before
+allocating, when it has more than TERM_BUDGET = 2^22 terms.
 """
 
 from __future__ import annotations
@@ -30,6 +31,9 @@ from .farey import MODULUS_CAP, PowerFareySystem, _radius_as_fraction
 Coeff = Union[int, float, Fraction]
 
 _FLOAT_POWER_CAP = 1 << 53  # q**k must stay exactly representable on the float path
+# Most terms one Weyl sum (q in (Q, 2Q]) or minimum sum (v <= X) takes; its
+# numpy temporaries need about 64 bytes a term, about 300 MB at the budget.
+TERM_BUDGET = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -70,10 +74,17 @@ def _reduced(alpha: int | Fraction) -> tuple[int, int]:
     return frac.numerator % den, den
 
 
+def _check_terms(count: int) -> None:
+    if count > TERM_BUDGET:
+        raise CapacityError(f"sum has {count} terms, above the budget of {TERM_BUDGET}")
+
+
 def weyl_sum(phase: MonomialPhase, Q: int) -> complex:
-    """sum_{Q < q <= 2Q} e(alpha * q**k), phase-reduced mod 1 before exponentiating."""
+    """sum_{Q < q <= 2Q} e(alpha * q**k), phase-reduced mod 1 before exponentiating;
+    raises CapacityError above TERM_BUDGET terms."""
     if Q < 1:
         raise ValueError(f"Q must be >= 1, got {Q}")
+    _check_terms(Q)
     alpha, k = phase.alpha, phase.k
     if isinstance(alpha, (int, Fraction)):
         num_red, den = _reduced(alpha)
@@ -103,8 +114,9 @@ def _min_terms_sum(alpha: Coeff, count: int, xy: float) -> float:
     Rational alpha uses the exact int64 residues v*num mod den (den < 2^31, so
     v*num cannot overflow for count < 2^32); float alpha reduces v*alpha mod 1.
     The terms are added left to right (cumsum), so the result is the same
-    double as a plain Python loop.
+    double as a plain Python loop.  Raises CapacityError above TERM_BUDGET terms.
     """
+    _check_terms(count)
     v = np.arange(1, count + 1)
     if isinstance(alpha, (int, Fraction)):
         num_red, den = _reduced(alpha)

@@ -44,18 +44,17 @@ Alpha = Union[Fraction, float]
 _NONSQUARES = tuple(d for d in range(2, 60) if math.isqrt(d) ** 2 != d)
 
 
-def sample_alphas(seed: int = FROZEN_SEED, n_rational: int = 100,
-                  n_quadratic: int = 100) -> list[tuple[str, Alpha]]:
-    """Labelled phase coefficients: random reduced rationals (kept exact) and
-    quadratic irrationals (p + s*sqrt(d))/r evaluated as floats."""
+def sample_alphas(seed: int = FROZEN_SEED) -> list[tuple[str, Alpha]]:
+    """Labelled phase coefficients: 100 random reduced rationals (kept exact)
+    and 100 quadratic irrationals (p + s*sqrt(d))/r evaluated as floats."""
     rng = np.random.default_rng(seed)
     out: list[tuple[str, Alpha]] = []
-    for _ in range(n_rational):
+    for _ in range(100):
         den = int(rng.integers(2, 513))
         num = int(rng.integers(1, den))
         fr = Fraction(num, den)
         out.append((f"{fr.numerator}/{fr.denominator}", fr))
-    for _ in range(n_quadratic):
+    for _ in range(100):
         d = int(rng.choice(_NONSQUARES))
         p = int(rng.integers(0, 10))
         s = int(rng.integers(1, 6))
@@ -107,14 +106,13 @@ class MinSumRow:
 
 def min_sum_ratio_rows(alphas: Sequence[tuple[str, Alpha]],
                        seed: int = FROZEN_SEED,
-                       limit: float = MIN_SUM_LIMIT,
                        n_samples: int = MIN_SUM_SAMPLES) -> list[MinSumRow]:
     rng = np.random.default_rng([seed, 1])
     rows = []
     for i in range(n_samples):
         label, alpha = alphas[i % len(alphas)]
-        X = float(rng.uniform(1.0, limit))
-        Y = float(rng.uniform(1.0, limit))
+        X = float(rng.uniform(1.0, MIN_SUM_LIMIT))
+        Y = float(rng.uniform(1.0, MIN_SUM_LIMIT))
         approx = dirichlet_approx(alpha, math.floor(X))
         value = min_sum(alpha, X, Y)
         bound = min_sum_bound(X, Y, approx)
@@ -123,22 +121,17 @@ def min_sum_ratio_rows(alphas: Sequence[tuple[str, Alpha]],
     return rows
 
 
-def delta_ratio_maxima(q_values: Sequence[int] = GRID_Q,
-                       k_values: Sequence[int] = GRID_K,
-                       n_values: Sequence[int] = GRID_N,
-                       modes: Sequence[str] = GRID_MODES,
-                       eps: float = GRID_EPS,
-                       rel_tol: float = GRID_REL_TOL) -> dict[str, dict[str, float]]:
+def delta_ratio_maxima() -> dict[str, dict[str, float]]:
     """Per-k maxima of measured/bound over the standard grid, for the three
     nontrivial shapes."""
     maxima: dict[str, dict[str, float]] = {
-        str(k): {name: 0.0 for name in DELTA_SHAPES} for k in k_values}
-    for k in k_values:
-        for mode in modes:
-            for Q in q_values:
-                for N in n_values:
-                    measured = measure_constant(Q, N, k, mode, rel_tol).value
-                    values = evaluate_bounds(BoundParams(Q, N, k, eps))
+        str(k): {name: 0.0 for name in DELTA_SHAPES} for k in GRID_K}
+    for k in GRID_K:
+        for mode in GRID_MODES:
+            for Q in GRID_Q:
+                for N in GRID_N:
+                    measured = measure_constant(Q, N, k, mode, GRID_REL_TOL).value
+                    values = evaluate_bounds(BoundParams(Q, N, k, GRID_EPS))
                     for name in DELTA_SHAPES:
                         ratio = measured / values[name]
                         if ratio > maxima[str(k)][name]:
@@ -146,22 +139,20 @@ def delta_ratio_maxima(q_values: Sequence[int] = GRID_Q,
     return maxima
 
 
-def compute_frozen(seed: int = FROZEN_SEED) -> dict:
-    alphas = sample_alphas(seed)
+def compute_frozen() -> dict:
+    alphas = sample_alphas()
     weyl_rows = weyl_ratio_rows(alphas)
-    ms_rows = min_sum_ratio_rows(alphas, seed)
+    ms_rows = min_sum_ratio_rows(alphas)
     return {
-        "seed": seed,
+        "seed": FROZEN_SEED,
         "weyl_bound_max": max(r.ratio for r in weyl_rows),
         "min_sum_bound_max": max(r.ratio for r in ms_rows),
         "delta_ratio_max": delta_ratio_maxima(),
     }
 
 
-def write_frozen(path: Path | None = None) -> dict:
+def write_frozen() -> dict:
     data = compute_frozen()
-    if path is None:
-        path = Path(__file__).with_name("frozen.py")
     lines = [
         '"""Frozen regression maxima; regenerate with `python -m sieve_lab.regression`."""',
         "",
@@ -175,7 +166,7 @@ def write_frozen(path: Path | None = None) -> dict:
         inner = ", ".join(f"\"{name}\": {value!r}" for name, value in shapes.items())
         lines.append(f"        \"{k}\": {{{inner}}},")
     lines += ["    },", "}", ""]
-    path.write_text("\n".join(lines), encoding="utf-8")
+    Path(__file__).with_name("frozen.py").write_text("\n".join(lines), encoding="utf-8")
     return data
 
 

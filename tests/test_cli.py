@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -137,6 +138,16 @@ def test_eigensolve_budget_exit_code(tmp_path):
     assert "above the budget of 2147483648" in rec["detail"]
 
 
+def test_weyl_term_budget_exit_code(tmp_path):
+    # Q = 4e7 terms would need a 610 MiB complex array for the first Weyl sum
+    code, text, elapsed = run_limited(["weyl", "--Q", "40000000", "--k", "2",
+                                       "--samples", "1"], tmp_path)
+    assert code == EXIT_CAPACITY, text
+    assert elapsed < 5.0
+    assert "capacity error" in text
+    assert "above the budget of 4194304" in text
+
+
 def test_constant_oracle_over_point_budget(tmp_path, monkeypatch):
     monkeypatch.setattr(farey, "POINT_BUDGET", 1)  # the system has 2 points
     code, raw = run_cli(["constant", "--oracle", "--Q", "2", "--N", "4", "--k", "2",
@@ -186,6 +197,72 @@ def test_bad_config_file(tmp_path):
     assert cli.main(["constant", "--config", str(cfg)]) == EXIT_INVALID_CONFIG
     cfg.write_text("just a line\n")
     assert cli.main(["constant", "--config", str(cfg)]) == EXIT_INVALID_CONFIG
+
+
+# The options each command reads besides --format, --out and --config, and a
+# valid value for every option (None for a switch).
+OWN_FLAGS = {
+    "constant": "Q N k mode eps rel-tol seed oracle",
+    "lemma1": "Q N k mode seed vectors",
+    "weyl": "Q k eps seed samples",
+    "majorant": "Q k mode seed samples",
+    "crossover": "Q k eps normalization points",
+    "fit": "Q k mode rel-tol theta",
+}
+FLAG_VALUES = {"Q": "2", "N": "4", "k": "2", "mode": "dyadic", "eps": "0.1",
+               "rel-tol": "1e-7", "seed": "3", "oracle": None, "normalization": "literal",
+               "theta": "1.5", "points": "5", "vectors": "3", "samples": "3"}
+ATTRIBUTES = {"Q": "q_values", "N": "n_values", "k": "k_values", "rel-tol": "rel_tol"}
+
+
+def flag_argv(flag):
+    value = FLAG_VALUES[flag]
+    return [f"--{flag}"] + ([] if value is None else [value])
+
+
+@pytest.mark.parametrize("command", sorted(OWN_FLAGS))
+def test_each_command_takes_only_its_own_flags(command, tmp_path, capsys):
+    own = OWN_FLAGS[command].split()
+    cfg_file = tmp_path / "lab.cfg"
+    cfg_file.write_text("")
+    args = cli.build_parser().parse_args(
+        [command, *(arg for flag in own for arg in flag_argv(flag)),
+         "--format", "json", "--out", "x.json", "--config", str(cfg_file)])
+    cfg = cli.build_config(args)
+    assert set(vars(cfg)) == ({"command", "fmt", "out"}
+                              | {ATTRIBUTES.get(flag, flag) for flag in own})
+    assert cfg.q_values == (2,) and cfg.fmt == "json" and cfg.out == "x.json"
+    for flag in sorted(set(FLAG_VALUES) - set(own)):
+        with pytest.raises(SystemExit) as info:
+            cli.main([command, *flag_argv(flag)])
+        assert info.value.code == 2, flag
+        assert f"unrecognized arguments: --{flag}" in capsys.readouterr().err
+
+
+def test_config_keys_of_other_commands_are_ignored(tmp_path, monkeypatch):
+    args = ["constant", "--Q", "2", "--N", "4", "--k", "2"]
+    code, plain = run_cli(args, tmp_path, "a.csv")
+    assert code == EXIT_OK
+    env_cfg = tmp_path / "env.cfg"
+    env_cfg.write_text("vectors = 5\ntheta = 3\npoints = 1\n")
+    monkeypatch.setenv("SIEVE_LAB_CONFIG", str(env_cfg))
+    code, with_env = run_cli(args, tmp_path, "b.csv")
+    assert code == EXIT_OK and with_env == plain
+    # the command that reads points still validates it
+    assert cli.main(["crossover"]) == EXIT_INVALID_CONFIG
+
+
+def test_readme_synopsis_lists_each_commands_flags(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```")[1]
+    synopsis = {line.split()[1]: set(re.findall(r"--[\w-]+", line))
+                for line in block.splitlines() if line.startswith("sieve-lab ")}
+    assert sorted(synopsis) == sorted(cli.COMMANDS)
+    for command, flags in synopsis.items():
+        with pytest.raises(SystemExit):
+            cli.main([command, "--help"])
+        accepted = set(re.findall(r"--[\w-]+", capsys.readouterr().out)) - {"--help"}
+        assert flags == accepted, command
 
 
 def test_lemma1_runs_clean(tmp_path, capsys):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from sieve_lab import expsums
 from sieve_lab.arith import ApproxPair
 from sieve_lab.errors import CapacityError
 from sieve_lab.expsums import (MonomialPhase, fourier_majorant, min_sum,
@@ -127,6 +128,19 @@ def test_min_sums_reject_wide_denominators():
         min_sum(alpha, 3, 3)
     with pytest.raises(CapacityError, match="exact-path width"):
         weyl_min_sum_bound(MonomialPhase(alpha, 2), 4, 0.0)
+
+
+@pytest.mark.parametrize("alpha", [Fraction(3, 7), 0.3819660112501051])
+def test_term_budget_boundary(monkeypatch, alpha):
+    monkeypatch.setattr(expsums, "TERM_BUDGET", 8)
+    phase = MonomialPhase(alpha, 2)
+    weyl_sum(phase, 8)
+    weyl_min_sum_bound(phase, 8, 0.05)
+    min_sum(alpha, 8.5, 2.0)
+    for call in (lambda: weyl_sum(phase, 9), lambda: weyl_min_sum_bound(phase, 9, 0.05),
+                 lambda: min_sum(alpha, 9.0, 2.0)):
+        with pytest.raises(CapacityError, match="9 terms, above the budget of 8"):
+            call()
 
 
 def test_min_sum_bound_examples():
