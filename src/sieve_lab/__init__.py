@@ -6,11 +6,6 @@ from .bounds import (
     CrossoverReport,
     FitResult,
     SHAPE_NAMES,
-    bound_conjecture,
-    bound_delta,
-    bound_kappa,
-    bound_loglog,
-    bound_standard_ls,
     crossover_analysis,
     evaluate_bounds,
     fit_exponent,
@@ -42,7 +37,6 @@ from .sieve import (
     dense_lambda_max,
     measure_constant,
     power_iteration,
-    rayleigh_lower_bound,
     sigma_exact,
     toeplitz_kernel,
 )

@@ -1,6 +1,8 @@
 """The six bound shapes, crossover winner maps, and log-log exponent fitting.
 
-Shape names used throughout (CSV columns, reports):
+SHAPES is the one table of the shapes, keyed by the names used throughout
+(CSV columns, reports); SHAPE_NAMES is its key order.  Each entry holds the
+shape's eps-free power terms and its literal value:
 
   ls_a        N + Q^(2k)
   ls_b        Q*N + Q^(k+1)
@@ -11,10 +13,16 @@ Shape names used throughout (CSV columns, reports):
   delta       (N*Q)^eps * (Q^(k+1) + Q^(1-delta)*N + Q^(1+k*delta)*N^(1-delta)),
               delta = 1/(2k(k-1))
 
-Two normalizations: "literal" evaluates the complete formulas (natural log);
-"shapes" compares the dominant power term of each shape with eps = 0 and the
-loglog factor dropped, which is the exponent-level comparison the crossover
-claims are about.
+shape_value is the single entry point; evaluate_bounds maps it over the table.
+Two normalizations: "literal" evaluates the complete formulas (natural log)
+and warns on a value above OVERFLOW_FLAG; "shapes" takes the largest eps-free
+power term, with the loglog factor dropped (so loglog's third term is
+N^(1/2)*Q^k), which is the exponent-level comparison the crossover claims are
+about.
+
+delta_exponent is the one definition of the paper's delta, the exponent that
+Wooley's efficient congruencing supplies; BoundParams, crossover_analysis and
+the two Weyl bound shapes in expsums all read it.
 """
 
 from __future__ import annotations
@@ -29,7 +37,10 @@ import numpy as np
 
 OVERFLOW_FLAG = 1e300
 
-SHAPE_NAMES = ("ls_a", "ls_b", "conjecture", "kappa", "loglog", "delta")
+
+def delta_exponent(k: int) -> Fraction:
+    """The paper's exponent delta = 1/(2k(k-1)) for the moduli q^k."""
+    return Fraction(1, 2 * k * (k - 1))
 
 
 @dataclass(frozen=True)
@@ -53,7 +64,7 @@ class BoundParams:
 
     @property
     def delta_exact(self) -> Fraction:
-        return Fraction(1, 2 * self.k * (self.k - 1))
+        return delta_exponent(self.k)
 
     @property
     def delta(self) -> float:
@@ -64,100 +75,56 @@ class BoundParams:
         return 2 ** (self.k - 1)
 
 
-def _flag_overflow(value: float, name: str) -> float:
-    if value > OVERFLOW_FLAG or math.isinf(value):
-        warnings.warn(f"bound {name} overflowed the flag threshold at {value!r}",
-                      RuntimeWarning, stacklevel=3)
-    return value
-
-
-def _terms(name: str, p: BoundParams) -> tuple[float, ...]:
-    """The eps-free power terms of a shape (loglog factor excluded)."""
-    Q, N, k = float(p.Q), float(p.N), p.k
-    if name == "ls_a":
-        return (N, Q ** (2 * k))
-    if name == "ls_b":
-        return (Q * N, Q ** (k + 1))
-    if name == "conjecture":
-        return (N, Q ** (k + 1))
-    if name == "kappa":
-        kap = p.kappa
-        return (Q ** (k + 1), N * Q ** (1 - 1 / kap), N ** (1 - 1 / kap) * Q ** (1 + k / kap))
-    if name == "loglog":
-        return (Q ** (k + 1), N, math.sqrt(N) * Q ** k)
-    if name == "delta":
-        d = p.delta
-        return (Q ** (k + 1), Q ** (1 - d) * N, Q ** (1 + k * d) * N ** (1 - d))
-    raise ValueError(f"unknown shape {name!r}")
-
-
-def bound_standard_ls(p: BoundParams) -> tuple[float, float]:
-    """The two standard large sieve shapes (N + Q^2k, QN + Q^(k+1))."""
-    a = _flag_overflow(sum(_terms("ls_a", p)), "ls_a")
-    b = _flag_overflow(sum(_terms("ls_b", p)), "ls_b")
-    return a, b
-
-
-def bound_conjecture(p: BoundParams) -> float:
-    return _flag_overflow((p.N + float(p.Q) ** (p.k + 1)) * (p.N * p.Q) ** p.eps,
-                          "conjecture")
-
-
-def bound_kappa(p: BoundParams) -> float:
-    Q, N, k, kap = float(p.Q), float(p.N), p.k, p.kappa
-    value = Q ** (k + 1) + (N * Q ** (1 - 1 / kap)
-                            + N ** (1 - 1 / kap) * Q ** (1 + k / kap)) * N ** p.eps
-    return _flag_overflow(value, "kappa")
-
-
-def bound_loglog(p: BoundParams) -> float:
-    Q, N, k = float(p.Q), float(p.N), p.k
-    if N * Q < 1:
-        raise ValueError("N*Q must be >= 1")
-    value = (Q ** (k + 1) + N + N ** (0.5 + p.eps) * Q ** k) \
-        * math.log(math.log(10.0 * N * Q)) ** (k + 1)
-    return _flag_overflow(value, "loglog")
-
-
-def bound_delta(p: BoundParams) -> float:
-    Q, N, k, d = float(p.Q), float(p.N), p.k, p.delta
-    value = (N * Q) ** p.eps * (Q ** (k + 1) + Q ** (1 - d) * N
-                                + Q ** (1 + k * d) * N ** (1 - d))
-    return _flag_overflow(value, "delta")
+# name -> (terms, literal).  terms(Q, N, p) are the shape's eps-free power
+# terms, the loglog factor excluded; literal(t, Q, N, p) is its complete value
+# given those terms t; Q = float(p.Q) and N = float(p.N).  Each literal keeps
+# its float evaluation order, so the bound columns of the records stay the
+# same doubles from version to version.
+SHAPES = {
+    "ls_a": (lambda Q, N, p: (N, Q ** (2 * p.k)),
+             lambda t, Q, N, p: t[0] + t[1]),
+    "ls_b": (lambda Q, N, p: (Q * N, Q ** (p.k + 1)),
+             lambda t, Q, N, p: t[0] + t[1]),
+    # (N*Q)^eps on p's own fields: for a numpy float64 p.Q, float(p.Q) ** eps
+    # rounds differently
+    "conjecture": (lambda Q, N, p: (N, Q ** (p.k + 1)),
+                   lambda t, Q, N, p: (p.N + t[1]) * (p.N * p.Q) ** p.eps),
+    "kappa": (lambda Q, N, p: (Q ** (p.k + 1), N * Q ** (1 - 1 / p.kappa),
+                               N ** (1 - 1 / p.kappa) * Q ** (1 + p.k / p.kappa)),
+              lambda t, Q, N, p: t[0] + (t[1] + t[2]) * N ** p.eps),
+    # the literal's third term is N^(1/2+eps)*Q^k, not the eps-free t[2]
+    "loglog": (lambda Q, N, p: (Q ** (p.k + 1), N, math.sqrt(N) * Q ** p.k),
+               lambda t, Q, N, p: (t[0] + t[1] + N ** (0.5 + p.eps) * Q ** p.k)
+               * math.log(math.log(10.0 * N * Q)) ** (p.k + 1)),
+    "delta": (lambda Q, N, p: (Q ** (p.k + 1), Q ** (1 - p.delta) * N,
+                               Q ** (1 + p.k * p.delta) * N ** (1 - p.delta)),
+              lambda t, Q, N, p: (N * Q) ** p.eps * (t[0] + t[1] + t[2])),
+}
+SHAPE_NAMES = tuple(SHAPES)
 
 
 def shape_value(name: str, p: BoundParams, normalization: str = "literal") -> float:
-    """Evaluate one shape; "shapes" takes the dominant eps-free power term."""
-    if normalization == "shapes":
-        return max(_terms(name, BoundParams(p.Q, p.N, p.k, 0.0)))
-    if normalization != "literal":
+    """Evaluate one shape: "literal" gives its complete value and warns above
+    OVERFLOW_FLAG; "shapes" gives its largest eps-free power term."""
+    if normalization not in ("literal", "shapes"):
         raise ValueError(f"unknown normalization {normalization!r}")
-    if name == "ls_a":
-        return bound_standard_ls(p)[0]
-    if name == "ls_b":
-        return bound_standard_ls(p)[1]
-    if name == "conjecture":
-        return bound_conjecture(p)
-    if name == "kappa":
-        return bound_kappa(p)
-    if name == "loglog":
-        return bound_loglog(p)
-    if name == "delta":
-        return bound_delta(p)
-    raise ValueError(f"unknown shape {name!r}")
+    if name not in SHAPES:
+        raise ValueError(f"unknown shape {name!r}")
+    terms, literal = SHAPES[name]
+    Q, N = float(p.Q), float(p.N)
+    t = terms(Q, N, p)
+    if normalization == "shapes":
+        return max(t)
+    value = literal(t, Q, N, p)
+    if value > OVERFLOW_FLAG or math.isinf(value):
+        warnings.warn(f"bound {name} overflowed the flag threshold at {value!r}",
+                      RuntimeWarning, stacklevel=2)
+    return value
 
 
 def evaluate_bounds(p: BoundParams) -> dict[str, float]:
-    """All literal shape values keyed by name."""
-    ls_a, ls_b = bound_standard_ls(p)
-    return {
-        "ls_a": ls_a,
-        "ls_b": ls_b,
-        "conjecture": bound_conjecture(p),
-        "kappa": bound_kappa(p),
-        "loglog": bound_loglog(p),
-        "delta": bound_delta(p),
-    }
+    """All literal shape values keyed by name, in SHAPE_NAMES order."""
+    return {name: shape_value(name, p) for name in SHAPE_NAMES}
 
 
 @dataclass(frozen=True)
@@ -204,7 +171,7 @@ def crossover_analysis(k: int, grid: Sequence[tuple[float, int]],
         raise ValueError(f"k must be >= 2, got {k}")
     if not grid:
         raise ValueError("grid must be nonempty")
-    exponent = 2 * k - 2 + 2 * float(Fraction(1, 2 * k * (k - 1)))
+    exponent = 2 * k - 2 + 2 * float(delta_exponent(k))
 
     rows: list[CrossoverRow] = []
     by_q: dict[float, list[CrossoverRow]] = {}

@@ -25,6 +25,7 @@ import numpy as np
 
 from . import kernels
 from .arith import ApproxPair
+from .bounds import delta_exponent
 from .errors import CapacityError
 from .farey import MODULUS_CAP, PowerFareySystem, _radius_as_fraction
 
@@ -50,14 +51,13 @@ class MonomialPhase:
 
 @dataclass(frozen=True)
 class MajorantResult:
-    """Exact near-point count and its Fourier-transform majorant.
+    """Fourier-transform majorant of a near-point count.
 
     main_term is the a = 0 contribution (the smooth volume term), tail the
     rest; B is the shortest truncation length over the moduli,
     1/(2 * max_modulus * x).
     """
 
-    exact_count: int
     majorant_value: float
     main_term: float
     tail: float
@@ -102,7 +102,7 @@ def weyl_pair_bound(approx: ApproxPair, Q: int, k: int, eps: float) -> float:
         raise ValueError(f"Q must be >= 1, got {Q}")
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
-    delta = 1.0 / (2 * k * (k - 1))
+    delta = float(delta_exponent(k))
     v = approx.v
     return Q ** (1.0 + eps) * (1.0 / v + 1.0 / Q + v / float(Q) ** k) ** delta
 
@@ -153,7 +153,7 @@ def weyl_min_sum_bound(phase: MonomialPhase, Q: int, eps: float) -> float:
     if Q < 1:
         raise ValueError(f"Q must be >= 1, got {Q}")
     k = phase.k
-    delta = 1.0 / (2 * k * (k - 1))
+    delta = float(delta_exponent(k))
     qk = float(Q) ** k
     inner = _min_terms_sum(phase.alpha, Q, qk)
     return Q ** (1.0 + eps) * (1.0 / Q + inner / qk) ** delta
@@ -167,14 +167,15 @@ def phi_hat(s: float) -> float:
 
 def fourier_majorant(system: PowerFareySystem, center_base: tuple[int, int],
                      x) -> MajorantResult:
-    """Exact near-point count around the member point b/r^k at radius x, with the
-    Poisson-transformed majorant that dominates it.
+    """Poisson-transformed majorant of the number of points within radius x of
+    the member point b/r^k; it counts nothing itself (farey.count_near gives
+    the exact count it dominates).
 
     Per modulus q^k the transform is sum_{|a| <= B_q} phi_hat(a/B_q) / B_q *
     e(a b q^k / r^k) with B_q = 1/(2 q^k x); each B_q is rounded one step
-    toward zero so majorant_value >= exact_count holds exactly (up to the trig
-    roundoff of the finite sum).  If the shortest truncation is < 1 the trivial
-    majorant |points| is reported instead.
+    toward zero so majorant_value >= count_near(system, b/r^k, x) holds exactly
+    (up to the trig roundoff of the finite sum).  If the shortest truncation
+    is < 1 the trivial majorant |points| is reported instead.
     """
     b, r = center_base
     if x <= 0:
@@ -185,12 +186,6 @@ def fourier_majorant(system: PowerFareySystem, center_base: tuple[int, int],
     xr = _radius_as_fraction(x)
     xn, xd = xr.numerator, xr.denominator
 
-    # exact count per modulus: |a*r^k - b*q^k| <= x * q^k * r^k, exact integers
-    count = 0
-    for a, qk in system.iter_int_points():
-        if abs(a * rk - b * qk) * xd <= xn * qk * rk:
-            count += 1
-
     mods = np.unique(system.moduli)
     # the exact ratio 1/(2 q^k x) rounded strictly downward, so the transform's
     # covered radius is >= the counting radius
@@ -199,12 +194,10 @@ def fourier_majorant(system: PowerFareySystem, center_base: tuple[int, int],
     b_cap = float(bqs.min())
     if b_cap < 1.0:
         size = float(system.size)
-        return MajorantResult(exact_count=count, majorant_value=size,
-                              main_term=size, tail=0.0, B=b_cap)
+        return MajorantResult(majorant_value=size, main_term=size, tail=0.0, B=b_cap)
     if b_cap >= float(MODULUS_CAP):
         raise CapacityError(
             f"truncation length {b_cap} exceeds the supported width (< 2^31)")
     value, main = kernels.majorant_sum(b % rk, rk, mods, bqs)
-    return MajorantResult(exact_count=count, majorant_value=float(value),
-                          main_term=float(main), tail=float(value - main),
-                          B=b_cap)
+    return MajorantResult(majorant_value=float(value), main_term=float(main),
+                          tail=float(value - main), B=b_cap)

@@ -186,9 +186,9 @@ def stieltjes_integral(system: PowerFareySystem, center: Fraction, N: int) -> fl
     return total
 
 
-def counting_rhs(system: PowerFareySystem, N: int, coeff_norm_sq: float) -> float:
-    """Right side of the well-spaced counting inequality:
-    coeff_norm_sq * (4 * sum of moduli + max over centers of the counting integral).
+def counting_rhs(system: PowerFareySystem, N: int) -> float:
+    """Right side of the well-spaced counting inequality per unit |v|^2:
+    4 * sum of moduli + max over centers of the counting integral.
 
     The modulus sum runs over the distinct q**k of the system (one per base).
     An empty system gives 0.0: both terms vanish and the inequality is 0 <= 0.
@@ -199,4 +199,4 @@ def counting_rhs(system: PowerFareySystem, N: int, coeff_norm_sq: float) -> floa
         return 0.0
     modulus_sum = 4.0 * float(sum(q ** system.k for q in system.distinct_bases()))
     integral_max = kernels.pairwise_integral_max(system.numerators, system.moduli, N)
-    return coeff_norm_sq * (modulus_sum + integral_max)
+    return modulus_sum + integral_max

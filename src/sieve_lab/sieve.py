@@ -265,17 +265,6 @@ def sigma_exact(system: PowerFareySystem, vec: CoefficientVector) -> float:
     return float(sigma_exact_batch(system, [vec])[0])
 
 
-def rayleigh_lower_bound(kernel: ToeplitzKernel, vec: CoefficientVector) -> float:
-    """Certified lower bound for the constant: the Rayleigh quotient v*Tv/|v|^2."""
-    nsq = vec.norm_sq
-    if nsq == 0.0:
-        raise ValueError("zero coefficient vector")
-    if vec.N != kernel.N:
-        raise ValueError(f"vector length {vec.N} != kernel size {kernel.N}")
-    w = kernel.matvec(vec.values)
-    return float(np.real(np.vdot(vec.values, w))) / nsq
-
-
 class ConstantResult(NamedTuple):
     value: float
     residual: float

@@ -112,6 +112,35 @@ def brute_min_sum(alpha, count: int, xy: float) -> float:
     return total
 
 
+def reference_shapes(p) -> dict[str, tuple[float, tuple[float, ...]]]:
+    """name -> (literal value, eps-free power terms) of the six bound shapes,
+    each literal one expression with its own float evaluation order, for
+    bitwise comparison with the shape table in sieve_lab.bounds."""
+    Q, N, k = float(p.Q), float(p.N), p.k
+    kap, d = 2 ** (k - 1), 1.0 / (2 * k * (k - 1))
+    return {
+        "ls_a": (N + Q ** (2 * k), (N, Q ** (2 * k))),
+        "ls_b": (Q * N + Q ** (k + 1), (Q * N, Q ** (k + 1))),
+        "conjecture": ((p.N + Q ** (k + 1)) * (p.N * p.Q) ** p.eps, (N, Q ** (k + 1))),
+        "kappa": (Q ** (k + 1) + (N * Q ** (1 - 1 / kap)
+                                  + N ** (1 - 1 / kap) * Q ** (1 + k / kap)) * N ** p.eps,
+                  (Q ** (k + 1), N * Q ** (1 - 1 / kap),
+                   N ** (1 - 1 / kap) * Q ** (1 + k / kap))),
+        "loglog": ((Q ** (k + 1) + N + N ** (0.5 + p.eps) * Q ** k)
+                   * math.log(math.log(10.0 * N * Q)) ** (k + 1),
+                   (Q ** (k + 1), N, math.sqrt(N) * Q ** k)),
+        "delta": ((N * Q) ** p.eps * (Q ** (k + 1) + Q ** (1 - d) * N
+                                      + Q ** (1 + k * d) * N ** (1 - d)),
+                  (Q ** (k + 1), Q ** (1 - d) * N, Q ** (1 + k * d) * N ** (1 - d))),
+    }
+
+
+def rayleigh_quotient(kernel, values) -> float:
+    """v*Tv / |v|^2 through the materialized matrix kernel.dense()."""
+    v = np.asarray(values, dtype=np.complex128)
+    return float(np.real(np.vdot(v, kernel.dense() @ v)) / np.real(np.vdot(v, v)))
+
+
 def int_points(system) -> list[tuple[int, int]]:
     """(a, q^k) pairs of a PowerFareySystem as Python ints."""
     return list(system.iter_int_points())

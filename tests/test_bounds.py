@@ -1,13 +1,17 @@
 import math
+import re
+import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sieve_lab.bounds import (BoundParams, SHAPE_NAMES, bound_conjecture,
-                              bound_delta, bound_kappa, bound_loglog,
-                              bound_standard_ls, crossover_analysis,
+from sieve_lab import bounds
+from sieve_lab.bounds import (BoundParams, SHAPE_NAMES, crossover_analysis,
                               evaluate_bounds, fit_exponent, shape_value)
+
+from helpers import reference_shapes
 
 
 def test_params_derived_values():
@@ -22,51 +26,52 @@ def test_params_derived_values():
 
 
 def test_standard_ls_examples():
-    assert bound_standard_ls(BoundParams(1, 1, 2)) == (2.0, 2.0)
-    assert bound_standard_ls(BoundParams(2, 16, 2)) == (32.0, 40.0)
-    assert bound_standard_ls(BoundParams(3, 81, 2)) == (162.0, 270.0)
+    for (Q, N, k), want in [((1, 1, 2), (2.0, 2.0)), ((2, 16, 2), (32.0, 40.0)),
+                            ((3, 81, 2), (162.0, 270.0))]:
+        p = BoundParams(Q, N, k)
+        assert (shape_value("ls_a", p), shape_value("ls_b", p)) == want
 
 
 def test_conjecture_examples():
-    assert bound_conjecture(BoundParams(1, 1, 2, 0.3)) == pytest.approx(2.0)
-    assert bound_conjecture(BoundParams(2, 16, 2, 0.0)) == pytest.approx(24.0)
-    assert bound_conjecture(BoundParams(4, 64, 2, 0.05)) == pytest.approx(
+    assert shape_value("conjecture", BoundParams(1, 1, 2, 0.3)) == pytest.approx(2.0)
+    assert shape_value("conjecture", BoundParams(2, 16, 2, 0.0)) == pytest.approx(24.0)
+    assert shape_value("conjecture", BoundParams(4, 64, 2, 0.05)) == pytest.approx(
         128 * 256 ** 0.05, rel=1e-12)
 
 
 def test_kappa_examples():
-    assert bound_kappa(BoundParams(1, 1, 2, 0.0)) == pytest.approx(3.0)
-    assert bound_kappa(BoundParams(2, 16, 2, 0.0)) == pytest.approx(
+    assert shape_value("kappa", BoundParams(1, 1, 2, 0.0)) == pytest.approx(3.0)
+    assert shape_value("kappa", BoundParams(2, 16, 2, 0.0)) == pytest.approx(
         8 + 16 * math.sqrt(2) + 16, rel=1e-12)
     want = 16 + 16 * 2 ** 0.75 + 16 ** 0.75 * 2 ** 1.75
-    assert bound_kappa(BoundParams(2, 16, 3, 0.0)) == pytest.approx(want, rel=1e-12)
+    assert shape_value("kappa", BoundParams(2, 16, 3, 0.0)) == pytest.approx(want, rel=1e-12)
 
 
 def test_loglog_examples():
-    assert bound_loglog(BoundParams(1, 1, 2, 0.0)) == pytest.approx(
+    assert shape_value("loglog", BoundParams(1, 1, 2, 0.0)) == pytest.approx(
         3 * math.log(math.log(10)) ** 3, rel=1e-12)
     want = (8 + 16 + 4 * 4) * math.log(math.log(320)) ** 3
-    assert bound_loglog(BoundParams(2, 16, 2, 0.0)) == pytest.approx(want, rel=1e-12)
+    assert shape_value("loglog", BoundParams(2, 16, 2, 0.0)) == pytest.approx(want, rel=1e-12)
     # monotone in N at fixed Q, k
-    vals = [bound_loglog(BoundParams(3, n, 2, 0.0)) for n in (4, 8, 64, 512)]
+    vals = [shape_value("loglog", BoundParams(3, n, 2, 0.0)) for n in (4, 8, 64, 512)]
     assert vals == sorted(vals)
 
 
 def test_delta_examples():
-    assert bound_delta(BoundParams(1, 1, 2, 0.0)) == pytest.approx(3.0)
+    assert shape_value("delta", BoundParams(1, 1, 2, 0.0)) == pytest.approx(3.0)
     want = 8 + 2 ** 0.75 * 16 + 2 ** 1.5 * 16 ** 0.75
-    assert bound_delta(BoundParams(2, 16, 2, 0.0)) == pytest.approx(want, rel=1e-12)
+    assert shape_value("delta", BoundParams(2, 16, 2, 0.0)) == pytest.approx(want, rel=1e-12)
     want = 64 + 4 ** 0.75 * 256 + 4 ** 1.5 * 256 ** 0.75
-    assert bound_delta(BoundParams(4, 256, 2, 0.0)) == pytest.approx(want, rel=1e-12)
+    assert shape_value("delta", BoundParams(4, 256, 2, 0.0)) == pytest.approx(want, rel=1e-12)
 
 
 def test_delta_bound_monotone_in_n_and_q():
     for k in (2, 3):
         for q in (2, 5, 9):
-            vals = [bound_delta(BoundParams(q, n, k, 0.0)) for n in (4, 9, 33, 190)]
+            vals = [shape_value("delta", BoundParams(q, n, k, 0.0)) for n in (4, 9, 33, 190)]
             assert vals == sorted(vals)
         for n in (4, 64):
-            vals = [bound_delta(BoundParams(q, n, k, 0.0)) for q in (1, 3, 7, 20)]
+            vals = [shape_value("delta", BoundParams(q, n, k, 0.0)) for q in (1, 3, 7, 20)]
             assert vals == sorted(vals)
 
 
@@ -77,15 +82,59 @@ def test_shapes_normalization_takes_dominant_term():
     assert shape_value("loglog", p, "shapes") == pytest.approx(
         max(4 ** 4, 300, math.sqrt(300) * 64), rel=1e-12)
     # literal keeps the eps and loglog factors
-    assert shape_value("loglog", p, "literal") == pytest.approx(bound_loglog(p), rel=1e-12)
+    assert shape_value("loglog", p, "literal") == pytest.approx(
+        (4 ** 4 + 300 + 300 ** 0.75 * 64) * math.log(math.log(12000)) ** 4, rel=1e-12)
     with pytest.raises(ValueError):
         shape_value("delta", p, "none-such")
+    with pytest.raises(ValueError):
+        shape_value("none-such", p)
 
 
 def test_evaluate_bounds_keys():
     values = evaluate_bounds(BoundParams(2, 16, 2, 0.05))
     assert tuple(values) == SHAPE_NAMES
     assert all(v > 0 for v in values.values())
+
+
+def test_literal_values_above_the_flag_warn():
+    p = BoundParams(2, 10 ** 301, 2, 0.0)
+    for name in SHAPE_NAMES:
+        with pytest.warns(RuntimeWarning, match=f"bound {name} overflowed"):
+            shape_value(name, p)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert shape_value("ls_a", p, "shapes") == 1e301
+
+
+SHAPE_GUARD_N = (1, 2, 3, 7, 16, 100, 999, 4096, 12345, 10 ** 6, 3 ** 20, 10 ** 12)
+
+
+def test_shape_values_are_the_reference_doubles():
+    # == on purpose: the table must keep each literal's float evaluation order,
+    # and a regrouped sum moves the last bit, which approx cannot see
+    for k in range(2, 6):
+        for eps in (0.0, 0.05, 0.3):
+            for Q in [*range(1, 65), *map(float, range(1, 65))]:
+                for N in SHAPE_GUARD_N:
+                    p = BoundParams(Q, N, k, eps)
+                    ref = reference_shapes(p)
+                    assert tuple(ref) == SHAPE_NAMES
+                    values = evaluate_bounds(p)
+                    for name, (literal, terms) in ref.items():
+                        assert values[name] == literal, (name, Q, N, k, eps)
+                        assert shape_value(name, p, "shapes") == max(terms), (name, Q, N, k)
+
+
+def test_shape_tables_in_docs_follow_shape_names():
+    table = re.findall(r"^  ([a-z_]+) {2,}\S", bounds.__doc__, flags=re.M)
+    assert tuple(table) == SHAPE_NAMES
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    bullet = re.search(r"^- \*\*Bound shapes\*\*.*?(?=^- |^#)", readme, flags=re.M | re.S)
+    assert bullet, "README has no Bound shapes bullet"
+    spots = [re.search(rf"`{name}[` ]", bullet.group(0)) for name in SHAPE_NAMES]
+    assert all(spots), [n for n, s in zip(SHAPE_NAMES, spots) if not s]
+    starts = [s.start() for s in spots]
+    assert starts == sorted(starts), dict(zip(SHAPE_NAMES, starts))
 
 
 def _grid(k, q_values, points=13):

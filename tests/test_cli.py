@@ -305,7 +305,7 @@ def test_lemma1_matches_per_vector_reference(tmp_path, monkeypatch, block):
             if system.size == 0:
                 assert row["max_ratio"] == 0.0 and row["violations"] == 0
                 continue
-            rhs_unit = counting_rhs(system, N, 1.0)
+            rhs_unit = counting_rhs(system, N)
             rng = np.random.default_rng([seed, k, Q, N, mode_idx])
             batched = seen[(k, Q, N)]
             assert len(batched) == vectors

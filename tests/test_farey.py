@@ -162,17 +162,16 @@ def test_stieltjes_matches_quadrature():
 
 def test_counting_rhs_examples():
     single = make_singleton(1, 2, 2)  # modulus set {4}
-    assert counting_rhs(single, 10, 1.0) == pytest.approx(24.0, rel=1e-15)
+    assert counting_rhs(single, 10) == pytest.approx(24.0, rel=1e-15)
 
     full = enumerate_system(2, 2, "full")
-    assert counting_rhs(full, 4, 1.0) == pytest.approx(18.0, rel=1e-15)
-    assert counting_rhs(full, 4, 0.0) == 0.0
+    assert counting_rhs(full, 4) == pytest.approx(18.0, rel=1e-15)
 
 
 def test_counting_rhs_empty_system_is_zero():
     empty = enumerate_system(1, 2, "full")
     assert empty.size == 0
-    assert counting_rhs(empty, 16, 1.0) == 0.0
+    assert counting_rhs(empty, 16) == 0.0
 
 
 def test_counting_rhs_matches_per_center_integrals():
@@ -181,7 +180,7 @@ def test_counting_rhs_matches_per_center_integrals():
         for N in (4, 64):
             want = 4.0 * sum(q ** k for q in s.distinct_bases()) + max(
                 stieltjes_integral(s, Fraction(a, qk), N) for a, qk in int_points(s))
-            assert counting_rhs(s, N, 1.0) == pytest.approx(want, rel=1e-12)
+            assert counting_rhs(s, N) == pytest.approx(want, rel=1e-12)
 
 
 def test_counting_inequality_end_to_end():
@@ -191,7 +190,7 @@ def test_counting_inequality_end_to_end():
             for mode in ("full", "dyadic"):
                 s = enumerate_system(Q, k, mode)
                 for N in (4, 16, 64):
-                    rhs_unit = counting_rhs(s, N, 1.0)
+                    rhs_unit = counting_rhs(s, N)
                     vecs = []
                     for _ in range(100):
                         v = rng.standard_normal(N) + 1j * rng.standard_normal(N)
