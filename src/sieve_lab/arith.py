@@ -11,8 +11,19 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Union
 
+from .errors import CapacityError
+
 Rational = Fraction
 Real = Union[int, float, Fraction]
+
+
+def float_power(base: int, exp: float) -> float:
+    """float(base) ** exp; raises CapacityError in place of the OverflowError
+    when the power is above the float range (about 1.8e308)."""
+    try:
+        return float(base) ** exp
+    except OverflowError:
+        raise CapacityError(f"{base}^{exp} is above the float range") from None
 
 
 class ApproxPair(NamedTuple):

@@ -2,11 +2,18 @@
 
 Exit codes: 0 success, 2 invalid config, 3 verification failure (an inequality
 that must hold exactly failed, or a crossover inconsistency), 4 capacity
-overflow, 5 eigensolver non-convergence.  When several kinds of row failures
-occur in one scan the most severe code wins (3, then 4, then 5).
+overflow, 5 eigensolver non-convergence.  A cell that raises CapacityError or
+EigensolverError becomes a row whose status is the error's `status`
+(`_guarded`); when several kinds of row failures occur in one scan the most
+severe code wins (3, then 4, then 5).  A CapacityError outside a cell (weyl,
+crossover, a fit length N = Q^theta above the float range) ends the run with
+exit 4 and no records.  Commands return their records without the `schema`
+and `command` columns; write_records stamps both on every record.
 
-Each command takes only the options it reads (the COMMANDS table), plus
---format, --out and --config; any other flag is a usage error (exit 2).
+COMMANDS is the one table from each command to its function, its help line
+and the options it reads with their defaults.  Each command takes only those
+options, plus --format, --out and --config; any other flag is a usage error
+(exit 2), and so is a range "a..b" of more than RANGE_CAP values.
 Config precedence: command-line flags override the --config file, which
 overrides the file named by SIEVE_LAB_CONFIG, which overrides the command's
 defaults.  Config files are flat key=value lines with '#' comments.  One
@@ -24,13 +31,16 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import bounds, kernels, regression
+from .arith import float_power
 from .bounds import BoundParams, SHAPE_NAMES, crossover_analysis, fit_exponent
 from .errors import (EXIT_CAPACITY, EXIT_EIGENSOLVER, EXIT_INVALID_CONFIG,
                      EXIT_OK, EXIT_VERIFICATION, CapacityError, EigensolverError)
@@ -44,23 +54,10 @@ from .sieve import (CoefficientVector, dense_lambda_max, measure_constant,  # no
 SCHEMA = "sieve-lab-1"
 DEFAULT_SEED = 0xC0FFEE
 ORACLE_N_CAP = 512
+# Most values one "a..b" range may hold; checked before the range is built.
+RANGE_CAP = 1 << 16
 REL_SLACK = 1e-9
 
-# Each command and the options it reads, with their defaults.  Every command
-# also takes --format, --out and --config.
-COMMANDS = {
-    "constant": {"Q": "1..4", "N": "4,16,64,256", "k": "2,3", "mode": "full",
-                 "eps": 0.05, "rel_tol": 1e-8, "seed": DEFAULT_SEED, "oracle": False},
-    "lemma1": {"Q": "1..4", "N": "4,16,64,256", "k": "2,3", "mode": "full",
-               "seed": DEFAULT_SEED, "vectors": 100},
-    "weyl": {"Q": "4,16,64,256", "k": "2,3,4", "eps": 0.05, "seed": DEFAULT_SEED,
-             "samples": 200},
-    "majorant": {"Q": "1..4", "k": "2,3", "mode": "full", "seed": DEFAULT_SEED,
-                 "samples": 8},
-    "crossover": {"Q": "4..32", "k": "3", "eps": 0.05, "normalization": "shapes",
-                  "points": 13},
-    "fit": {"Q": "2..8", "k": "2", "mode": "full", "rel_tol": 1e-8, "theta": 2.0},
-}
 _OUTPUT_DEFAULTS = {"format": "csv", "out": "-"}
 
 
@@ -75,7 +72,8 @@ class RunConfig(SimpleNamespace):
 
 
 def parse_int_values(text: str, name: str) -> tuple[int, ...]:
-    """Parse "a..b", "a", or comma lists of either into sorted distinct ints."""
+    """Parse "a..b", "a", or comma lists of either into sorted distinct ints;
+    a range of more than RANGE_CAP values is invalid."""
     values: set[int] = set()
     for part in str(text).split(","):
         part = part.strip()
@@ -87,6 +85,9 @@ def parse_int_values(text: str, name: str) -> tuple[int, ...]:
                 lo, hi = int(lo_s), int(hi_s)
                 if hi < lo:
                     raise ConfigError(f"--{name}: empty range {part!r}")
+                if hi - lo >= RANGE_CAP:
+                    raise ConfigError(f"--{name}: range {part!r} has more than "
+                                      f"{RANGE_CAP} values")
                 values.update(range(lo, hi + 1))
             else:
                 values.add(int(part))
@@ -153,7 +154,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     """The command's options: its defaults, overridden by the SIEVE_LAB_CONFIG
     file, then the --config file, then the flags.  A config file may set any
     option some command reads; keys this command does not read are ignored."""
-    merged: dict = {**COMMANDS[args.command], **_OUTPUT_DEFAULTS}
+    merged: dict = {**COMMANDS[args.command].defaults, **_OUTPUT_DEFAULTS}
     for path in (os.environ.get("SIEVE_LAB_CONFIG", "").strip(), args.config):
         if path:
             merged.update({key: value for key, value in load_config_file(path).items()
@@ -211,6 +212,8 @@ def _cell(value) -> str:
 
 
 def write_records(records: list[dict], columns: list[str], cfg: RunConfig) -> None:
+    """Write the records under `columns`, each stamped with SCHEMA and cfg.command."""
+    records = [{"schema": SCHEMA, "command": cfg.command, **rec} for rec in records]
     if cfg.fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -232,15 +235,29 @@ def map_cells(func, cells, threads: int) -> list:
     return [func(cell) for cell in cells]
 
 
-def _aggregate_exit(statuses) -> int:
-    statuses = set(statuses)
-    if "verification-failure" in statuses:
-        return EXIT_VERIFICATION
-    if "capacity-error" in statuses:
-        return EXIT_CAPACITY
-    if "eigensolver-error" in statuses:
-        return EXIT_EIGENSOLVER
-    return EXIT_OK
+@contextmanager
+def _guarded(row: dict):
+    """Run the with-body, which fills `row`, as one cell: the row starts with
+    status "ok", and a CapacityError or EigensolverError the body raises
+    becomes the row's status and detail instead of ending the scan."""
+    row.update(status="ok", detail="")
+    try:
+        yield row
+    except (CapacityError, EigensolverError) as exc:
+        row.update(status=exc.status, detail=str(exc))
+
+
+# Failing row statuses, most severe first, and their exit codes.
+_FAILURE_EXITS = {"verification-failure": EXIT_VERIFICATION,
+                  CapacityError.status: EXIT_CAPACITY,
+                  EigensolverError.status: EXIT_EIGENSOLVER}
+
+
+def _aggregate_exit(rows: list[dict]) -> int:
+    """The exit code of the most severe failing status among the rows."""
+    statuses = {row["status"] for row in rows}
+    return next((code for status, code in _FAILURE_EXITS.items() if status in statuses),
+                EXIT_OK)
 
 
 # ---------------------------------------------------------------------------
@@ -261,10 +278,8 @@ def cmd_constant(cfg: RunConfig) -> tuple[list[dict], list[str], int, list[str]]
 
     def run(cell):
         k, Q, N = cell
-        row = {"schema": SCHEMA, "command": "constant", "Q": Q, "N": N, "k": k,
-               "mode": cfg.mode, "eps": cfg.eps, "rel_tol": cfg.rel_tol,
-               "seed": cfg.seed, "status": "ok", "detail": ""}
-        try:
+        with _guarded({"Q": Q, "N": N, "k": k, "mode": cfg.mode, "eps": cfg.eps,
+                      "rel_tol": cfg.rel_tol, "seed": cfg.seed}) as row:
             params = BoundParams(Q, N, k, cfg.eps)
             row["delta"] = params.delta
             row["kappa"] = params.kappa
@@ -286,17 +301,11 @@ def cmd_constant(cfg: RunConfig) -> tuple[list[dict], list[str], int, list[str]]
                 row.update({"oracle_lambda": dense, "oracle_rel_err": rel,
                             "oracle_kernel_abs_err": kernel_err})
                 if rel > 1e-6 or kernel_err > 1e-10:
-                    row["status"] = "verification-failure"
-                    row["detail"] = "oracle mismatch"
-        except CapacityError as exc:
-            row["status"], row["detail"] = "capacity-error", str(exc)
-        except EigensolverError as exc:
-            row["status"], row["detail"] = "eigensolver-error", str(exc)
+                    row.update(status="verification-failure", detail="oracle mismatch")
         return row
 
     rows = map_cells(run, cells, 1)
-    code = _aggregate_exit(r["status"] for r in rows)
-    return rows, CONSTANT_COLUMNS, code, []
+    return rows, CONSTANT_COLUMNS, _aggregate_exit(rows), []
 
 
 LEMMA1_COLUMNS = ["schema", "command", "Q", "N", "k", "mode", "seed", "size",
@@ -309,15 +318,12 @@ def cmd_lemma1(cfg: RunConfig) -> tuple[list[dict], list[str], int, list[str]]:
 
     def run(cell):
         k, Q, N = cell
-        row = {"schema": SCHEMA, "command": "lemma1", "Q": Q, "N": N, "k": k,
-               "mode": cfg.mode, "seed": cfg.seed, "vectors": cfg.vectors,
-               "violations": 0, "status": "ok", "detail": ""}
-        try:
+        with _guarded({"Q": Q, "N": N, "k": k, "mode": cfg.mode, "seed": cfg.seed,
+                      "vectors": cfg.vectors, "violations": 0}) as row:
             system = enumerate_system(Q, k, cfg.mode)
             row["size"] = system.size
             if system.size == 0:
-                row["max_ratio"] = 0.0
-                row["detail"] = "empty system: 0 <= 0"
+                row.update(max_ratio=0.0, detail="empty system: 0 <= 0")
                 return row
             rhs_unit = counting_rhs(system, N)
             rng = np.random.default_rng([cfg.seed, k, Q, N, mode_idx])
@@ -335,20 +341,15 @@ def cmd_lemma1(cfg: RunConfig) -> tuple[list[dict], list[str], int, list[str]]:
                     max_ratio = max(max_ratio, lhs / rhs)
                     if lhs > rhs * (1.0 + REL_SLACK):
                         violations += 1
-            row["max_ratio"] = max_ratio
-            row["violations"] = violations
+            row.update(max_ratio=max_ratio, violations=violations)
             if violations:
-                row["status"] = "verification-failure"
-                row["detail"] = "LHS exceeded RHS"
-        except CapacityError as exc:
-            row["status"], row["detail"] = "capacity-error", str(exc)
+                row.update(status="verification-failure", detail="LHS exceeded RHS")
         return row
 
     rows = map_cells(run, cells, 1)
     ratios = [r["max_ratio"] for r in rows if isinstance(r.get("max_ratio"), float)]
     summary = [f"max LHS/RHS observed: {max(ratios)!r}" if ratios else "no cells"]
-    code = _aggregate_exit(r["status"] for r in rows)
-    return rows, LEMMA1_COLUMNS, code, summary
+    return rows, LEMMA1_COLUMNS, _aggregate_exit(rows), summary
 
 
 WEYL_COLUMNS = ["schema", "command", "table", "alpha", "Q", "k", "X", "Y", "u",
@@ -358,21 +359,12 @@ WEYL_COLUMNS = ["schema", "command", "table", "alpha", "Q", "k", "X", "Y", "u",
 
 def cmd_weyl(cfg: RunConfig) -> tuple[list[dict], list[str], int, list[str]]:
     alphas = regression.sample_alphas(cfg.seed)
-    rows: list[dict] = []
-    for wr in regression.weyl_ratio_rows(alphas, cfg.q_values, cfg.k_values, cfg.eps):
-        rows.append({"schema": SCHEMA, "command": "weyl", "table": "weyl",
-                     "alpha": wr.alpha_label, "Q": wr.Q, "k": wr.k,
-                     "sq_re": wr.sq_re, "sq_im": wr.sq_im, "sq_abs": wr.abs_sum,
-                     "bound": wr.bound, "ratio": wr.ratio})
-    for mr in regression.min_sum_ratio_rows(alphas, cfg.seed, n_samples=cfg.samples):
-        rows.append({"schema": SCHEMA, "command": "weyl", "table": "min_sum",
-                     "alpha": mr.alpha_label, "X": mr.X, "Y": mr.Y, "u": mr.u,
-                     "v": mr.v, "residual": mr.residual, "min_sum": mr.value,
-                     "bound": mr.bound, "ratio": mr.ratio})
-    weyl_max = max((r["ratio"] for r in rows if r["table"] == "weyl"), default=0.0)
-    ms_max = max((r["ratio"] for r in rows if r["table"] == "min_sum"), default=0.0)
+    weyl_rows = regression.weyl_ratio_rows(alphas, cfg.q_values, cfg.k_values, cfg.eps)
+    ms_rows = regression.min_sum_ratio_rows(alphas, cfg.seed, n_samples=cfg.samples)
+    weyl_max = max((r["ratio"] for r in weyl_rows), default=0.0)
+    ms_max = max((r["ratio"] for r in ms_rows), default=0.0)
     summary = [f"max |S|/bound: {weyl_max!r}", f"max min_sum/bound: {ms_max!r}"]
-    return rows, WEYL_COLUMNS, EXIT_OK, summary
+    return weyl_rows + ms_rows, WEYL_COLUMNS, EXIT_OK, summary
 
 
 MAJORANT_COLUMNS = ["schema", "command", "Q", "k", "mode", "b", "r", "x", "B",
@@ -385,16 +377,13 @@ def cmd_majorant(cfg: RunConfig) -> tuple[list[dict], list[str], int, list[str]]
     rows: list[dict] = []
     for k in cfg.k_values:
         for Q in cfg.q_values:
-            base = {"schema": SCHEMA, "command": "majorant", "Q": Q, "k": k,
-                    "mode": cfg.mode}
-            try:
+            base = {"Q": Q, "k": k, "mode": cfg.mode}
+            with _guarded(dict(base)) as head:
                 system = enumerate_system(Q, k, cfg.mode)
-            except CapacityError as exc:
-                rows.append({**base, "status": "capacity-error", "detail": str(exc)})
-                continue
-            if system.size == 0:
-                rows.append({**base, "size": 0, "status": "ok",
-                             "detail": "empty system: no centers"})
+                if system.size == 0:
+                    head.update(size=0, detail="empty system: no centers")
+            if head["status"] != "ok" or system.size == 0:
+                rows.append(head)
                 continue
             top = int(system.moduli.max())
             rng = np.random.default_rng([cfg.seed, 3, k, Q, mode_idx])
@@ -403,9 +392,7 @@ def cmd_majorant(cfg: RunConfig) -> tuple[list[dict], list[str], int, list[str]]
                 b = int(system.numerators[idx])
                 r = int(system.bases[idx])
                 x = float(10.0 ** rng.uniform(-3, 0) / (2.0 * top))
-                row = {**base, "b": b, "r": r, "x": x, "size": system.size,
-                       "status": "ok", "detail": ""}
-                try:
+                with _guarded({**base, "b": b, "r": r, "x": x, "size": system.size}) as row:
                     res = fourier_majorant(system, (b, r), x)
                     near = count_near(system, Fraction(b, r ** k), x)
                     ok = res.majorant_value >= near - REL_SLACK * abs(res.majorant_value)
@@ -414,15 +401,11 @@ def cmd_majorant(cfg: RunConfig) -> tuple[list[dict], list[str], int, list[str]]
                                 "main_term": res.main_term, "tail": res.tail,
                                 "ok": ok})
                     if not ok:
-                        row["status"] = "verification-failure"
-                        row["detail"] = "majorant below count"
-                except CapacityError as exc:
-                    row["status"], row["detail"] = "capacity-error", str(exc)
+                        row.update(status="verification-failure", detail="majorant below count")
                 rows.append(row)
-    code = _aggregate_exit(r["status"] for r in rows)
     bad = sum(1 for r in rows if r.get("ok") is False)
     summary = [f"majorant samples: {sum(1 for r in rows if 'ok' in r)}, violations: {bad}"]
-    return rows, MAJORANT_COLUMNS, code, summary
+    return rows, MAJORANT_COLUMNS, _aggregate_exit(rows), summary
 
 
 CROSSOVER_COLUMNS = (["schema", "command", "table", "k", "normalization", "Q", "N"]
@@ -439,14 +422,13 @@ def cmd_crossover(cfg: RunConfig) -> tuple[list[dict], list[str], int, list[str]
     for k in cfg.k_values:
         grid = []
         for Q in cfg.q_values:
-            ns = np.geomspace(float(Q) ** k, float(Q) ** (2 * k), cfg.points)
+            ns = np.geomspace(float_power(Q, k), float_power(Q, 2 * k), cfg.points)
             n_ints = sorted({max(1, int(round(n))) for n in ns})
             grid.extend((float(Q), n) for n in n_ints)
         report = crossover_analysis(k, grid, cfg.normalization, cfg.eps)
         for row in report.rows:
             rows.append({
-                "schema": SCHEMA, "command": "crossover", "table": "grid",
-                "k": k, "normalization": cfg.normalization, "Q": row.Q,
+                "table": "grid", "k": k, "normalization": cfg.normalization, "Q": row.Q,
                 "N": row.N, **{name: row.values[name] for name in SHAPE_NAMES},
                 "winner": row.winner,
                 "delta_beats_loglog": row.delta_beats_loglog,
@@ -455,8 +437,7 @@ def cmd_crossover(cfg: RunConfig) -> tuple[list[dict], list[str], int, list[str]
             })
         for col in report.columns:
             rows.append({
-                "schema": SCHEMA, "command": "crossover", "table": "column",
-                "k": k, "normalization": cfg.normalization, "Q": col.Q,
+                "table": "column", "k": k, "normalization": cfg.normalization, "Q": col.Q,
                 "flip_index": col.flip_index, "boundary_index": col.boundary_index,
                 "deviation": col.deviation,
                 "boundary_exponent": report.boundary_exponent,
@@ -483,54 +464,63 @@ FIT_COLUMNS = ["schema", "command", "table", "k", "theta", "mode", "Q", "N",
 def cmd_fit(cfg: RunConfig) -> tuple[list[dict], list[str], int, list[str]]:
     rows: list[dict] = []
     summary: list[str] = []
-    statuses: list[str] = []
     for k in cfg.k_values:
+        base = {"k": k, "theta": cfg.theta, "mode": cfg.mode}
         samples: list[tuple[float, float]] = []
         for Q in cfg.q_values:
-            N = max(1, int(round(float(Q) ** cfg.theta)))
-            row = {"schema": SCHEMA, "command": "fit", "table": "sample", "k": k,
-                   "theta": cfg.theta, "mode": cfg.mode, "Q": Q, "N": N,
-                   "status": "ok", "detail": ""}
-            try:
+            N = max(1, int(round(float_power(Q, cfg.theta))))
+            with _guarded({"table": "sample", **base, "Q": Q, "N": N}) as row:
                 res = measure_constant(Q, N, k, cfg.mode, cfg.rel_tol)
-                row.update({"measured": res.value, "residual": res.residual})
+                row.update(measured=res.value, residual=res.residual)
                 if res.value > 0:
                     samples.append((float(Q), res.value))
-            except CapacityError as exc:
-                row["status"], row["detail"] = "capacity-error", str(exc)
-            except EigensolverError as exc:
-                row["status"], row["detail"] = "eigensolver-error", str(exc)
-            statuses.append(row["status"])
             rows.append(row)
-        fit_row = {"schema": SCHEMA, "command": "fit", "table": "fit", "k": k,
-                   "theta": cfg.theta, "mode": cfg.mode, "status": "ok",
-                   "detail": ""}
-        if len(samples) >= 2:
+        with _guarded({"table": "fit", **base}) as fit_row:
+            if len(samples) < 2:
+                summary.append(f"k={k}: not enough samples to fit")
+                raise CapacityError("fewer than 2 successful samples")
             fit = fit_exponent(samples)
-            fit_row.update({"slope": fit.slope, "intercept": fit.intercept,
-                            "max_residual": fit.max_abs_residual})
+            fit_row.update(slope=fit.slope, intercept=fit.intercept,
+                           max_residual=fit.max_abs_residual)
             summary.append(f"k={k} theta={cfg.theta}: slope {fit.slope!r}, "
                            f"max log-residual {fit.max_abs_residual!r}")
-        else:
-            fit_row["status"] = "capacity-error"
-            fit_row["detail"] = "fewer than 2 successful samples"
-            summary.append(f"k={k}: not enough samples to fit")
-        statuses.append(fit_row["status"])
         rows.append(fit_row)
-    return rows, FIT_COLUMNS, _aggregate_exit(statuses), summary
+    return rows, FIT_COLUMNS, _aggregate_exit(rows), summary
 
 
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
 
-_DISPATCH = {
-    "constant": cmd_constant,
-    "lemma1": cmd_lemma1,
-    "weyl": cmd_weyl,
-    "majorant": cmd_majorant,
-    "crossover": cmd_crossover,
-    "fit": cmd_fit,
+class Command(NamedTuple):
+    run: Callable[[RunConfig], tuple[list[dict], list[str], int, list[str]]]
+    help: str
+    defaults: dict  # the options the command reads, with their defaults
+
+
+# Every command also takes --format, --out and --config.
+COMMANDS = {
+    "constant": Command(
+        cmd_constant, "scan measured constants and all bound shapes over a grid",
+        {"Q": "1..4", "N": "4,16,64,256", "k": "2,3", "mode": "full", "eps": 0.05,
+         "rel_tol": 1e-8, "seed": DEFAULT_SEED, "oracle": False}),
+    "lemma1": Command(
+        cmd_lemma1, "verify the exact counting inequality on random coefficient batches",
+        {"Q": "1..4", "N": "4,16,64,256", "k": "2,3", "mode": "full",
+         "seed": DEFAULT_SEED, "vectors": 100}),
+    "weyl": Command(
+        cmd_weyl, "tabulate Weyl-sum and min-sum bound ratios over the sample set",
+        {"Q": "4,16,64,256", "k": "2,3,4", "eps": 0.05, "seed": DEFAULT_SEED,
+         "samples": 200}),
+    "majorant": Command(
+        cmd_majorant, "check the transform majorant against exact near-point counts",
+        {"Q": "1..4", "k": "2,3", "mode": "full", "seed": DEFAULT_SEED, "samples": 8}),
+    "crossover": Command(
+        cmd_crossover, "map the winning bound shape and check the crossover boundary",
+        {"Q": "4..32", "k": "3", "eps": 0.05, "normalization": "shapes", "points": 13}),
+    "fit": Command(
+        cmd_fit, "fit the growth exponent of the measured constant along N = Q^theta",
+        {"Q": "2..8", "k": "2", "mode": "full", "rel_tol": 1e-8, "theta": 2.0}),
 }
 
 
@@ -540,17 +530,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Measure optimal large-sieve constants for power-moduli "
                     "fraction systems and compare them against bound shapes.")
     sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "constant": "scan measured constants and all bound shapes over a grid",
-        "lemma1": "verify the exact counting inequality on random coefficient batches",
-        "weyl": "tabulate Weyl-sum and min-sum bound ratios over the sample set",
-        "majorant": "check the transform majorant against exact near-point counts",
-        "crossover": "map the winning bound shape and check the crossover boundary",
-        "fit": "fit the growth exponent of the measured constant along N = Q^theta",
-    }
-    for name, defaults in COMMANDS.items():
-        sp = sub.add_parser(name, help=helps[name])
-        for key in [*defaults, *_OUTPUT_DEFAULTS]:
+    for name, command in COMMANDS.items():
+        sp = sub.add_parser(name, help=command.help)
+        for key in [*command.defaults, *_OUTPUT_DEFAULTS]:
             sp.add_argument("--" + key.replace("_", "-"), dest=key, **_OPTIONS[key][0])
         sp.add_argument("--config", help="flat key=value config file")
     return parser
@@ -565,7 +547,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"sieve-lab: invalid config: {exc}", file=sys.stderr)
         return EXIT_INVALID_CONFIG
     try:
-        records, columns, code, summary = _DISPATCH[cfg.command](cfg)
+        records, columns, code, summary = COMMANDS[cfg.command].run(cfg)
     except CapacityError as exc:
         print(f"sieve-lab: capacity error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY

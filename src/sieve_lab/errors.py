@@ -4,9 +4,13 @@
 class CapacityError(Exception):
     """A requested computation would overflow the supported integer width."""
 
+    status = "capacity-error"  # the row status of a cell that raises it
+
 
 class EigensolverError(Exception):
     """The eigensolver hit its product cap; carries the last value, residual and count."""
+
+    status = "eigensolver-error"  # the row status of a cell that raises it
 
     def __init__(self, message: str, last_value: float, last_residual: float, iterations: int):
         super().__init__(message)

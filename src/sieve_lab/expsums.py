@@ -24,7 +24,7 @@ from typing import Union
 import numpy as np
 
 from . import kernels
-from .arith import ApproxPair
+from .arith import ApproxPair, float_power
 from .bounds import delta_exponent
 from .errors import CapacityError
 from .farey import MODULUS_CAP, PowerFareySystem, _radius_as_fraction
@@ -97,14 +97,15 @@ def weyl_sum(phase: MonomialPhase, Q: int) -> complex:
 
 def weyl_pair_bound(approx: ApproxPair, Q: int, k: int, eps: float) -> float:
     """Weyl-sum bound shape from an approximation pair:
-    Q^(1+eps) * (1/v + 1/Q + v/Q^k)^delta, delta = 1/(2k(k-1))."""
+    Q^(1+eps) * (1/v + 1/Q + v/Q^k)^delta, delta = 1/(2k(k-1)); raises
+    CapacityError when Q^k is above the float range."""
     if Q < 1:
         raise ValueError(f"Q must be >= 1, got {Q}")
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     delta = float(delta_exponent(k))
     v = approx.v
-    return Q ** (1.0 + eps) * (1.0 / v + 1.0 / Q + v / float(Q) ** k) ** delta
+    return Q ** (1.0 + eps) * (1.0 / v + 1.0 / Q + v / float_power(Q, k)) ** delta
 
 
 def _min_terms_sum(alpha: Coeff, count: int, xy: float) -> float:
@@ -149,12 +150,13 @@ def min_sum_bound(X: float, Y: float, approx: ApproxPair) -> float:
 
 def weyl_min_sum_bound(phase: MonomialPhase, Q: int, eps: float) -> float:
     """Weyl-sum bound via the minimum sum:
-    Q^(1+eps) * (1/Q + Q^-k * sum_{v<=Q} min(Q^k/v, 1/||v*alpha||))^delta."""
+    Q^(1+eps) * (1/Q + Q^-k * sum_{v<=Q} min(Q^k/v, 1/||v*alpha||))^delta;
+    raises CapacityError when Q^k is above the float range."""
     if Q < 1:
         raise ValueError(f"Q must be >= 1, got {Q}")
     k = phase.k
     delta = float(delta_exponent(k))
-    qk = float(Q) ** k
+    qk = float_power(Q, k)
     inner = _min_terms_sum(phase.alpha, Q, qk)
     return Q ** (1.0 + eps) * (1.0 / Q + inner / qk) ** delta
 

@@ -25,6 +25,10 @@ MODULUS_CAP = 1 << 31
 # Most points enumerate_system allocates: three int64 arrays, 24 bytes per
 # point, about 400 MB at the budget.
 POINT_BUDGET = 1 << 24
+# Most point pairs counting_rhs scans: kernels.pairwise_integral_max takes
+# about 14-20 ns a pair on a 2-core VM, so about 20 s at the budget, which
+# admits lemma1 at Q = 20, k = 3 (26766 points, 7.2e8 pairs, 14 s).
+PAIR_BUDGET = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -192,11 +196,16 @@ def counting_rhs(system: PowerFareySystem, N: int) -> float:
 
     The modulus sum runs over the distinct q**k of the system (one per base).
     An empty system gives 0.0: both terms vanish and the inequality is 0 <= 0.
+    The maximum scans every pair of points: a system of more than
+    PAIR_BUDGET pairs raises CapacityError before the scan.
     """
     if N < 2:
         raise ValueError(f"N must be >= 2, got {N}")
     if system.size == 0:
         return 0.0
+    if system.size ** 2 > PAIR_BUDGET:
+        raise CapacityError(f"counting scan has {system.size ** 2} point pairs, "
+                            f"above the budget of {PAIR_BUDGET}")
     modulus_sum = 4.0 * float(sum(q ** system.k for q in system.distinct_bases()))
     integral_max = kernels.pairwise_integral_max(system.numerators, system.moduli, N)
     return modulus_sum + integral_max

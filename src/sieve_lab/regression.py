@@ -11,7 +11,6 @@ guarded against regression ever after.  Regenerate with:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Sequence, Union
@@ -63,22 +62,12 @@ def sample_alphas(seed: int = FROZEN_SEED) -> list[tuple[str, Alpha]]:
     return out
 
 
-@dataclass(frozen=True)
-class WeylRow:
-    alpha_label: str
-    Q: int
-    k: int
-    sq_re: float
-    sq_im: float
-    abs_sum: float
-    bound: float
-    ratio: float
-
-
 def weyl_ratio_rows(alphas: Sequence[tuple[str, Alpha]],
                     q_values: Sequence[int] = WEYL_Q_VALUES,
                     k_values: Sequence[int] = WEYL_K_VALUES,
-                    eps: float = WEYL_EPS) -> list[WeylRow]:
+                    eps: float = WEYL_EPS) -> list[dict]:
+    """The `weyl` command's "weyl" table: one record per (alpha, k, Q) under
+    the cli.WEYL_COLUMNS names, |S| against weyl_min_sum_bound."""
     rows = []
     for label, alpha in alphas:
         for k in k_values:
@@ -86,27 +75,17 @@ def weyl_ratio_rows(alphas: Sequence[tuple[str, Alpha]],
             for Q in q_values:
                 s = weyl_sum(phase, Q)
                 bound = weyl_min_sum_bound(phase, Q, eps)
-                rows.append(WeylRow(label, Q, k, s.real, s.imag, abs(s),
-                                    bound, abs(s) / bound))
+                rows.append({"table": "weyl", "alpha": label, "Q": Q, "k": k,
+                             "sq_re": s.real, "sq_im": s.imag, "sq_abs": abs(s),
+                             "bound": bound, "ratio": abs(s) / bound})
     return rows
-
-
-@dataclass(frozen=True)
-class MinSumRow:
-    alpha_label: str
-    X: float
-    Y: float
-    u: int
-    v: int
-    residual: float
-    value: float
-    bound: float
-    ratio: float
 
 
 def min_sum_ratio_rows(alphas: Sequence[tuple[str, Alpha]],
                        seed: int = FROZEN_SEED,
-                       n_samples: int = MIN_SUM_SAMPLES) -> list[MinSumRow]:
+                       n_samples: int = MIN_SUM_SAMPLES) -> list[dict]:
+    """The `weyl` command's "min_sum" table: one record per seeded (alpha, X,
+    Y) sample under the cli.WEYL_COLUMNS names, min_sum against min_sum_bound."""
     rng = np.random.default_rng([seed, 1])
     rows = []
     for i in range(n_samples):
@@ -116,8 +95,9 @@ def min_sum_ratio_rows(alphas: Sequence[tuple[str, Alpha]],
         approx = dirichlet_approx(alpha, math.floor(X))
         value = min_sum(alpha, X, Y)
         bound = min_sum_bound(X, Y, approx)
-        rows.append(MinSumRow(label, X, Y, approx.u, approx.v, approx.residual,
-                              value, bound, value / bound))
+        rows.append({"table": "min_sum", "alpha": label, "X": X, "Y": Y,
+                     "u": approx.u, "v": approx.v, "residual": approx.residual,
+                     "min_sum": value, "bound": bound, "ratio": value / bound})
     return rows
 
 
@@ -145,8 +125,8 @@ def compute_frozen() -> dict:
     ms_rows = min_sum_ratio_rows(alphas)
     return {
         "seed": FROZEN_SEED,
-        "weyl_bound_max": max(r.ratio for r in weyl_rows),
-        "min_sum_bound_max": max(r.ratio for r in ms_rows),
+        "weyl_bound_max": max(r["ratio"] for r in weyl_rows),
+        "min_sum_bound_max": max(r["ratio"] for r in ms_rows),
         "delta_ratio_max": delta_ratio_maxima(),
     }
 

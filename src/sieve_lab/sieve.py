@@ -29,7 +29,7 @@ import numpy as np
 
 from . import kernels
 from .errors import CapacityError, EigensolverError
-from .farey import Mode, PowerFareySystem, system_bases, system_size
+from .farey import Mode, PowerFareySystem, system_bases
 
 # Fixed seed of the Lanczos start vector; results are deterministic.
 START_SEED = 0xC0FFEE
@@ -265,18 +265,9 @@ def sigma_exact(system: PowerFareySystem, vec: CoefficientVector) -> float:
     return float(sigma_exact_batch(system, [vec])[0])
 
 
-class ConstantResult(NamedTuple):
-    value: float
-    residual: float
-    iterations: int
-    size: int
-
-
 def measure_constant(Q: int, N: int, k: int, mode: Mode = "full",
-                     rel_tol: float = 1e-8) -> ConstantResult:
+                     rel_tol: float = 1e-8) -> PowerResult:
     """Optimal constant Delta(Q, N, k): the largest Rayleigh quotient of the
-    sieve quadratic form per unit |v|^2, plus eigensolver diagnostics and the
-    system size.  Builds no point."""
-    res = power_iteration(toeplitz_kernel(Q, N, k, mode), rel_tol)
-    return ConstantResult(res.value, res.residual, res.iterations,
-                          system_size(Q, k, mode))
+    sieve quadratic form per unit |v|^2, with the eigensolver's residual and
+    product count.  Builds no point."""
+    return power_iteration(toeplitz_kernel(Q, N, k, mode), rel_tol)

@@ -217,8 +217,8 @@ def test_criterion_06_counting_integral_closed_form():
 def test_criterion_07_frozen_ratio_regressions():
     slack = 1 + 1e-9
     alphas = regression.sample_alphas(SEED)
-    weyl_max = max(r.ratio for r in regression.weyl_ratio_rows(alphas))
-    ms_max = max(r.ratio for r in regression.min_sum_ratio_rows(alphas, SEED))
+    weyl_max = max(r["ratio"] for r in regression.weyl_ratio_rows(alphas))
+    ms_max = max(r["ratio"] for r in regression.min_sum_ratio_rows(alphas, SEED))
     delta = regression.delta_ratio_maxima()
     ok = (weyl_max <= FROZEN_RATIOS["weyl_bound_max"] * slack
           and ms_max <= FROZEN_RATIOS["min_sum_bound_max"] * slack)

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import re
@@ -13,7 +15,8 @@ import pytest
 from sieve_lab import cli, farey, kernels
 from sieve_lab.farey import counting_rhs, enumerate_system
 from sieve_lab.sieve import CoefficientVector, sigma_exact, sigma_exact_batch
-from sieve_lab.errors import EXIT_CAPACITY, EXIT_EIGENSOLVER, EXIT_INVALID_CONFIG, EXIT_OK
+from sieve_lab.errors import (EXIT_CAPACITY, EXIT_EIGENSOLVER, EXIT_INVALID_CONFIG, EXIT_OK,
+                              EXIT_VERIFICATION, CapacityError, EigensolverError)
 
 from helpers import totient
 
@@ -168,6 +171,73 @@ def test_eigensolver_exit_code(tmp_path):
     assert code == EXIT_EIGENSOLVER
     assert b"eigensolver-error" in raw
     assert time.perf_counter() - start < 5.0
+
+
+def test_error_status_is_the_row_status(tmp_path):
+    code, raw = run_cli(["constant", "--Q", "2,70000", "--N", "16", "--k", "2",
+                         "--rel-tol", "1e-300"], tmp_path, "a.csv")
+    statuses = [rec["status"] for rec in csv.DictReader(io.StringIO(raw.decode()))]
+    assert statuses == [EigensolverError.status, CapacityError.status]
+    assert statuses == ["eigensolver-error", "capacity-error"]
+
+
+def test_capacity_outranks_eigensolver(tmp_path):
+    code, raw = run_cli(["constant", "--Q", "2,70000", "--N", "16", "--k", "2",
+                         "--rel-tol", "1e-300", "--format", "json"], tmp_path, "a.json")
+    assert code == EXIT_CAPACITY
+    assert [r["status"] for r in json.loads(raw)] == ["eigensolver-error", "capacity-error"]
+
+
+def test_verification_failure_outranks_capacity(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "dense_lambda_max", lambda kern: 0.0)
+    code, raw = run_cli(["constant", "--oracle", "--Q", "2,70000", "--N", "4", "--k", "2",
+                         "--format", "json"], tmp_path, "a.json")
+    assert code == EXIT_VERIFICATION
+    rows = json.loads(raw)
+    assert [(r["status"], r["detail"]) for r in rows][0] == ("verification-failure",
+                                                             "oracle mismatch")
+    assert rows[1]["status"] == "capacity-error"
+
+
+@pytest.mark.parametrize("args, code", [
+    ("crossover --Q 100000 --k 40 --points 3", EXIT_CAPACITY),  # 10^400
+    ("crossover --Q 10 --k 160 --points 3", EXIT_CAPACITY),     # 10^320
+    ("crossover --Q 10 --k 154 --points 3", EXIT_OK),           # 10^308 still fits
+    ("weyl --Q 256 --k 200 --samples 1", EXIT_CAPACITY),        # 256^200 = 2^1600
+    ("fit --Q 10 --theta 400", EXIT_CAPACITY),                  # N = 10^400
+])
+def test_float_range_exit_code(args, code, tmp_path, capsys):
+    got, raw = run_cli(args.split(), tmp_path)
+    assert got == code
+    err = capsys.readouterr().err
+    if code == EXIT_CAPACITY:
+        assert raw == b"" and "capacity error" in err and "above the float range" in err
+
+
+def test_range_cap_exit_code(tmp_path):
+    # a billion-value range would be built as a set of 10^9 ints
+    code, text, elapsed = run_limited(["constant", "--Q", "1..1000000000", "--N", "4",
+                                       "--k", "2"], tmp_path)
+    assert code == EXIT_INVALID_CONFIG, text
+    assert elapsed < 5.0
+    assert "more than 65536 values" in text
+
+
+def test_range_cap_boundary():
+    assert cli.parse_int_values(f"1..{cli.RANGE_CAP}", "Q") == tuple(range(1, cli.RANGE_CAP + 1))
+    with pytest.raises(cli.ConfigError, match="more than"):
+        cli.parse_int_values(f"0..{cli.RANGE_CAP}", "Q")
+
+
+def test_pair_budget_exit_code(tmp_path):
+    # 394856 points: the quadratic counting scan would take about an hour
+    code, text, elapsed = run_limited(["lemma1", "--Q", "40", "--N", "4", "--k", "3",
+                                       "--format", "json"], tmp_path)
+    assert code == EXIT_CAPACITY, text
+    assert elapsed < 5.0
+    (rec,) = json.loads(text)
+    assert rec["status"] == "capacity-error" and rec["size"] == 394856
+    assert "point pairs, above the budget" in rec["detail"]
 
 
 def test_config_file_and_cli_precedence(tmp_path, monkeypatch):

@@ -69,6 +69,17 @@ def test_weyl_pair_bound_examples():
         want, rel=1e-12)
 
 
+def test_weyl_bounds_reject_powers_above_the_float_range():
+    # 256^200 = 2^1600; 256^128 = 2^1024 is the first power of 256 past the range
+    phase = MonomialPhase(Fraction(1, 3), 200)
+    for Q, k in [(256, 200), (256, 128)]:
+        with pytest.raises(CapacityError, match="above the float range"):
+            weyl_pair_bound(ApproxPair(0, 1, 0.0), Q, k, 0.05)
+        with pytest.raises(CapacityError, match="above the float range"):
+            weyl_min_sum_bound(MonomialPhase(phase.alpha, k), Q, 0.05)
+    assert weyl_pair_bound(ApproxPair(0, 1, 0.0), 256, 127, 0.0) > 0
+
+
 def test_weyl_min_sum_bound_examples():
     assert weyl_min_sum_bound(MonomialPhase(0, 2), 2, 0.0) == pytest.approx(
         2 * 2 ** 0.25, rel=1e-12)

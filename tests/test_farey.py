@@ -174,6 +174,15 @@ def test_counting_rhs_empty_system_is_zero():
     assert counting_rhs(empty, 16) == 0.0
 
 
+def test_pair_budget_is_the_exact_square(monkeypatch):
+    s = enumerate_system(3, 2, "full")  # 8 points, 64 pairs
+    monkeypatch.setattr(farey, "PAIR_BUDGET", s.size ** 2)
+    assert counting_rhs(s, 16) > 0
+    monkeypatch.setattr(farey, "PAIR_BUDGET", s.size ** 2 - 1)
+    with pytest.raises(CapacityError, match="above the budget of 63"):
+        counting_rhs(s, 16)
+
+
 def test_counting_rhs_matches_per_center_integrals():
     for Q, k, mode in [(2, 2, "full"), (2, 2, "dyadic"), (3, 3, "dyadic"), (4, 2, "full")]:
         s = enumerate_system(Q, k, mode)
