@@ -1,6 +1,6 @@
 """sieve-lab: numerical laboratory for large sieve constants with power moduli."""
 
-from .arith import ApproxPair, Rational, dirichlet_approx
+from .arith import ApproxPair, dirichlet_approx
 from .bounds import (
     BoundParams,
     CrossoverReport,
@@ -18,7 +18,6 @@ from .expsums import (
     fourier_majorant,
     min_sum,
     min_sum_bound,
-    phi_hat,
     weyl_min_sum_bound,
     weyl_pair_bound,
     weyl_sum,

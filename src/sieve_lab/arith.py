@@ -13,7 +13,6 @@ from typing import NamedTuple, Union
 
 from .errors import CapacityError
 
-Rational = Fraction
 Real = Union[int, float, Fraction]
 
 

@@ -23,6 +23,11 @@ about.
 delta_exponent is the one definition of the paper's delta, the exponent that
 Wooley's efficient congruencing supplies; BoundParams, crossover_analysis and
 the two Weyl bound shapes in expsums all read it.
+
+crossover_analysis is the one home of the crossover grid rule (N log-spaced
+over [Q^k, Q^(2k)], rounded to distinct integers): it builds the grid from
+the Q values and the point count, and returns the `crossover` command's
+records together with the verdict.
 """
 
 from __future__ import annotations
@@ -34,6 +39,8 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 import numpy as np
+
+from .arith import float_power
 
 OVERFLOW_FLAG = 1e300
 
@@ -128,81 +135,62 @@ def evaluate_bounds(p: BoundParams) -> dict[str, float]:
 
 
 @dataclass(frozen=True)
-class CrossoverRow:
-    Q: float
-    N: int
-    values: dict[str, float]
-    winner: str
-    delta_beats_loglog: bool
-    in_analytic_region: bool
-
-
-@dataclass(frozen=True)
-class ColumnFlip:
-    Q: float
-    flip_index: int       # first N-grid index where delta stops beating loglog
-    boundary_index: int   # first N-grid index past the analytic boundary
-    deviation: int
-
-
-@dataclass(frozen=True)
 class CrossoverReport:
-    k: int
-    normalization: str
+    rows: list[dict]           # the "grid" records, then one "column" record per Q
     boundary_exponent: float   # 2k - 2 + 2*delta
-    rows: list[CrossoverRow]
-    columns: list[ColumnFlip]
     consistent: bool
     max_deviation: int
     claim_applies: bool        # the analytic region claim is only made for k >= 3
 
 
-def crossover_analysis(k: int, grid: Sequence[tuple[float, int]],
+def crossover_analysis(k: int, q_values: Sequence[int], points: int,
                        normalization: str = "shapes",
                        eps: float = 0.05) -> CrossoverReport:
     """Winner map over the (Q, N) grid plus the consistency check of the
     delta-vs-loglog flip against the analytic boundary N = Q^(2k-2+2delta).
 
+    Each Q-column is `points` log-spaced N over [Q^k, Q^(2k)], rounded to
+    distinct integers (CapacityError above the float range).  The rows are
+    the `crossover` command's records under the cli.CROSSOVER_COLUMNS names.
     For k >= 3 the flip must sit within one grid cell of the boundary in every
     Q-column; for k = 2 no winning region is asserted and the report only
     records what happened.
     """
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
-    if not grid:
-        raise ValueError("grid must be nonempty")
+    if not q_values:
+        raise ValueError("q_values must be nonempty")
     exponent = 2 * k - 2 + 2 * float(delta_exponent(k))
+    head = {"k": k, "normalization": normalization, "boundary_exponent": exponent}
 
-    rows: list[CrossoverRow] = []
-    by_q: dict[float, list[CrossoverRow]] = {}
-    for Q, N in grid:
-        p = BoundParams(Q, N, k, eps)
-        values = {name: shape_value(name, p, normalization) for name in SHAPE_NAMES}
-        winner = min(SHAPE_NAMES, key=lambda name: (values[name], SHAPE_NAMES.index(name)))
-        beats = values["delta"] < values["loglog"]
-        analytic = N <= Q ** exponent
-        row = CrossoverRow(Q=Q, N=N, values=values, winner=winner,
-                           delta_beats_loglog=beats, in_analytic_region=analytic)
-        rows.append(row)
-        by_q.setdefault(Q, []).append(row)
+    grid: list[dict] = []
+    columns: list[dict] = []
+    for q in q_values:
+        Q = float(q)
+        ns = np.geomspace(float_power(q, k), float_power(q, 2 * k), points)
+        column = []
+        for N in sorted({max(1, int(round(n))) for n in ns}):
+            p = BoundParams(Q, N, k, eps)
+            values = {name: shape_value(name, p, normalization) for name in SHAPE_NAMES}
+            winner = min(SHAPE_NAMES, key=lambda name: (values[name], SHAPE_NAMES.index(name)))
+            column.append({"table": "grid", **head, "Q": Q, "N": N, **values,
+                           "winner": winner,
+                           "delta_beats_loglog": values["delta"] < values["loglog"],
+                           "in_analytic_region": N <= Q ** exponent})
+        grid += column
+        # the first N-grid index where delta stops beating loglog, and the
+        # first past the analytic boundary
+        flip, boundary = (next((i for i, r in enumerate(column) if not r[key]), len(column))
+                          for key in ("delta_beats_loglog", "in_analytic_region"))
+        columns.append({"table": "column", **head, "Q": Q, "flip_index": flip,
+                        "boundary_index": boundary, "deviation": abs(flip - boundary)})
 
-    columns: list[ColumnFlip] = []
-    max_dev = 0
-    for Q, col in by_q.items():
-        col = sorted(col, key=lambda r: r.N)
-        flip = next((i for i, r in enumerate(col) if not r.delta_beats_loglog), len(col))
-        boundary = next((i for i, r in enumerate(col) if not r.in_analytic_region), len(col))
-        dev = abs(flip - boundary)
-        max_dev = max(max_dev, dev)
-        columns.append(ColumnFlip(Q=Q, flip_index=flip, boundary_index=boundary,
-                                  deviation=dev))
-
+    max_dev = max(col["deviation"] for col in columns)
     claim_applies = k >= 3
     consistent = (max_dev <= 1) if claim_applies else True
-    return CrossoverReport(k=k, normalization=normalization,
-                           boundary_exponent=exponent, rows=rows, columns=columns,
-                           consistent=consistent, max_deviation=max_dev,
-                           claim_applies=claim_applies)
+    return CrossoverReport(rows=grid + [{**col, "consistent": consistent} for col in columns],
+                           boundary_exponent=exponent, consistent=consistent,
+                           max_deviation=max_dev, claim_applies=claim_applies)
 
 
 class FitResult(NamedTuple):

@@ -13,7 +13,11 @@ and `command` columns; write_records stamps both on every record.
 COMMANDS is the one table from each command to its function, its help line
 and the options it reads with their defaults.  Each command takes only those
 options, plus --format, --out and --config; any other flag is a usage error
-(exit 2), and so is a range "a..b" of more than RANGE_CAP values.
+(exit 2).  Three caps are checked before anything runs, each with exit 2: a
+range "a..b" of more than RANGE_CAP values, a k above K_CAP, and a run size
+above RUN_CAP, the run size being the product of the value counts of the Q, N
+and k ranges the command reads and of the vectors, samples and points options
+it reads.
 Config precedence: command-line flags override the --config file, which
 overrides the file named by SIEVE_LAB_CONFIG, which overrides the command's
 defaults.  Config files are flat key=value lines with '#' comments.  One
@@ -56,6 +60,12 @@ DEFAULT_SEED = 0xC0FFEE
 ORACLE_N_CAP = 512
 # Most values one "a..b" range may hold; checked before the range is built.
 RANGE_CAP = 1 << 16
+# Largest k any command takes: above it Q^k is past the float range for every
+# Q >= 2, and exact powers such as 2^(k-1) or q^k would grow without bound.
+K_CAP = 1024
+# Largest run size: the product of the value counts of the ranges a command
+# reads (Q, N, k) and of the count options it reads (vectors, samples, points).
+RUN_CAP = 1 << 14
 REL_SLACK = 1e-9
 
 _OUTPUT_DEFAULTS = {"format": "csv", "out": "-"}
@@ -194,6 +204,14 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError("vectors and samples must be >= 1")
     if "theta" in merged and cfg.theta <= 0:
         raise ConfigError("theta must be > 0")
+    if max(cfg.k_values) > K_CAP:
+        raise ConfigError(f"k values must be <= {K_CAP}")
+    counts = [len(getattr(cfg, _OPTIONS[key][1])) for key in ("Q", "N", "k") if key in merged]
+    counts += [getattr(cfg, key) for key in ("vectors", "samples", "points") if key in merged]
+    size = math.prod(counts)
+    if size > RUN_CAP:
+        raise ConfigError(f"run size {size} (the product of the Q, N and k value "
+                          f"counts and the count options) is above {RUN_CAP}")
     return cfg
 
 
@@ -420,29 +438,8 @@ def cmd_crossover(cfg: RunConfig) -> tuple[list[dict], list[str], int, list[str]
     summary: list[str] = []
     failed = False
     for k in cfg.k_values:
-        grid = []
-        for Q in cfg.q_values:
-            ns = np.geomspace(float_power(Q, k), float_power(Q, 2 * k), cfg.points)
-            n_ints = sorted({max(1, int(round(n))) for n in ns})
-            grid.extend((float(Q), n) for n in n_ints)
-        report = crossover_analysis(k, grid, cfg.normalization, cfg.eps)
-        for row in report.rows:
-            rows.append({
-                "table": "grid", "k": k, "normalization": cfg.normalization, "Q": row.Q,
-                "N": row.N, **{name: row.values[name] for name in SHAPE_NAMES},
-                "winner": row.winner,
-                "delta_beats_loglog": row.delta_beats_loglog,
-                "in_analytic_region": row.in_analytic_region,
-                "boundary_exponent": report.boundary_exponent,
-            })
-        for col in report.columns:
-            rows.append({
-                "table": "column", "k": k, "normalization": cfg.normalization, "Q": col.Q,
-                "flip_index": col.flip_index, "boundary_index": col.boundary_index,
-                "deviation": col.deviation,
-                "boundary_exponent": report.boundary_exponent,
-                "consistent": report.consistent,
-            })
+        report = crossover_analysis(k, cfg.q_values, cfg.points, cfg.normalization, cfg.eps)
+        rows += report.rows
         if report.claim_applies:
             verdict = "consistent" if report.consistent else "INCONSISTENT"
             summary.append(f"k={k}: {verdict} with analytic boundary "
@@ -450,9 +447,9 @@ def cmd_crossover(cfg: RunConfig) -> tuple[list[dict], list[str], int, list[str]
                            f"(max deviation {report.max_deviation} cells)")
             failed = failed or not report.consistent
         else:
-            wins = sum(1 for r in report.rows if r.delta_beats_loglog)
+            wins = [r["delta_beats_loglog"] for r in report.rows if r["table"] == "grid"]
             summary.append(f"k={k}: no claimed region; delta strictly won on "
-                           f"{wins}/{len(report.rows)} grid points")
+                           f"{sum(wins)}/{len(wins)} grid points")
     return rows, CROSSOVER_COLUMNS, EXIT_VERIFICATION if failed else EXIT_OK, summary
 
 

@@ -161,22 +161,19 @@ def weyl_min_sum_bound(phase: MonomialPhase, Q: int, eps: float) -> float:
     return Q ** (1.0 + eps) * (1.0 / Q + inner / qk) ** delta
 
 
-def phi_hat(s: float) -> float:
-    """(pi^2/4) * max(1 - |s|, 0): the Fourier transform of the Fejer-type
-    kernel (sin(pi x) / (2x))^2, which majorises the indicator of [-1/2, 1/2]."""
-    return kernels.PI_SQ_OVER_4 * max(1.0 - abs(s), 0.0)
-
-
 def fourier_majorant(system: PowerFareySystem, center_base: tuple[int, int],
                      x) -> MajorantResult:
     """Poisson-transformed majorant of the number of points within radius x of
     the member point b/r^k; it counts nothing itself (farey.count_near gives
     the exact count it dominates).
 
-    Per modulus q^k the transform is sum_{|a| <= B_q} phi_hat(a/B_q) / B_q *
-    e(a b q^k / r^k) with B_q = 1/(2 q^k x); each B_q is rounded one step
-    toward zero so majorant_value >= count_near(system, b/r^k, x) holds exactly
-    (up to the trig roundoff of the finite sum).  If the shortest truncation
+    Per modulus q^k the transform is sum_{|a| <= B_q} w(a/B_q) / B_q *
+    e(a b q^k / r^k) with B_q = 1/(2 q^k x) and the weight
+    w(s) = (pi^2/4) max(1 - |s|, 0), the Fourier transform of the Fejer-type
+    kernel (sin(pi x) / (2x))^2, which majorises the indicator of [-1/2, 1/2].
+    Each B_q is rounded one step toward zero so majorant_value >=
+    count_near(system, b/r^k, x) holds exactly (up to the trig roundoff of the
+    finite sum).  If the shortest truncation
     is < 1 the trivial majorant |points| is reported instead.
     """
     b, r = center_base

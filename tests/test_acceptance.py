@@ -233,19 +233,11 @@ def test_criterion_07_frozen_ratio_regressions():
 
 
 def test_criterion_08_crossover_boundary():
-    grid3 = []
-    for Q in range(4, 33):
-        ns = np.geomspace(float(Q) ** 3, float(Q) ** 6, 13)
-        grid3.extend((float(Q), n) for n in sorted({max(1, int(round(x))) for x in ns}))
-    report = crossover_analysis(3, grid3, "shapes")
+    report = crossover_analysis(3, range(4, 33), 13, "shapes")
     ok = report.claim_applies and report.consistent and report.max_deviation <= 1
 
-    grid2 = []
-    for Q in range(4, 17):
-        ns = np.geomspace(float(Q) ** 2, float(Q) ** 4, 13)
-        grid2.extend((float(Q), n) for n in sorted({max(1, int(round(x))) for x in ns}))
-    report2 = crossover_analysis(2, grid2, "shapes")
-    wins2 = sum(1 for r in report2.rows if r.delta_beats_loglog)
+    report2 = crossover_analysis(2, range(4, 17), 13, "shapes")
+    wins2 = sum(1 for r in report2.rows if r["table"] == "grid" and r["delta_beats_loglog"])
     ok = ok and not report2.claim_applies
     _report("criterion 8: crossover flip matches N = Q^(2k-2+2delta) for k=3", ok,
             f"max deviation {report.max_deviation} cells; k=2 claims nothing "

@@ -4,7 +4,6 @@ import warnings
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from sieve_lab import bounds
@@ -137,53 +136,65 @@ def test_shape_tables_in_docs_follow_shape_names():
     assert starts == sorted(starts), dict(zip(SHAPE_NAMES, starts))
 
 
-def _grid(k, q_values, points=13):
-    grid = []
-    for Q in q_values:
-        ns = np.geomspace(float(Q) ** k, float(Q) ** (2 * k), points)
-        grid.extend((float(Q), n) for n in sorted({max(1, int(round(x))) for x in ns}))
-    return grid
+def _grid_rows(report):
+    return [r for r in report.rows if r["table"] == "grid"]
 
 
 def test_crossover_k3_flip_sits_on_analytic_boundary():
-    report = crossover_analysis(3, _grid(3, range(4, 33)))
+    report = crossover_analysis(3, range(4, 33), 13)
     assert report.claim_applies
     assert report.consistent
     assert report.max_deviation <= 1
     assert report.boundary_exponent == pytest.approx(25 / 6, rel=1e-15)
     # lower edge: the delta shape wins at N = Q^3 for large Q
-    low_edge = [r for r in report.rows if r.Q == 32.0 and r.N == 32 ** 3]
-    assert low_edge and low_edge[0].delta_beats_loglog
+    low_edge = [r for r in _grid_rows(report) if r["Q"] == 32.0 and r["N"] == 32 ** 3]
+    assert low_edge and low_edge[0]["delta_beats_loglog"]
 
 
 def test_crossover_k2_makes_no_claim():
-    report = crossover_analysis(2, _grid(2, range(4, 17)))
+    report = crossover_analysis(2, range(4, 17), 13)
     assert not report.claim_applies
     assert report.consistent  # vacuously: nothing asserted
-    assert not any(r.delta_beats_loglog for r in report.rows)
+    assert not any(r["delta_beats_loglog"] for r in _grid_rows(report))
 
 
 def test_crossover_winner_map_ignores_eps_in_shapes_mode():
-    grid = _grid(3, [4, 8])
-    low = crossover_analysis(3, grid, "shapes", eps=0.05)
-    high = crossover_analysis(3, grid, "shapes", eps=0.7)
-    assert [r.winner for r in low.rows] == [r.winner for r in high.rows]
-    assert [r.delta_beats_loglog for r in low.rows] == \
-        [r.delta_beats_loglog for r in high.rows]
+    low = crossover_analysis(3, [4, 8], 13, "shapes", eps=0.05)
+    high = crossover_analysis(3, [4, 8], 13, "shapes", eps=0.7)
+    assert [r["winner"] for r in _grid_rows(low)] == [r["winner"] for r in _grid_rows(high)]
+    assert [r["delta_beats_loglog"] for r in _grid_rows(low)] == \
+        [r["delta_beats_loglog"] for r in _grid_rows(high)]
 
 
 def test_crossover_winner_stable_under_refinement():
-    coarse = crossover_analysis(3, _grid(3, [8], points=7))
-    fine = crossover_analysis(3, _grid(3, [8], points=13))
-    fine_winner = {(r.Q, r.N): r.winner for r in fine.rows}
-    for row in coarse.rows:
-        if (row.Q, row.N) in fine_winner:
-            assert fine_winner[(row.Q, row.N)] == row.winner
+    coarse = crossover_analysis(3, [8], 7)
+    fine = crossover_analysis(3, [8], 13)
+    fine_winner = {(r["Q"], r["N"]): r["winner"] for r in _grid_rows(fine)}
+    for row in _grid_rows(coarse):
+        if (row["Q"], row["N"]) in fine_winner:
+            assert fine_winner[(row["Q"], row["N"])] == row["winner"]
 
 
 def test_crossover_rejects_empty_grid():
     with pytest.raises(ValueError):
-        crossover_analysis(3, [])
+        crossover_analysis(3, [], 13)
+
+
+@pytest.mark.parametrize("points", [2, 7, 13])
+@pytest.mark.parametrize("k", [2, 3])
+def test_crossover_grid_rule(k, points):
+    q_values = [1, 4, 32]
+    rows = crossover_analysis(k, q_values, points).rows
+    tables = [r["table"] for r in rows]
+    # every grid record, then exactly one column record per Q, in Q order
+    n_grid = tables.count("grid")
+    assert tables == ["grid"] * n_grid + ["column"] * len(q_values)
+    assert [r["Q"] for r in rows[n_grid:]] == [float(Q) for Q in q_values]
+    for Q in q_values:
+        ns = [r["N"] for r in rows[:n_grid] if r["Q"] == float(Q)]
+        assert all(a < b for a, b in zip(ns, ns[1:])), (Q, ns)
+        assert ns[0] == round(Q ** k) and ns[-1] == round(Q ** (2 * k)), (Q, ns)
+        assert len(ns) <= points
 
 
 def test_fit_exponent_exact_powers():

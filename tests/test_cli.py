@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sieve_lab import cli, farey, kernels
+from sieve_lab import cli, expsums, farey, kernels, sieve
 from sieve_lab.farey import counting_rhs, enumerate_system
 from sieve_lab.sieve import CoefficientVector, sigma_exact, sigma_exact_batch
 from sieve_lab.errors import (EXIT_CAPACITY, EXIT_EIGENSOLVER, EXIT_INVALID_CONFIG, EXIT_OK,
@@ -229,6 +229,51 @@ def test_range_cap_boundary():
         cli.parse_int_values(f"0..{cli.RANGE_CAP}", "Q")
 
 
+def config_of(argv):
+    return cli.build_config(cli.build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("args", [
+    "constant --Q 1..65536 --N 1..65536 --k 2",     # 4.3e9 cells
+    "crossover --Q 4 --k 3 --points 1000000000",
+    "weyl --Q 4 --k 2 --samples 100000000",
+    "majorant --Q 2 --k 2 --samples 100000000",
+    "lemma1 --Q 2 --N 4 --k 2 --vectors 1000000000",
+])
+def test_run_cap_exit_code(args, tmp_path):
+    code, text, elapsed = run_limited(args.split(), tmp_path)
+    assert code == EXIT_INVALID_CONFIG, text
+    assert elapsed < 5.0
+    assert f"is above {cli.RUN_CAP}" in text
+
+
+def test_run_cap_boundary():
+    # the largest run the benchmark makes: 3 * 2 * 2000 = 12000
+    assert config_of(["weyl", "--Q", "64,256,1024", "--k", "2,3", "--samples", "2000"])
+    base = ["lemma1", "--Q", "2", "--N", "4,16", "--k", "2"]
+    assert config_of(base + ["--vectors", str(cli.RUN_CAP // 2)]).vectors == cli.RUN_CAP // 2
+    with pytest.raises(cli.ConfigError, match=f"run size {cli.RUN_CAP + 2} "):
+        config_of(base + ["--vectors", str(cli.RUN_CAP // 2 + 1)])
+
+
+@pytest.mark.parametrize("args", [
+    "constant --Q 2 --N 4 --k 10000000000",   # 2^(k-1) and q^k as exact ints
+    "weyl --Q 1 --k 100000000 --samples 1",   # weyl_rational loops k times
+])
+def test_k_cap_exit_code(args, tmp_path):
+    code, text, elapsed = run_limited(args.split(), tmp_path)
+    assert code == EXIT_INVALID_CONFIG, text
+    assert elapsed < 5.0
+    assert f"k values must be <= {cli.K_CAP}" in text
+
+
+def test_k_cap_boundary():
+    assert cli.K_CAP == 1024
+    assert config_of(["constant", "--k", "2,1024"]).k_values == (2, 1024)
+    with pytest.raises(cli.ConfigError, match="k values must be <= 1024"):
+        config_of(["constant", "--k", "2,1025"])
+
+
 def test_pair_budget_exit_code(tmp_path):
     # 394856 points: the quadratic counting scan would take about an hour
     code, text, elapsed = run_limited(["lemma1", "--Q", "40", "--N", "4", "--k", "3",
@@ -333,6 +378,37 @@ def test_readme_synopsis_lists_each_commands_flags(capsys):
             cli.main([command, "--help"])
         accepted = set(re.findall(r"--[\w-]+", capsys.readouterr().out)) - {"--help"}
         assert flags == accepted, command
+
+
+def _readme_int(text):
+    base, _, exp = text.partition("^")
+    return int(base) ** int(exp or 1)
+
+
+def test_readme_exit_codes_list_each_cap():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\nExit codes:\n\n", 1)[1].split("\n\n", 1)[0]
+    parts = re.split(r"^- `(\d)`", block, flags=re.M)
+    assert parts[0] == "" and parts[1::2] == ["0", "2", "3", "4", "5"]
+    bullets = dict(zip(parts[1::2], parts[2::2]))
+    caps = {"2": [(cli, "RANGE_CAP"), (cli, "K_CAP"), (cli, "RUN_CAP")],
+            "4": [(farey, "MODULUS_CAP"), (farey, "POINT_BUDGET"), (farey, "PAIR_BUDGET"),
+                  (sieve, "EIGEN_BUDGET_BYTES"), (expsums, "TERM_BUDGET")]}
+    for code, names in caps.items():
+        subs = bullets[code].split("\n  - ")[1:]
+        seen = set()
+        for module, name in names:
+            qualified = f"{module.__name__.rsplit('.', 1)[1]}.{name}"
+            hits = [(i, m) for i, sub in enumerate(subs)
+                    for m in re.finditer(rf"`{re.escape(qualified)} = ([0-9^]+)`", sub)]
+            assert len(hits) == 1, (code, qualified)
+            (i, match), = hits
+            assert _readme_int(match.group(1)) == getattr(module, name), qualified
+            assert i not in seen, (code, qualified)  # one sub-bullet per cap
+            seen.add(i)
+    assert f"{sys.float_info.max:.2g}" == "1.8e+308"
+    assert [sub for sub in bullets["4"].split("\n  - ")
+            if "float range (about `1.8e308`)" in sub], "no float-range sub-bullet"
 
 
 def test_lemma1_runs_clean(tmp_path, capsys):

@@ -8,7 +8,7 @@ from sieve_lab import expsums
 from sieve_lab.arith import ApproxPair
 from sieve_lab.errors import CapacityError
 from sieve_lab.expsums import (MonomialPhase, fourier_majorant, min_sum,
-                               min_sum_bound, phi_hat,
+                               min_sum_bound,
                                weyl_min_sum_bound, weyl_pair_bound, weyl_sum)
 from sieve_lab.farey import count_near, enumerate_system
 from sieve_lab.regression import sample_alphas
@@ -163,19 +163,13 @@ def test_min_sum_bound_examples():
     assert min_sum_bound(100, 1, ApproxPair(0, 1, 0.0)) == pytest.approx(want, rel=1e-12)
 
 
-def test_phi_hat():
-    assert phi_hat(0.0) == pytest.approx(math.pi ** 2 / 4, rel=1e-15)
-    assert phi_hat(1.5) == 0.0
-    assert phi_hat(-0.5) == pytest.approx(math.pi ** 2 / 8, rel=1e-15)
-
-
 def test_fourier_majorant_worked_example():
     s = enumerate_system(1, 2, "dyadic")  # the points 1/4 and 3/4
     res = fourier_majorant(s, (1, 2), 1 / 16)
     assert count_near(s, Fraction(1, 4), 1 / 16) == 1
     assert res.B == pytest.approx(2.0, rel=1e-12)
     # all five transform terms have unit phase here, so the value collapses to
-    # phi_hat(0)/2 + phi_hat(1/2) = pi^2/4
+    # the weights (pi^2/4) max(1 - |a|/2, 0) / 2 of a = 0, +-1: pi^2/8 + 2 pi^2/16 = pi^2/4
     assert res.majorant_value == pytest.approx(math.pi ** 2 / 4, rel=1e-12)
     assert res.majorant_value >= 1
     assert res.tail == pytest.approx(res.majorant_value - res.main_term, rel=1e-12)
