@@ -28,7 +28,6 @@ from .farey import (
     count_near,
     counting_rhs,
     enumerate_system,
-    stieltjes_integral,
 )
 from .sieve import (
     CoefficientVector,

@@ -49,7 +49,7 @@ from .bounds import BoundParams, SHAPE_NAMES, crossover_analysis, fit_exponent
 from .errors import (EXIT_CAPACITY, EXIT_EIGENSOLVER, EXIT_INVALID_CONFIG,
                      EXIT_OK, EXIT_VERIFICATION, CapacityError, EigensolverError)
 from .expsums import fourier_majorant
-from .farey import count_near, counting_rhs, enumerate_system, system_size
+from .farey import count_near, counting_rhs, enumerate_system, system_bases, system_size
 # sigma_exact is unused here but stays importable from cli, where
 # perfbench/tracing.py wraps it.
 from .sieve import (CoefficientVector, dense_lambda_max, measure_constant,  # noqa: F401
@@ -403,7 +403,7 @@ def cmd_majorant(cfg: RunConfig) -> tuple[list[dict], list[str], int, list[str]]
             if head["status"] != "ok" or system.size == 0:
                 rows.append(head)
                 continue
-            top = int(system.moduli.max())
+            top = system_bases(Q, k, cfg.mode)[-1] ** k
             rng = np.random.default_rng([cfg.seed, 3, k, Q, mode_idx])
             for _ in range(cfg.samples):
                 idx = int(rng.integers(0, system.size))

@@ -27,7 +27,7 @@ from . import kernels
 from .arith import ApproxPair, float_power
 from .bounds import delta_exponent
 from .errors import CapacityError
-from .farey import MODULUS_CAP, PowerFareySystem, _radius_as_fraction
+from .farey import MODULUS_CAP, PowerFareySystem, _radius_as_fraction, system_bases
 
 Coeff = Union[int, float, Fraction]
 
@@ -185,7 +185,8 @@ def fourier_majorant(system: PowerFareySystem, center_base: tuple[int, int],
     xr = _radius_as_fraction(x)
     xn, xd = xr.numerator, xr.denominator
 
-    mods = np.unique(system.moduli)
+    mods = np.array([q ** system.k for q in system_bases(system.Q, system.k, system.mode)],
+                    dtype=np.int64)
     # the exact ratio 1/(2 q^k x) rounded strictly downward, so the transform's
     # covered radius is >= the counting radius
     bqs = np.array([math.nextafter(float(Fraction(xd, 2 * int(qk) * xn)), 0.0)

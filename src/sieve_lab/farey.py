@@ -1,9 +1,12 @@
 """The finite system of reduced fractions a/q^k with power moduli, and exact counting.
 
-Numerators and moduli live in int64 arrays for the hot kernels; every counting
-comparison (count_near, the closed-form counting integral) is done with exact
-integer cross-multiplication, so counts and the integral are exact up to one
-final float division per point.
+The points of base q are the units a mod q^k, 0 < a < q^k.  That one rule,
+through the Moebius sum over the squarefree divisors d of q, gives every count
+that needs no point: the system size, membership, the number of points near a
+center (count_near) and, in sieve.toeplitz_kernel, the autocorrelation.
+enumerate_system builds the points as int64 arrays for the hot kernels, whose
+counting integral compares by exact integer cross-multiplication, so it is
+exact up to one final float division per point.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Literal
+from typing import Literal
 
 import numpy as np
 
@@ -51,32 +54,29 @@ class PowerFareySystem:
     def size(self) -> int:
         return int(self.numerators.shape[0])
 
-    def distinct_bases(self) -> list[int]:
-        """Bases that contribute at least one point, ascending."""
-        return np.unique(self.bases).tolist()
-
-    def iter_int_points(self) -> Iterator[tuple[int, int]]:
-        """(a, q^k) pairs as exact Python ints."""
-        return zip(self.numerators.tolist(), self.moduli.tolist())
-
     def is_member(self, b: int, r: int) -> bool:
         """Whether the pair (numerator b, base r) is a point of the system."""
-        lo = np.searchsorted(self.bases, r, side="left")
-        hi = np.searchsorted(self.bases, r, side="right")
-        if lo == hi:
-            return False
-        sub = self.numerators[lo:hi]
-        pos = np.searchsorted(sub, b)
-        return bool(pos < sub.shape[0] and sub[pos] == b)
+        return (r in system_bases(self.Q, self.k, self.mode) and 0 < b < r ** self.k
+                and math.gcd(b, r) == 1)
 
 
-def _totients(n: int) -> np.ndarray:
-    """phi[q] for 0 <= q <= n by a sieve over the primes."""
-    phi = np.arange(n + 1, dtype=np.int64)
-    for p in range(2, n + 1):
-        if phi[p] == p:  # untouched by any smaller prime, so p is prime
-            phi[p::p] -= phi[p::p] // p
-    return phi
+def squarefree_divisors_with_mu(q: int) -> list[tuple[int, int]]:
+    """(d, mu(d)) over the squarefree divisors of q."""
+    primes = []
+    m = q
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            primes.append(p)
+            while m % p == 0:
+                m //= p
+        p += 1
+    if m > 1:
+        primes.append(m)
+    divs = [(1, 1)]
+    for p in primes:
+        divs += [(d * p, -mu) for d, mu in divs]
+    return divs
 
 
 def system_bases(Q: int, k: int, mode: Mode) -> range:
@@ -100,11 +100,11 @@ def system_bases(Q: int, k: int, mode: Mode) -> range:
 
 
 def system_size(Q: int, k: int, mode: Mode) -> int:
-    """Number of points of the system, sum of phi(q) * q**(k-1) over its bases,
-    computed without building them."""
-    bases = system_bases(Q, k, mode)
-    phi = _totients(bases.stop - 1).tolist()
-    return sum(phi[q] * q ** (k - 1) for q in bases)
+    """Number of points of the system, the units mod q**k summed over its bases
+    as sum over squarefree d | q of mu(d) * q**k / d, computed without building
+    them."""
+    return sum(mu * (q ** k // d) for q in system_bases(Q, k, mode)
+               for d, mu in squarefree_divisors_with_mu(q))
 
 
 def enumerate_system(Q: int, k: int, mode: Mode) -> PowerFareySystem:
@@ -153,48 +153,31 @@ def _radius_as_fraction(x) -> Fraction:
 def count_near(system: PowerFareySystem, center: Fraction, x) -> int:
     """Exact number of points with |a/q^k - center| <= x.
 
-    The comparison is |a*cd - cn*q^k| * xd <= xn * q^k * cd in arbitrary
-    precision integers, where center = cn/cd and x = xn/xd.
+    Per base q these are the units a mod q^k in [L, U] = [ceil(q^k (c - x)),
+    floor(q^k (c + x))] clipped to [1, q^k - 1], counted as the sum over
+    squarefree d | q of mu(d) * (floor(U/d) - floor((L-1)/d)); the bounds are
+    exact rationals, so the count is exact.
     """
     if x < 0:
         raise ValueError("radius x must be >= 0")
     xr = _radius_as_fraction(x)
-    xn, xd = xr.numerator, xr.denominator
-    cn, cd = center.numerator, center.denominator
+    lo, hi = center - xr, center + xr
     count = 0
-    for a, qk in system.iter_int_points():
-        if abs(a * cd - cn * qk) * xd <= xn * qk * cd:
-            count += 1
+    for q in system_bases(system.Q, system.k, system.mode):
+        qk = q ** system.k
+        first = max(math.ceil(qk * lo), 1)
+        last = min(math.floor(qk * hi), qk - 1)
+        if first <= last:
+            count += sum(mu * (last // d - (first - 1) // d)
+                         for d, mu in squarefree_divisors_with_mu(q))
     return count
-
-
-def stieltjes_integral(system: PowerFareySystem, center: Fraction, N: int) -> float:
-    """The counting integral of count_near(x)/x^2 over [1/N, 1/2], in closed form.
-
-    Equals sum over points with d <= 1/2 of (1/max(d, 1/N) - 2) where
-    d = |a/q^k - center|; the branch tests are exact integer comparisons and
-    only the final reciprocal is a float division.
-    """
-    if N < 2:
-        raise ValueError(f"N must be >= 2, got {N}")
-    cn, cd = center.numerator, center.denominator
-    total = 0.0
-    for a, qk in system.iter_int_points():
-        big = abs(a * cd - cn * qk)
-        vol = qk * cd
-        if 2 * big <= vol:
-            if big * N <= vol:
-                total += N - 2.0
-            else:
-                total += vol / big - 2.0
-    return total
 
 
 def counting_rhs(system: PowerFareySystem, N: int) -> float:
     """Right side of the well-spaced counting inequality per unit |v|^2:
     4 * sum of moduli + max over centers of the counting integral.
 
-    The modulus sum runs over the distinct q**k of the system (one per base).
+    The modulus sum runs over the q**k of the system's bases.
     An empty system gives 0.0: both terms vanish and the inequality is 0 <= 0.
     The maximum scans every pair of points: a system of more than
     PAIR_BUDGET pairs raises CapacityError before the scan.
@@ -206,6 +189,7 @@ def counting_rhs(system: PowerFareySystem, N: int) -> float:
     if system.size ** 2 > PAIR_BUDGET:
         raise CapacityError(f"counting scan has {system.size ** 2} point pairs, "
                             f"above the budget of {PAIR_BUDGET}")
-    modulus_sum = 4.0 * float(sum(q ** system.k for q in system.distinct_bases()))
+    bases = system_bases(system.Q, system.k, system.mode)
+    modulus_sum = 4.0 * float(sum(q ** system.k for q in bases))
     integral_max = kernels.pairwise_integral_max(system.numerators, system.moduli, N)
     return modulus_sum + integral_max

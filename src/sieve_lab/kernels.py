@@ -19,8 +19,9 @@ TWO_PI = 2.0 * math.pi
 _SPLIT_BITS = 26
 _SPLIT = 1 << _SPLIT_BITS  # high/low split of a float phase for exact mod-1 reduction
 PI_SQ_OVER_4 = math.pi * math.pi / 4.0
-# Element budget of one dense numpy block: phase matrices, their products and
-# the coefficient batches the lemma1 command evaluates at once.
+# Element budget of one dense numpy block: phase matrices, their products, the
+# majorant's a-ranges and the coefficient batches the lemma1 command evaluates
+# at once.
 BLOCK_ELEMENTS = 1 << 21
 # The one kernel implementation; printed in run manifests.
 ACTIVE_LANE = "numpy"
@@ -126,17 +127,21 @@ def majorant_sum(b_red, rk, mods, bqs):
     bqs[j] is the truncation length for modulus mods[j] (1/(2*qk*x), rounded
     down by the caller so the transform provably dominates the exact count).
     The a-sum uses the exact residue of a*b*qk mod rk and the triangular
-    weight (pi^2/4) * max(1 - |a|/B_q, 0).
+    weight (pi^2/4) * max(1 - |a|/B_q, 0), summed in blocks of at most
+    BLOCK_ELEMENTS terms.
     """
     total = 0.0
     main = 0.0
     for qk, bq in zip(mods.tolist(), bqs.tolist()):
         s0 = (b_red * (qk % rk)) % rk
         n_a = int(bq)
-        a = np.arange(1, n_a + 1, dtype=np.int64)
-        r = (a * s0) % rk
-        w = np.maximum(1.0 - a * (1.0 / bq), 0.0)
-        acc = 1.0 + 2.0 * float(np.sum(w * np.cos(TWO_PI * (r / rk))))
+        tail = 0.0
+        for start in range(1, n_a + 1, BLOCK_ELEMENTS):
+            a = np.arange(start, min(start + BLOCK_ELEMENTS, n_a + 1), dtype=np.int64)
+            r = (a * s0) % rk
+            w = np.maximum(1.0 - a * (1.0 / bq), 0.0)
+            tail += float(np.sum(w * np.cos(TWO_PI * (r / rk))))
+        acc = 1.0 + 2.0 * tail
         total += PI_SQ_OVER_4 / bq * acc
         main += PI_SQ_OVER_4 / bq
     return total, main

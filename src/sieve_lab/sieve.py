@@ -29,7 +29,7 @@ import numpy as np
 
 from . import kernels
 from .errors import CapacityError, EigensolverError
-from .farey import Mode, PowerFareySystem, system_bases
+from .farey import Mode, PowerFareySystem, squarefree_divisors_with_mu, system_bases
 
 # Fixed seed of the Lanczos start vector; results are deterministic.
 START_SEED = 0xC0FFEE
@@ -113,25 +113,6 @@ class ToeplitzKernel:
         return self.c[np.abs(idx[:, None] - idx[None, :])]
 
 
-def _squarefree_divisors_with_mu(q: int) -> list[tuple[int, int]]:
-    """(d, mu(d)) over the squarefree divisors of q."""
-    primes = []
-    m = q
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            primes.append(p)
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        primes.append(m)
-    divs = [(1, 1)]
-    for p in primes:
-        divs += [(d * p, -mu) for d, mu in divs]
-    return divs
-
-
 def toeplitz_kernel(Q: int, N: int, k: int, mode: Mode = "full") -> ToeplitzKernel:
     """Autocorrelation kernel c(t), t = 0..N-1, of the system for (Q, k, mode),
     in closed form from its bases (see the module docstring).
@@ -150,7 +131,7 @@ def toeplitz_kernel(Q: int, N: int, k: int, mode: Mode = "full") -> ToeplitzKern
     c = np.zeros(N, dtype=np.float64)
     for q in bases:
         qk = q ** k
-        for d, mu in _squarefree_divisors_with_mu(q):
+        for d, mu in squarefree_divisors_with_mu(q):
             step = qk // d
             weight = float(mu * step)
             if step < N:

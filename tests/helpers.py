@@ -143,7 +143,29 @@ def rayleigh_quotient(kernel, values) -> float:
 
 def int_points(system) -> list[tuple[int, int]]:
     """(a, q^k) pairs of a PowerFareySystem as Python ints."""
-    return list(system.iter_int_points())
+    return list(zip(system.numerators.tolist(), system.moduli.tolist()))
+
+
+def stieltjes_integral(system, center: Fraction, N: int) -> float:
+    """The counting integral of count_near(x)/x^2 over [1/N, 1/2], in closed form.
+
+    Equals sum over points with d <= 1/2 of (1/max(d, 1/N) - 2) where
+    d = |a/q^k - center|; the branch tests are exact integer comparisons and
+    only the final reciprocal is a float division.
+    """
+    if N < 2:
+        raise ValueError(f"N must be >= 2, got {N}")
+    cn, cd = center.numerator, center.denominator
+    total = 0.0
+    for a, qk in int_points(system):
+        big = abs(a * cd - cn * qk)
+        vol = qk * cd
+        if 2 * big <= vol:
+            if big * N <= vol:
+                total += N - 2.0
+            else:
+                total += vol / big - 2.0
+    return total
 
 
 def totient(n: int) -> int:

@@ -15,12 +15,13 @@ import pytest
 from sieve_lab import cli, kernels, regression
 from sieve_lab.bounds import crossover_analysis, fit_exponent
 from sieve_lab.expsums import fourier_majorant
-from sieve_lab.farey import count_near, counting_rhs, enumerate_system, stieltjes_integral
+from sieve_lab.farey import count_near, counting_rhs, enumerate_system
 from sieve_lab.frozen import FROZEN_RATIOS
 from sieve_lab.sieve import (CoefficientVector, dense_lambda_max,
                              power_iteration, sigma_exact_batch,
                              toeplitz_kernel)
 
+from helpers import stieltjes_integral
 from test_farey import _quadrature_oracle
 
 SEED = 0xC0FFEE

@@ -93,6 +93,12 @@ def test_capacity_exit_code(tmp_path):
     assert b"capacity-error" in raw
 
 
+# Every run_limited caller asserts the child took under 5 s; the timeout sits
+# a little above that, so a cap that stops failing fast fails its test with
+# TimeoutExpired instead of hanging it.
+CHILD_TIMEOUT_S = 10
+
+
 def run_limited(args, tmp_path):
     """The CLI in a child process under a 2 GiB address-space limit, which turns
     any attempt to allocate the points or the eigensolve of a huge system into
@@ -101,7 +107,7 @@ def run_limited(args, tmp_path):
     start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "sieve_lab.cli", *args, "--out", str(out)],
-        capture_output=True, text=True, env=child_env(),
+        capture_output=True, text=True, env=child_env(), timeout=CHILD_TIMEOUT_S,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)))
     elapsed = time.perf_counter() - start
     return proc.returncode, out.read_text() if out.exists() else proc.stderr, elapsed

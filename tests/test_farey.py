@@ -6,11 +6,11 @@ from scipy.integrate import quad
 
 from sieve_lab import farey
 from sieve_lab.errors import CapacityError
-from sieve_lab.farey import (PowerFareySystem, count_near, counting_rhs,
-                             enumerate_system, stieltjes_integral)
+from sieve_lab.farey import PowerFareySystem, count_near, counting_rhs, enumerate_system
 from sieve_lab.sieve import CoefficientVector, sigma_exact_batch
 
-from helpers import brute_count_near, brute_enumerate, int_points, totient
+from helpers import (brute_count_near, brute_enumerate, int_points, stieltjes_integral,
+                     totient)
 
 
 def make_singleton(a: int, q: int, k: int) -> PowerFareySystem:
@@ -103,6 +103,13 @@ def test_count_near_monotone_and_member_floor():
         assert count_near(s, center, 1) == s.size
 
 
+# Corners of Q <= 12, k <= 4 in both modes, up to 33824 points: the Fraction
+# oracle takes about 6 us a point, so each system stays under 0.2 s a query.
+EDGE_SYSTEMS = [(1, 2, "full"), (2, 4, "full"), (12, 2, "full"), (12, 3, "full"),
+                (12, 4, "full"), (1, 2, "dyadic"), (1, 4, "dyadic"), (12, 2, "dyadic"),
+                (6, 3, "dyadic"), (4, 4, "dyadic")]
+
+
 def test_count_near_matches_fraction_oracle():
     rng = np.random.default_rng(17)
     for _ in range(40):
@@ -113,6 +120,42 @@ def test_count_near_matches_fraction_oracle():
         center = Fraction(int(rng.integers(0, 50)), int(rng.integers(1, 50)))
         x = Fraction(int(rng.integers(0, 30)), int(rng.integers(1, 100)))
         assert count_near(s, center, x) == brute_count_near(int_points(s), center, x)
+
+    tiny = Fraction(1, 10 ** 30)
+    for Q, k, mode in EDGE_SYSTEMS:
+        s = enumerate_system(Q, k, mode)
+        pts = int_points(s)
+        queries = [(Fraction(1, 3), 0), (Fraction(1, 3), 0.0),      # x = 0
+                   (Fraction(1, 2), 1), (Fraction(2, 9), 1.0),      # x >= 1
+                   (Fraction(-2, 7), Fraction(7, 2)),
+                   (Fraction(-1, 5), Fraction(1, 4)),               # centers outside [0, 1]
+                   (Fraction(6, 5), Fraction(3, 10)), (Fraction(3), Fraction(2))]
+        if pts:
+            a, qk = pts[int(rng.integers(len(pts)))]
+            b, rk = pts[int(rng.integers(len(pts)))]
+            member = Fraction(a, qk)
+            other = Fraction(int(rng.integers(-20, 70)), int(rng.integers(1, 50)))
+            for center in (member, other):
+                # the radius is exactly the distance to the point b/r^k, which
+                # counts at x (the <= boundary) and drops out just below it
+                x = abs(Fraction(b, rk) - center)
+                queries += [(center, x), (center, max(x - tiny, 0))]
+            queries.append((member, 0))
+        for center, x in queries:
+            got = count_near(s, center, x)
+            assert got == brute_count_near(pts, center, Fraction(x)), (Q, k, mode, center, x)
+
+
+def test_is_member_matches_enumeration():
+    for Q, k, mode in EDGE_SYSTEMS:
+        s = enumerate_system(Q, k, mode)
+        members = set(zip(s.numerators.tolist(), s.bases.tolist()))
+        # every base of the system, one below the lowest and one above the top
+        lowest = 2 if mode == "full" else Q + 1
+        top = Q if mode == "full" else 2 * Q
+        for r in range(lowest - 1, top + 2):
+            for b in range(-1, r ** k + 1):
+                assert s.is_member(b, r) == ((b, r) in members), (Q, k, mode, b, r)
 
 
 def test_stieltjes_examples():
@@ -187,7 +230,7 @@ def test_counting_rhs_matches_per_center_integrals():
     for Q, k, mode in [(2, 2, "full"), (2, 2, "dyadic"), (3, 3, "dyadic"), (4, 2, "full")]:
         s = enumerate_system(Q, k, mode)
         for N in (4, 64):
-            want = 4.0 * sum(q ** k for q in s.distinct_bases()) + max(
+            want = 4.0 * sum(q ** k for q in set(s.bases.tolist())) + max(
                 stieltjes_integral(s, Fraction(a, qk), N) for a, qk in int_points(s))
             assert counting_rhs(s, N) == pytest.approx(want, rel=1e-12)
 

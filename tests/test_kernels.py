@@ -93,9 +93,12 @@ def test_weyl_rational_matches_exact_residues(num, den, k, q_lo, q_hi):
     (5, 27, [8, 27, 64], [5.0, 0.75, 40.25]),       # integer B_q, and B_q < 1 (only a = 0)
     (2**31 - 4, 2**31 - 1, [2**31 - 2, 46337**2], [300.5, 97.0]),  # a*b*q^k beyond int64
 ])
-def test_majorant_sum_matches_direct_sum(b, rk, mods, bqs):
-    value, main = kernels.majorant_sum(b, rk, np.array(mods, dtype=np.int64),
-                                       np.array(bqs, dtype=np.float64))
+def test_majorant_sum_matches_direct_sum(b, rk, mods, bqs, monkeypatch):
     want_value, want_main = brute_majorant(b, rk, mods, bqs)
-    assert main == pytest.approx(want_main, rel=1e-13)
-    assert value == pytest.approx(want_value, rel=1e-12, abs=1e-12 * want_main)
+    # one block per modulus, then blocks of 7 terms with a shorter last one
+    for block in (kernels.BLOCK_ELEMENTS, 7):
+        monkeypatch.setattr(kernels, "BLOCK_ELEMENTS", block)
+        value, main = kernels.majorant_sum(b, rk, np.array(mods, dtype=np.int64),
+                                           np.array(bqs, dtype=np.float64))
+        assert main == pytest.approx(want_main, rel=1e-13)
+        assert value == pytest.approx(want_value, rel=1e-12, abs=1e-12 * want_main)

@@ -1,9 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from sieve_lab import kernels, sieve
 from sieve_lab.errors import CapacityError, EigensolverError
-from sieve_lab.farey import enumerate_system
+from sieve_lab.farey import enumerate_system, system_size
 from sieve_lab.sieve import (CoefficientVector, ToeplitzKernel, dense_lambda_max,
                              measure_constant, power_iteration, sigma_exact,
                              sigma_exact_batch, toeplitz_kernel)
@@ -78,6 +80,9 @@ def test_kernel_c0_is_size_and_examples():
         s = enumerate_system(Q, k, mode)
         kern = toeplitz_kernel(Q, 4, k, mode)
         assert kern.c[0] == pytest.approx(s.size, abs=1e-12)
+    # the kernel and the size both sum mu(d) q^k / d over the bases: exact here
+    for Q, k, mode in itertools.product(range(1, 31), (2, 3, 4), ("full", "dyadic")):
+        assert toeplitz_kernel(Q, 4, k, mode).c[0] == system_size(Q, k, mode), (Q, k, mode)
 
     full = toeplitz_kernel(2, 4, 2, "full")
     assert full.c[1] == pytest.approx(0.0, abs=1e-12)
