@@ -186,10 +186,10 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"normalization must be shapes or literal, got {cfg.normalization!r}")
     if cfg.fmt not in ("csv", "json"):
         raise ConfigError(f"format must be csv or json, got {cfg.fmt!r}")
-    if "eps" in merged and cfg.eps <= 0:
-        raise ConfigError("eps must be > 0")
-    if "rel_tol" in merged and cfg.rel_tol <= 0:
-        raise ConfigError("rel-tol must be > 0")
+    if "eps" in merged and not (math.isfinite(cfg.eps) and cfg.eps > 0):
+        raise ConfigError(f"eps must be finite and > 0, got {cfg.eps!r}")
+    if "rel_tol" in merged and not 0 < cfg.rel_tol < 1:
+        raise ConfigError(f"rel-tol must be in (0, 1), got {cfg.rel_tol!r}")
     if min(cfg.q_values) < 1:
         raise ConfigError("Q values must be >= 1")
     if min(cfg.k_values) < 2:
@@ -202,8 +202,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError("points must be >= 2")
     if ("vectors" in merged and cfg.vectors < 1) or ("samples" in merged and cfg.samples < 1):
         raise ConfigError("vectors and samples must be >= 1")
-    if "theta" in merged and cfg.theta <= 0:
-        raise ConfigError("theta must be > 0")
+    if "theta" in merged and not (math.isfinite(cfg.theta) and cfg.theta > 0):
+        raise ConfigError(f"theta must be finite and > 0, got {cfg.theta!r}")
     if max(cfg.k_values) > K_CAP:
         raise ConfigError(f"k values must be <= {K_CAP}")
     counts = [len(getattr(cfg, _OPTIONS[key][1])) for key in ("Q", "N", "k") if key in merged]

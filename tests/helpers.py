@@ -13,6 +13,10 @@ from fractions import Fraction
 
 import numpy as np
 
+from sieve_lab.errors import EigensolverError
+from sieve_lab.sieve import (INVARIANT_TOL, ITERATION_CAP_BASE, RESTART_LENGTH, START_SEED,
+                             PowerResult)
+
 
 def brute_dirichlet(alpha: float, bound: int) -> tuple[int, int, float]:
     """Scan all 1 <= v <= bound with u = round(v*alpha); minimal residual wins,
@@ -182,3 +186,65 @@ def totient(n: int) -> int:
     if m > 1:
         result -= result // m
     return result
+
+
+def lanczos_every_step(kernel, rel_tol: float = 1e-8):
+    """sieve.power_iteration as it was with the convergence test (a dense eigh
+    of the tridiagonal matrix) after every Lanczos step: (PowerResult, number
+    of Lanczos cycles run)."""
+    if rel_tol <= 0:
+        raise ValueError("rel_tol must be > 0")
+    n = kernel.N
+    c0 = float(kernel.c[0])
+    if c0 <= 0.0:
+        return PowerResult(0.0, 0.0, 0), 0  # empty system: T = 0
+    if n == 1:
+        return PowerResult(c0, 0.0, 0), 0  # 1x1 matrix
+    m = min(RESTART_LENGTH, n)
+    cap = 10 * n + ITERATION_CAP_BASE
+    rng = np.random.default_rng(START_SEED)
+    x = rng.standard_normal(n)
+    x /= np.linalg.norm(x)
+    V = np.empty((m, n))
+    alpha = np.zeros(m)
+    beta = np.zeros(m)
+    tx = kernel.matvec(x)
+    matvecs = 1
+    cycles = 0
+    while True:
+        value = float(np.vdot(x, tx))
+        if value <= 0.0:
+            return PowerResult(0.0, 0.0, matvecs), cycles  # numerically null operator
+        residual = float(np.linalg.norm(tx - value * x)) / value
+        if residual < rel_tol:
+            return PowerResult(value, residual, matvecs), cycles
+        if matvecs >= cap:
+            raise EigensolverError(
+                f"Lanczos did not converge in {cap} matvecs "
+                f"(last value {value!r}, residual {residual!r})",
+                last_value=value, last_residual=residual, iterations=matvecs)
+        cycles += 1
+        V[0] = x
+        w = tx
+        for j in range(m):
+            if j > 0:
+                w = kernel.matvec(V[j])
+                matvecs += 1
+            alpha[j] = 0.0
+            for _ in range(2):  # full reorthogonalisation, two passes
+                h = V[:j + 1] @ w
+                w = w - h @ V[:j + 1]
+                alpha[j] += h[j]
+            beta[j] = float(np.linalg.norm(w))
+            theta, Y = np.linalg.eigh(np.diag(alpha[:j + 1]) + np.diag(beta[:j], 1)
+                                      + np.diag(beta[:j], -1))
+            y = Y[:, -1]
+            if (beta[j] * abs(y[j]) < rel_tol * theta[-1]
+                    or beta[j] <= INVARIANT_TOL * theta[-1]
+                    or j == m - 1 or matvecs >= cap - 1):
+                break
+            V[j + 1] = w / beta[j]
+        x = y @ V[:j + 1]
+        x /= np.linalg.norm(x)
+        tx = kernel.matvec(x)
+        matvecs += 1

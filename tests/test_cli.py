@@ -220,6 +220,21 @@ def test_float_range_exit_code(args, code, tmp_path, capsys):
         assert raw == b"" and "capacity error" in err and "above the float range" in err
 
 
+@pytest.mark.parametrize("args", [
+    "constant --rel-tol nan",                    # ran every cell to the product cap
+    "constant --Q 2 --N 16 --k 2 --rel-tol inf",  # certified a wrong value
+    "constant --eps nan",                        # NaN bounds with status ok
+    "weyl --eps nan",
+    "crossover --eps nan",
+    "fit --theta nan",                           # ValueError traceback
+    "fit --theta inf",
+])
+def test_non_finite_float_options_exit_2(args, tmp_path):
+    code, text, elapsed = run_limited(args.split(), tmp_path)
+    assert code == EXIT_INVALID_CONFIG and "invalid config" in text
+    assert elapsed < 5
+
+
 def test_range_cap_exit_code(tmp_path):
     # a billion-value range would be built as a set of 10^9 ints
     code, text, elapsed = run_limited(["constant", "--Q", "1..1000000000", "--N", "4",

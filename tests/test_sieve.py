@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from sieve_lab.sieve import (CoefficientVector, ToeplitzKernel, dense_lambda_max
                              measure_constant, power_iteration, sigma_exact,
                              sigma_exact_batch, toeplitz_kernel)
 
-from helpers import brute_sigma, int_points, rayleigh_quotient
+from helpers import brute_sigma, int_points, lanczos_every_step, rayleigh_quotient
 from test_farey import make_singleton
 
 GRID = [(Q, k, mode) for Q in (1, 2, 3, 4) for k in (2, 3)
@@ -157,6 +158,65 @@ def test_power_iteration_reports_and_nonconvergence():
         power_iteration(kern, 1e-300)
     assert info.value.last_value > 0
     assert info.value.iterations > 0
+
+
+@pytest.mark.parametrize("rel_tol", [0.0, -1e-8, 1.0, 2.0, float("inf"), float("nan")])
+def test_power_iteration_rejects_rel_tol_outside_unit_interval(rel_tol):
+    with pytest.raises(ValueError, match="rel_tol"):
+        power_iteration(toeplitz_kernel(2, 16, 2), rel_tol)
+
+
+@pytest.mark.parametrize("mode", ["full", "dyadic"])
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_sparse_ritz_checks_match_every_step_loop(k, mode):
+    # (2, 256, 4) dyadic is on this grid: its Ritz estimate passes at a skipped
+    # step and fails again at the next scheduled test, which only the
+    # RITZ_NEAR walk-back catches
+    for Q in range(1, 9):
+        for n in (2, 3, 4, 5, 16, 63, 64, 65, 256, 1000, 4096):
+            kern = toeplitz_kernel(Q, n, k, mode)
+            oracle, cycles = lanczos_every_step(kern)
+            res = power_iteration(kern)
+            assert res.value == oracle.value and res.residual == oracle.residual, (Q, n)
+            extra = res.iterations - oracle.iterations
+            assert 0 <= extra <= (sieve.RITZ_CHECK_EVERY - 1) * cycles, (Q, n)
+
+
+# Krylov spaces that close after a step or two: beta_j falls to rounding level,
+# which schedules a test at that very step.  (value of Delta, kernel)
+EARLY_CLOSING = {
+    "rank-1": (192.0, lambda: ToeplitzKernel(np.full(64, 3.0))),
+    "two-point-4096": (4096.0, lambda: toeplitz_kernel(2, 4096, 2, "full")),
+    "two-point-16": (16.0, lambda: toeplitz_kernel(2, 16, 2, "full")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EARLY_CLOSING))
+def test_early_closing_krylov_spaces(name, monkeypatch):
+    delta, make = EARLY_CLOSING[name]
+    kern = make()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a division by beta_j = 0 would raise here
+        oracle, _ = lanczos_every_step(kern)
+        res = power_iteration(kern)
+        assert res == oracle
+        assert res.value == pytest.approx(delta, rel=1e-12)
+        # a cap of 1000 products keeps the N = 4096 cell under a second
+        monkeypatch.setattr(sieve, "ITERATION_CAP_BASE", 1000 - 10 * kern.N)
+        with pytest.raises(EigensolverError) as info:
+            power_iteration(kern, 1e-300)
+    assert 0 < info.value.iterations <= 1000
+
+
+def test_cap_between_scheduled_tests(monkeypatch):
+    # full-length cycles with no early stop: the cap falls at every position
+    # between two scheduled tests, and no look-ahead product may pass it
+    kern = toeplitz_kernel(2, 256, 4, "dyadic")
+    for cap in range(200, 200 + 2 * sieve.RITZ_CHECK_EVERY):
+        monkeypatch.setattr(sieve, "ITERATION_CAP_BASE", cap - 10 * kern.N)
+        with pytest.raises(EigensolverError) as info:
+            power_iteration(kern, 1e-300)
+        assert info.value.iterations == cap
 
 
 def test_rayleigh_bounds():
