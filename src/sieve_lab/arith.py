@@ -2,7 +2,9 @@
 
 Rationals are plain fractions.Fraction values (always stored reduced, positive
 denominator), so every counting comparison downstream can be done in exact
-integer arithmetic.  Reals are double precision throughout.
+integer arithmetic.  Reals are double precision throughout.  Dirichlet
+approximation works on the exact integer ratio of its argument (int, float or
+Fraction), with no Fraction built per step.
 """
 
 from __future__ import annotations
@@ -33,9 +35,8 @@ class ApproxPair(NamedTuple):
     residual: float
 
 
-def _continued_fraction_convergents(alpha: Fraction):
-    """Yield the convergents u/v of alpha as (u, v) pairs, v increasing."""
-    num, den = alpha.numerator, alpha.denominator
+def _continued_fraction_convergents(num: int, den: int):
+    """Yield the convergents u/v of num/den (den > 0) as (u, v) pairs, v increasing."""
     u_prev, v_prev = 1, 0
     u_prev2, v_prev2 = 0, 1
     while den:
@@ -51,20 +52,22 @@ def _continued_fraction_convergents(alpha: Fraction):
 def dirichlet_approx(alpha: Real, bound: int) -> ApproxPair:
     """Best coprime pair (u, v) with 1 <= v <= bound and |v*alpha - u| <= 1/bound.
 
-    Computed from the continued-fraction convergents of alpha (exact integer
-    arithmetic on the binary value when alpha is a float), so the cost is
-    O(log bound).  Among valid pairs the residual is minimal, ties broken
-    toward smaller v; such a pair always exists.
+    Computed from the continued-fraction convergents of alpha = num/den, its
+    exact integer ratio (the binary value when alpha is a float), so the cost
+    is O(log bound) integer steps.  The convergents are ranked by
+    |v*num - u*den|, which is den times |v*alpha - u|.  Among valid pairs the
+    residual is minimal, ties broken toward smaller v; such a pair always
+    exists.
     """
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
-    exact = alpha if isinstance(alpha, Fraction) else Fraction(alpha)
+    num, den = alpha.as_integer_ratio()
     best: tuple[int, int] | None = None  # the first convergent has v = 1 <= bound
-    best_res: Fraction | None = None
-    for u, v in _continued_fraction_convergents(exact):
+    best_res: int | None = None
+    for u, v in _continued_fraction_convergents(num, den):
         if v > bound:
             break
-        res = abs(v * exact - u)
+        res = abs(v * num - u * den)
         if best_res is None or res < best_res:
             best, best_res = (u, v), res
         if res == 0:

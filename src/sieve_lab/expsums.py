@@ -5,13 +5,20 @@ Rational phase coefficients are evaluated with exact modular arithmetic
 q^k gets; float coefficients go through a split reduction that keeps the
 mod-1 phase accurate to ~1e-13 at desk scale.
 
-The minimum sums sum_v min(XY/v, 1/||v alpha||) behind min_sum and
-weyl_min_sum_bound are one numpy pass over v: exact int64 residues v * num mod
-den for rational alpha, np.remainder for floats, added left to right so the
-result is the double a plain loop gives.  The exact paths (Weyl sums and
-minimum sums) take rational denominators below 2^31 only and raise
-CapacityError above.  Every Weyl and minimum sum raises CapacityError, before
-allocating, when it has more than TERM_BUDGET = 2^22 terms.
+Each sum has a batch form over many coefficients: weyl_sums,
+weyl_min_sum_bounds and min_sums compute one value per row in 2-D numpy
+passes of at most kernels.ROW_BLOCK_TERMS terms, and weyl_sum,
+weyl_min_sum_bound and min_sum are their batches of one, so a row's value is
+the same double in either form.  The minimum sums sum_v min(XY/v,
+1/||v alpha||) use exact int64 residues v * num mod den for rational alpha and
+np.remainder for floats, added left to right along each row, so each is the
+double a plain loop gives.
+
+The exact paths (Weyl sums and minimum sums) take rational denominators below
+2^31 only and raise CapacityError above.  Every Weyl and minimum sum raises
+CapacityError, before allocating, when it has more than TERM_BUDGET = 2^22
+terms.  A batch checks all its rows before its first pass, and
+check_weyl_row runs the checks of one Weyl-table row alone.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -79,20 +86,73 @@ def _check_terms(count: int) -> None:
         raise CapacityError(f"sum has {count} terms, above the budget of {TERM_BUDGET}")
 
 
+def _is_exact(alpha: Coeff) -> bool:
+    return isinstance(alpha, (int, Fraction))
+
+
+def _check_q(Q: int) -> None:
+    if Q < 1:
+        raise ValueError(f"Q must be >= 1, got {Q}")
+
+
+def _check_weyl_sum(alpha: Coeff, k: int, Q: int) -> None:
+    """What weyl_sum raises for (alpha, k, Q), before any term is summed."""
+    _check_q(Q)
+    _check_terms(Q)
+    if _is_exact(alpha):
+        _reduced(alpha)
+    elif (2 * Q) ** k >= _FLOAT_POWER_CAP:
+        raise CapacityError(
+            f"(2Q)^k = {(2 * Q) ** k} exceeds the float-path width (< 2^53)")
+
+
+def _check_min_terms(alpha: Coeff, count: int) -> None:
+    """What a minimum sum of count terms raises for alpha."""
+    _check_terms(count)
+    if _is_exact(alpha):
+        _reduced(alpha)
+
+
+def check_weyl_row(phase: MonomialPhase, Q: int) -> None:
+    """Raise what weyl_sum(phase, Q) and then weyl_min_sum_bound(phase, Q, eps)
+    raise, without summing a term: the term budget, the denominator width, the
+    float-path width and the float range.
+
+    weyl_sums and weyl_min_sum_bounds sum one (k, Q) for all coefficients at
+    once, so a table checks every row with this first, in row order: its
+    first error is then the one a row-by-row table meets first."""
+    _check_weyl_sum(phase.alpha, phase.k, Q)
+    float_power(Q, phase.k)
+    _check_min_terms(phase.alpha, Q)
+
+
+def _split(alphas: Sequence[Coeff]):
+    """(indices, reduced numerators, denominators) of the rational
+    coefficients and (indices, float values) of the others."""
+    exact = [i for i, a in enumerate(alphas) if _is_exact(a)]
+    floats = [i for i, a in enumerate(alphas) if not _is_exact(a)]
+    reduced = np.array([_reduced(alphas[i]) for i in exact], dtype=np.int64).reshape(-1, 2)
+    values = np.array([float(alphas[i]) for i in floats], dtype=np.float64)
+    return exact, reduced[:, 0], reduced[:, 1], floats, values
+
+
+def weyl_sums(alphas: Sequence[Coeff], k: int, Q: int) -> np.ndarray:
+    """weyl_sum of every coefficient at degree k, as a complex array: the
+    rational ones through kernels.weyl_rational_batch, the float ones (reduced
+    mod 1) through kernels.weyl_float_batch."""
+    for alpha in alphas:
+        _check_weyl_sum(alpha, k, Q)
+    exact, nums, dens, floats, values = _split(alphas)
+    out = np.empty(len(alphas), dtype=np.complex128)
+    out[exact] = kernels.weyl_rational_batch(nums, dens, k, Q, 2 * Q)
+    out[floats] = kernels.weyl_float_batch([a % 1.0 for a in values.tolist()], k, Q, 2 * Q)
+    return out
+
+
 def weyl_sum(phase: MonomialPhase, Q: int) -> complex:
     """sum_{Q < q <= 2Q} e(alpha * q**k), phase-reduced mod 1 before exponentiating;
     raises CapacityError above TERM_BUDGET terms."""
-    if Q < 1:
-        raise ValueError(f"Q must be >= 1, got {Q}")
-    _check_terms(Q)
-    alpha, k = phase.alpha, phase.k
-    if isinstance(alpha, (int, Fraction)):
-        num_red, den = _reduced(alpha)
-        return complex(kernels.weyl_rational(num_red, den, k, Q, 2 * Q))
-    if (2 * Q) ** k >= _FLOAT_POWER_CAP:
-        raise CapacityError(
-            f"(2Q)^k = {(2 * Q) ** k} exceeds the float-path width (< 2^53)")
-    return complex(kernels.weyl_float(float(alpha) % 1.0, k, Q, 2 * Q))
+    return complex(weyl_sums([phase.alpha], phase.k, Q)[0])
 
 
 def weyl_pair_bound(approx: ApproxPair, Q: int, k: int, eps: float) -> float:
@@ -108,35 +168,58 @@ def weyl_pair_bound(approx: ApproxPair, Q: int, k: int, eps: float) -> float:
     return Q ** (1.0 + eps) * (1.0 / v + 1.0 / Q + v / float_power(Q, k)) ** delta
 
 
-def _min_terms_sum(alpha: Coeff, count: int, xy: float) -> float:
-    """sum_{1 <= v <= count} min(xy/v, 1/||v*alpha||) in one numpy pass; a
-    vanishing ||v*alpha|| picks the xy/v branch.
+def _min_terms_sum(alphas: Sequence[Coeff], counts: Sequence[int],
+                   xys: Sequence[float]) -> np.ndarray:
+    """Per row j, sum_{1 <= v <= counts[j]} min(xys[j]/v, 1/||v*alphas[j]||),
+    as a float array; a vanishing ||v*alpha|| picks the xy/v branch.  The
+    caller checks each row first (_check_min_terms).
 
     Rational alpha uses the exact int64 residues v*num mod den (den < 2^31, so
     v*num cannot overflow for count < 2^32); float alpha reduces v*alpha mod 1.
-    The terms are added left to right (cumsum), so the result is the same
-    double as a plain Python loop.  Raises CapacityError above TERM_BUDGET terms.
+    The rows of each kind go through passes of kernels.row_blocks, padded to
+    the longest row of the pass; each row's terms are added left to right
+    (cumsum along the row, read at counts[j] - 1), so each result is the same
+    double as a plain Python loop.
     """
-    _check_terms(count)
-    v = np.arange(1, count + 1)
-    if isinstance(alpha, (int, Fraction)):
-        num_red, den = _reduced(alpha)
-        m = v * num_red % den
-        scale, dist = den, np.minimum(m, den - m)
-    else:
-        r = np.remainder(v * float(alpha), 1.0)
-        scale, dist = 1.0, np.minimum(r, 1.0 - r)
-    with np.errstate(divide="ignore"):
-        inv = scale / dist
-    return float(np.cumsum(np.minimum(xy / v, inv))[-1])
+    exact, nums, dens, floats, values = _split(alphas)
+    counts = np.asarray(counts, dtype=np.int64)
+    xys = np.asarray(xys, dtype=np.float64)
+    out = np.empty(len(alphas), dtype=np.float64)
+    for rows, is_exact in ((np.array(exact, dtype=np.intp), True),
+                           (np.array(floats, dtype=np.intp), False)):
+        for block in kernels.row_blocks(rows.shape[0], int(counts[rows].max(initial=1))):
+            idx = rows[block]
+            v = np.arange(1, int(counts[idx].max()) + 1)
+            if is_exact:
+                den = dens[block, None]
+                m = v * nums[block, None] % den
+                scale, dist = den, np.minimum(m, den - m)
+            else:
+                r = np.remainder(v * values[block, None], 1.0)
+                scale, dist = 1.0, np.minimum(r, 1.0 - r)
+            with np.errstate(divide="ignore"):
+                inv = scale / dist
+            sums = np.cumsum(np.minimum(xys[idx, None] / v, inv), axis=1)
+            out[idx] = sums[np.arange(idx.shape[0]), counts[idx] - 1]
+    return out
+
+
+def min_sums(alphas: Sequence[Coeff], xs: Sequence[float],
+             ys: Sequence[float]) -> np.ndarray:
+    """min_sum of every row (alphas[j], xs[j], ys[j]), as a float array, each
+    row checked in order before the first pass."""
+    for alpha, X, Y in zip(alphas, xs, ys):
+        if X < 1 or Y < 1:
+            raise ValueError("X and Y must be >= 1")
+        _check_min_terms(alpha, math.floor(X))
+    return _min_terms_sum(alphas, [math.floor(X) for X in xs],
+                          [float(X) * float(Y) for X, Y in zip(xs, ys)])
 
 
 def min_sum(alpha: Coeff, X: float, Y: float) -> float:
     """sum_{1 <= v <= X} min(X*Y/v, 1/||alpha*v||) with the convention that a
     vanishing ||alpha*v|| picks the X*Y/v branch."""
-    if X < 1 or Y < 1:
-        raise ValueError("X and Y must be >= 1")
-    return _min_terms_sum(alpha, math.floor(X), float(X) * float(Y))
+    return float(min_sums([alpha], [X], [Y])[0])
 
 
 def min_sum_bound(X: float, Y: float, approx: ApproxPair) -> float:
@@ -148,17 +231,23 @@ def min_sum_bound(X: float, Y: float, approx: ApproxPair) -> float:
     return xy * (1.0 / v + 1.0 / Y + v / xy) * math.log(2.0 * X * v)
 
 
+def weyl_min_sum_bounds(alphas: Sequence[Coeff], k: int, Q: int, eps: float) -> list[float]:
+    """weyl_min_sum_bound of every coefficient at degree k, the minimum sums
+    in passes over all coefficients at once."""
+    _check_q(Q)
+    delta = float(delta_exponent(k))
+    qk = float_power(Q, k)
+    for alpha in alphas:
+        _check_min_terms(alpha, Q)
+    inner = _min_terms_sum(alphas, [Q] * len(alphas), [qk] * len(alphas))
+    return [Q ** (1.0 + eps) * (1.0 / Q + s / qk) ** delta for s in inner.tolist()]
+
+
 def weyl_min_sum_bound(phase: MonomialPhase, Q: int, eps: float) -> float:
     """Weyl-sum bound via the minimum sum:
     Q^(1+eps) * (1/Q + Q^-k * sum_{v<=Q} min(Q^k/v, 1/||v*alpha||))^delta;
     raises CapacityError when Q^k is above the float range."""
-    if Q < 1:
-        raise ValueError(f"Q must be >= 1, got {Q}")
-    k = phase.k
-    delta = float(delta_exponent(k))
-    qk = float_power(Q, k)
-    inner = _min_terms_sum(phase.alpha, Q, qk)
-    return Q ** (1.0 + eps) * (1.0 / Q + inner / qk) ** delta
+    return weyl_min_sum_bounds([phase.alpha], phase.k, Q, eps)[0]
 
 
 def fourier_majorant(system: PowerFareySystem, center_base: tuple[int, int],
@@ -189,8 +278,9 @@ def fourier_majorant(system: PowerFareySystem, center_base: tuple[int, int],
                     dtype=np.int64)
     # the exact ratio 1/(2 q^k x) rounded strictly downward, so the transform's
     # covered radius is >= the counting radius
-    bqs = np.array([math.nextafter(float(Fraction(xd, 2 * int(qk) * xn)), 0.0)
-                    for qk in mods], dtype=np.float64)
+    # (int / int is correctly rounded, so this is float(Fraction(xd, 2 qk xn)))
+    bqs = np.array([math.nextafter(xd / (2 * qk * xn), 0.0) for qk in mods.tolist()],
+                   dtype=np.float64)
     b_cap = float(bqs.min())
     if b_cap < 1.0:
         size = float(system.size)

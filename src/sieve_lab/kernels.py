@@ -1,8 +1,10 @@
 """Hot numeric kernels in numpy: quadratic forms, autocorrelation, Weyl phase
 sums, the majorant transform sum and the pairwise counting integral.
 
-The quadratic form is batched: quadform_batch evaluates many coefficient
-vectors in one pass, and quadform is its batch of one.
+The quadratic form and the Weyl sums are batched: quadform_batch evaluates
+many coefficient vectors in one pass, weyl_rational_batch and
+weyl_float_batch one Weyl sum per phase coefficient over a shared range of q,
+and quadform, weyl_rational and weyl_float are their batches of one.
 
 All integer phase arithmetic stays inside int64: callers guarantee that every
 modulus is < 2**31 (see farey.MODULUS_CAP), so products of two reduced
@@ -23,6 +25,12 @@ PI_SQ_OVER_4 = math.pi * math.pi / 4.0
 # majorant's a-ranges and the coefficient batches the lemma1 command evaluates
 # at once.
 BLOCK_ELEMENTS = 1 << 21
+# Most terms one row-blocked pass takes (row_blocks).  The Weyl tables are
+# hundreds to thousands of short rows, one per phase coefficient; passes of
+# this size (about 1 MB per temporary) keep the weyl command's peak memory no
+# higher than one pass per row did, where one unblocked 2000 x 511 minimum-sum
+# pass raised it from 41 MB to 69 MB.
+ROW_BLOCK_TERMS = 1 << 16
 # The one kernel implementation; printed in run manifests.
 ACTIVE_LANE = "numpy"
 
@@ -95,30 +103,63 @@ def autocorr(nums, mods, n_len):
     return out
 
 
+def row_blocks(n_rows, width):
+    """Slices of consecutive rows, ROW_BLOCK_TERMS // width of them (at least
+    one) per slice, covering range(n_rows)."""
+    step = max(1, ROW_BLOCK_TERMS // max(1, width))
+    return [slice(start, start + step) for start in range(0, n_rows, step)]
+
+
+def weyl_rational_batch(num_reds, dens, k, q_lo, q_hi):
+    """Per row j, sum_{q_lo < q <= q_hi} e(num_reds[j] * q**k / dens[j]) via
+    exact modular residues, as a complex array, in passes of row_blocks."""
+    num_reds = np.asarray(num_reds, dtype=np.int64)
+    dens = np.asarray(dens, dtype=np.int64)
+    qs = np.arange(q_lo + 1, q_hi + 1, dtype=np.int64)
+    # each row's scale is the Python complex 2j*pi/den: numpy's complex
+    # division rounds differently
+    scales = np.array([2j * np.pi / den for den in dens.tolist()], dtype=np.complex128)
+    out = np.empty(dens.shape[0], dtype=np.complex128)
+    for rows in row_blocks(dens.shape[0], qs.shape[0]):
+        den = dens[rows, None]
+        p = qs % den
+        pw = np.ones_like(p)
+        for _ in range(k):
+            pw = (pw * p) % den
+        r = (num_reds[rows, None] * pw) % den
+        out[rows] = np.sum(np.exp(scales[rows, None] * r), axis=1)
+    return out
+
+
 def weyl_rational(num_red, den, k, q_lo, q_hi):
     """sum_{q_lo < q <= q_hi} e(num_red * q**k / den) via exact modular residues."""
-    qs = np.arange(q_lo + 1, q_hi + 1, dtype=np.int64)
-    p = qs % den
-    pw = np.ones_like(qs)
-    for _ in range(k):
-        pw = (pw * p) % den
-    r = (num_red * pw) % den
-    return complex(np.sum(np.exp((2j * np.pi / den) * r)))
+    return complex(weyl_rational_batch([num_red], [den], k, q_lo, q_hi)[0])
 
 
-def weyl_float(alpha_frac, k, q_lo, q_hi):
-    """sum_{q_lo < q <= q_hi} e(alpha_frac * q**k) with the phase split into an
-    exact 2**-26 grid part plus a small float remainder, so the mod-1
-    reduction never loses the phase."""
+def weyl_float_batch(alpha_fracs, k, q_lo, q_hi):
+    """Per row j, sum_{q_lo < q <= q_hi} e(alpha_fracs[j] * q**k) with the phase
+    split into an exact 2**-26 grid part plus a small float remainder, so the
+    mod-1 reduction never loses the phase; a complex array, in passes of
+    row_blocks."""
     qs = np.arange(q_lo + 1, q_hi + 1, dtype=np.int64)
-    m = int(alpha_frac * _SPLIT)
-    lo_part = alpha_frac - m / _SPLIT
     p = np.ones_like(qs)
     for _ in range(k):
         p = p * qs
-    hi = ((m * (p % _SPLIT)) % _SPLIT).astype(np.float64) / _SPLIT
-    ph = (hi + lo_part * p.astype(np.float64)) % 1.0
-    return complex(np.sum(np.exp(2j * np.pi * ph)))
+    p_grid, p_float = p % _SPLIT, p.astype(np.float64)
+    ms = [int(a * _SPLIT) for a in alpha_fracs]
+    grid = np.array(ms, dtype=np.int64)
+    rest = np.array([a - m / _SPLIT for a, m in zip(alpha_fracs, ms)], dtype=np.float64)
+    out = np.empty(len(ms), dtype=np.complex128)
+    for rows in row_blocks(len(ms), qs.shape[0]):
+        hi = ((grid[rows, None] * p_grid) % _SPLIT).astype(np.float64) / _SPLIT
+        ph = (hi + rest[rows, None] * p_float) % 1.0
+        out[rows] = np.sum(np.exp(2j * np.pi * ph), axis=1)
+    return out
+
+
+def weyl_float(alpha_frac, k, q_lo, q_hi):
+    """sum_{q_lo < q <= q_hi} e(alpha_frac * q**k), split-phase as in weyl_float_batch."""
+    return complex(weyl_float_batch([alpha_frac], k, q_lo, q_hi)[0])
 
 
 def majorant_sum(b_red, rk, mods, bqs):
@@ -128,19 +169,27 @@ def majorant_sum(b_red, rk, mods, bqs):
     down by the caller so the transform provably dominates the exact count).
     The a-sum uses the exact residue of a*b*qk mod rk and the triangular
     weight (pi^2/4) * max(1 - |a|/B_q, 0), summed in blocks of at most
-    BLOCK_ELEMENTS terms.
+    BLOCK_ELEMENTS terms.  The residue a*s0 mod rk, s0 = b*qk mod rk, repeats
+    with period P = rk / gcd(s0, rk) in a, so each block takes the cosine of
+    its first min(P, length) terms only and repeats those values; the residues
+    are the same integers, so every term is the same double.
     """
     total = 0.0
     main = 0.0
     for qk, bq in zip(mods.tolist(), bqs.tolist()):
         s0 = (b_red * (qk % rk)) % rk
+        period = rk // math.gcd(s0, rk)
         n_a = int(bq)
         tail = 0.0
         for start in range(1, n_a + 1, BLOCK_ELEMENTS):
             a = np.arange(start, min(start + BLOCK_ELEMENTS, n_a + 1), dtype=np.int64)
-            r = (a * s0) % rk
+            r = (a[:period] * s0) % rk
+            cycle = np.cos(TWO_PI * (r / rk))
+            reps = -(-a.shape[0] // cycle.shape[0])
+            # term i takes the cosine of a[i % P]
+            cos = np.broadcast_to(cycle, (reps, cycle.shape[0])).reshape(-1)[:a.shape[0]]
             w = np.maximum(1.0 - a * (1.0 / bq), 0.0)
-            tail += float(np.sum(w * np.cos(TWO_PI * (r / rk))))
+            tail += float(np.sum(w * cos))
         acc = 1.0 + 2.0 * tail
         total += PI_SQ_OVER_4 / bq * acc
         main += PI_SQ_OVER_4 / bq

@@ -19,7 +19,12 @@ import numpy as np
 
 from .arith import dirichlet_approx
 from .bounds import BoundParams, evaluate_bounds
-from .expsums import MonomialPhase, min_sum, min_sum_bound, weyl_min_sum_bound, weyl_sum
+from .expsums import (MonomialPhase, check_weyl_row, min_sum_bound, min_sums,
+                      weyl_min_sum_bounds, weyl_sums)
+# min_sum, weyl_min_sum_bound and weyl_sum are unused here (the tables call
+# their batch forms) but stay importable from regression, where
+# perfbench/tracing.py wraps them.
+from .expsums import min_sum, weyl_min_sum_bound, weyl_sum  # noqa: F401
 from .sieve import measure_constant
 
 FROZEN_SEED = 0xC0FFEE
@@ -67,14 +72,24 @@ def weyl_ratio_rows(alphas: Sequence[tuple[str, Alpha]],
                     k_values: Sequence[int] = WEYL_K_VALUES,
                     eps: float = WEYL_EPS) -> list[dict]:
     """The `weyl` command's "weyl" table: one record per (alpha, k, Q) under
-    the cli.WEYL_COLUMNS names, |S| against weyl_min_sum_bound."""
-    rows = []
-    for label, alpha in alphas:
+    the cli.WEYL_COLUMNS names, |S| against weyl_min_sum_bound.  Every row is
+    checked first, alpha-major; then each (k, Q) is summed for all alphas at
+    once."""
+    for _, alpha in alphas:
         for k in k_values:
             phase = MonomialPhase(alpha, k)
             for Q in q_values:
-                s = weyl_sum(phase, Q)
-                bound = weyl_min_sum_bound(phase, Q, eps)
+                check_weyl_row(phase, Q)
+    coeffs = [alpha for _, alpha in alphas]
+    tables = {(k, Q): (weyl_sums(coeffs, k, Q).tolist(),
+                       weyl_min_sum_bounds(coeffs, k, Q, eps))
+              for k in k_values for Q in q_values}
+    rows = []
+    for i, (label, _) in enumerate(alphas):
+        for k in k_values:
+            for Q in q_values:
+                sums, bounds = tables[k, Q]
+                s, bound = sums[i], bounds[i]
                 rows.append({"table": "weyl", "alpha": label, "Q": Q, "k": k,
                              "sq_re": s.real, "sq_im": s.imag, "sq_abs": abs(s),
                              "bound": bound, "ratio": abs(s) / bound})
@@ -85,15 +100,19 @@ def min_sum_ratio_rows(alphas: Sequence[tuple[str, Alpha]],
                        seed: int = FROZEN_SEED,
                        n_samples: int = MIN_SUM_SAMPLES) -> list[dict]:
     """The `weyl` command's "min_sum" table: one record per seeded (alpha, X,
-    Y) sample under the cli.WEYL_COLUMNS names, min_sum against min_sum_bound."""
+    Y) sample under the cli.WEYL_COLUMNS names, min_sum against min_sum_bound.
+    Every (X, Y) is drawn first, then the minimum sums run for all samples at
+    once."""
     rng = np.random.default_rng([seed, 1])
+    drawn = [alphas[i % len(alphas)] for i in range(n_samples)]
+    xs, ys = [], []
+    for _ in drawn:
+        xs.append(float(rng.uniform(1.0, MIN_SUM_LIMIT)))
+        ys.append(float(rng.uniform(1.0, MIN_SUM_LIMIT)))
+    values = min_sums([alpha for _, alpha in drawn], xs, ys).tolist()
     rows = []
-    for i in range(n_samples):
-        label, alpha = alphas[i % len(alphas)]
-        X = float(rng.uniform(1.0, MIN_SUM_LIMIT))
-        Y = float(rng.uniform(1.0, MIN_SUM_LIMIT))
+    for (label, alpha), X, Y, value in zip(drawn, xs, ys, values):
         approx = dirichlet_approx(alpha, math.floor(X))
-        value = min_sum(alpha, X, Y)
         bound = min_sum_bound(X, Y, approx)
         rows.append({"table": "min_sum", "alpha": label, "X": X, "Y": Y,
                      "u": approx.u, "v": approx.v, "residual": approx.residual,

@@ -31,6 +31,30 @@ def brute_dirichlet(alpha: float, bound: int) -> tuple[int, int, float]:
     return best
 
 
+def fraction_dirichlet_approx(alpha, bound: int) -> tuple[int, int, float]:
+    """dirichlet_approx's (u, v, residual) by continued-fraction convergents in
+    Fraction arithmetic: each convergent's residual |v*alpha - u| is an exact
+    Fraction, the smallest wins (ties toward smaller v)."""
+    exact = Fraction(alpha)
+    num, den = exact.numerator, exact.denominator
+    u_prev, v_prev, u_prev2, v_prev2 = 1, 0, 0, 1
+    best = best_res = None
+    while den:
+        step, rem = divmod(num, den)
+        u, v = step * u_prev + u_prev2, step * v_prev + v_prev2
+        if v > bound:
+            break
+        res = abs(v * exact - u)
+        if best_res is None or res < best_res:
+            best, best_res = (u, v), res
+        if res == 0:
+            break
+        u_prev2, v_prev2, u_prev, v_prev = u_prev, v_prev, u, v
+        num, den = den, rem
+    u, v = best
+    return u, v, float(abs(alpha * v - u))
+
+
 def valid_pairs(alpha: float, bound: int) -> list[tuple[int, int, float]]:
     """All coprime pairs (u, v), v <= bound, with |v*alpha - u| <= 1/v."""
     out = []

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from sieve_lab.arith import dirichlet_approx
+from sieve_lab.regression import sample_alphas
 
-from helpers import brute_dirichlet, valid_pairs
+from helpers import brute_dirichlet, fraction_dirichlet_approx, valid_pairs
 
 
 def test_dirichlet_exact_rational():
@@ -60,3 +61,26 @@ def test_dirichlet_minimal_among_valid_pairs():
         got = dirichlet_approx(alpha, bound)
         for _, _, res in valid_pairs(alpha, bound):
             assert got.residual <= res + 1e-12
+
+
+def test_dirichlet_equals_the_fraction_version_on_the_sample_alphas():
+    # the integer ranking |v*num - u*den| picks the pair the exact Fraction
+    # residuals pick, and the residual is computed the same way: equal, not close
+    for seed in (0xC0FFEE, 1, 7):
+        for _, alpha in sample_alphas(seed):
+            for bound in range(1, 513):
+                got = dirichlet_approx(alpha, bound)
+                assert tuple(got) == fraction_dirichlet_approx(alpha, bound), (alpha, bound)
+
+
+@pytest.mark.parametrize("alpha", [
+    0, 1, 7, -3, 2 ** 70,                                   # ints
+    Fraction(-3, 7), Fraction(-355, 113), Fraction(-1, 2 ** 31 - 1),  # negative Fractions
+    Fraction(12345, 2 ** 31 - 1), Fraction(2 ** 31 - 2, 2 ** 31 - 1),  # den 2^31 - 1
+    5e-324, 1e-300, -1e-17, 1e-9,                           # tiny floats
+    1e300, -1e22, 2.0 ** 60 + 2.0 ** 8, 1.7976931348623157e308,  # huge floats
+])
+def test_dirichlet_equals_the_fraction_version_at_the_edges(alpha):
+    for bound in (1, 2, 3, 7, 113, 512, 10 ** 6, 2 ** 31, 2 ** 62):
+        got = dirichlet_approx(alpha, bound)
+        assert tuple(got) == fraction_dirichlet_approx(alpha, bound), (alpha, bound)

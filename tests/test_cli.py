@@ -220,6 +220,21 @@ def test_float_range_exit_code(args, code, tmp_path, capsys):
         assert raw == b"" and "capacity error" in err and "above the float range" in err
 
 
+def test_weyl_checks_every_row_before_summing(tmp_path, capsys, monkeypatch):
+    # the 100 rational alphas come first and fit; the first float alpha needs
+    # (2Q)^3 = 2^57 on the float path.  A row-by-row table met that only after
+    # the rational rows' sums; the checks now run before any sum.
+    def no_sums(*args):
+        raise AssertionError("a Weyl sum ran before the rows were checked")
+
+    monkeypatch.setattr(kernels, "weyl_rational_batch", no_sums)
+    monkeypatch.setattr(kernels, "weyl_float_batch", no_sums)
+    code, raw = run_cli("weyl --Q 262144 --k 3 --samples 1".split(), tmp_path)
+    assert code == EXIT_CAPACITY and raw == b""
+    err = capsys.readouterr().err
+    assert "capacity error" in err and "exceeds the float-path width" in err
+
+
 @pytest.mark.parametrize("args", [
     "constant --rel-tol nan",                    # ran every cell to the product cap
     "constant --Q 2 --N 16 --k 2 --rel-tol inf",  # certified a wrong value

@@ -4,12 +4,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sieve_lab import expsums
+from sieve_lab import expsums, kernels
 from sieve_lab.arith import ApproxPair
 from sieve_lab.errors import CapacityError
-from sieve_lab.expsums import (MonomialPhase, fourier_majorant, min_sum,
-                               min_sum_bound,
-                               weyl_min_sum_bound, weyl_pair_bound, weyl_sum)
+from sieve_lab.expsums import (MonomialPhase, check_weyl_row, fourier_majorant, min_sum,
+                               min_sum_bound, min_sums, weyl_min_sum_bound,
+                               weyl_min_sum_bounds, weyl_pair_bound, weyl_sum, weyl_sums)
 from sieve_lab.farey import count_near, enumerate_system
 from sieve_lab.regression import sample_alphas
 
@@ -131,6 +131,40 @@ def test_weyl_min_sum_bound_equals_the_term_by_term_loop():
                 want = Q ** (1.0 + eps) * (1.0 / Q + brute_min_sum(alpha, Q, qk) / qk) ** delta
                 assert weyl_min_sum_bound(MonomialPhase(alpha, k), Q, eps) == want, (
                     alpha, k, Q)
+
+
+def test_batches_equal_their_rows(monkeypatch):
+    # row-blocked passes over mixed rational and float rows give each row the
+    # double its batch of one gives, whatever the pass size
+    alphas = _oracle_alphas()[::7]
+    rng = np.random.default_rng(9)
+    xs = rng.uniform(1.0, 300.0, len(alphas)).tolist()
+    ys = rng.uniform(1.0, 300.0, len(alphas)).tolist()
+    for terms in (kernels.ROW_BLOCK_TERMS, 97, 1):
+        monkeypatch.setattr(kernels, "ROW_BLOCK_TERMS", terms)
+        assert min_sums(alphas, xs, ys).tolist() == [
+            brute_min_sum(a, math.floor(X), X * Y) for a, X, Y in zip(alphas, xs, ys)]
+        for k, Q in [(2, 1), (3, 64), (4, 200)]:
+            sums = weyl_sums(alphas, k, Q).tolist()
+            bounds = weyl_min_sum_bounds(alphas, k, Q, 0.05)
+            for a, s, bound in zip(alphas, sums, bounds):
+                assert s == weyl_sum(MonomialPhase(a, k), Q), (a, k, Q)
+                assert bound == weyl_min_sum_bound(MonomialPhase(a, k), Q, 0.05), (a, k, Q)
+
+
+def test_check_weyl_row_raises_what_the_row_raises():
+    cases = [(Fraction(1, 2 ** 31), 2, 4, "exact-path width"),
+             (0.123, 4, 5000, "float-path width"),
+             (Fraction(1, 3), 200, 256, "above the float range"),
+             (Fraction(1, 3), 2, expsums.TERM_BUDGET + 1, "above the budget")]
+    for alpha, k, Q, message in cases:
+        phase = MonomialPhase(alpha, k)
+        with pytest.raises(CapacityError, match=message):
+            check_weyl_row(phase, Q)
+        with pytest.raises(CapacityError, match=message):  # the row itself
+            weyl_sum(phase, Q)
+            weyl_min_sum_bound(phase, Q, 0.05)
+    check_weyl_row(MonomialPhase(0.123, 4), 4000)
 
 
 def test_min_sums_reject_wide_denominators():

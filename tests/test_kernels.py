@@ -88,17 +88,40 @@ def test_weyl_rational_matches_exact_residues(num, den, k, q_lo, q_hi):
     assert got == pytest.approx(brute_weyl_rational(num, den, k, q_lo, q_hi), abs=1e-9)
 
 
+def _majorant_every_cos(b, rk, mods, bqs):
+    """majorant_sum with one cosine per term (no period reuse), same blocks."""
+    total = main = 0.0
+    for qk, bq in zip(mods, bqs):
+        s0 = (b * (qk % rk)) % rk
+        tail = 0.0
+        for start in range(1, int(bq) + 1, kernels.BLOCK_ELEMENTS):
+            a = np.arange(start, min(start + kernels.BLOCK_ELEMENTS, int(bq) + 1),
+                          dtype=np.int64)
+            w = np.maximum(1.0 - a * (1.0 / bq), 0.0)
+            tail += float(np.sum(w * np.cos(kernels.TWO_PI * (((a * s0) % rk) / rk))))
+        total += kernels.PI_SQ_OVER_4 / bq * (1.0 + 2.0 * tail)
+        main += kernels.PI_SQ_OVER_4 / bq
+    return total, main
+
+
 @pytest.mark.parametrize("b,rk,mods,bqs", [
     (2, 9, [9, 16], [11.75, 6.6]),
     (5, 27, [8, 27, 64], [5.0, 0.75, 40.25]),       # integer B_q, and B_q < 1 (only a = 0)
     (2**31 - 4, 2**31 - 1, [2**31 - 2, 46337**2], [300.5, 97.0]),  # a*b*q^k beyond int64
+    (3, 8, [4, 6], [50.5, 20.0]),                   # periods P = 2 and 4, far below n_a
+    (1, 9, [9, 27, 18], [30.25, 3.0, 12.5]),        # q^k = 0 mod r^k: s0 = 0, P = 1
+    (2, 9, [16], [40.5]),                           # P = 9, between patched block sizes
 ])
 def test_majorant_sum_matches_direct_sum(b, rk, mods, bqs, monkeypatch):
     want_value, want_main = brute_majorant(b, rk, mods, bqs)
-    # one block per modulus, then blocks of 7 terms with a shorter last one
-    for block in (kernels.BLOCK_ELEMENTS, 7):
+    # one block per modulus, then blocks of 7, 3 and 1 terms (below and above
+    # every period P here) with a shorter last one
+    for block in (kernels.BLOCK_ELEMENTS, 7, 3, 1):
         monkeypatch.setattr(kernels, "BLOCK_ELEMENTS", block)
         value, main = kernels.majorant_sum(b, rk, np.array(mods, dtype=np.int64),
                                            np.array(bqs, dtype=np.float64))
         assert main == pytest.approx(want_main, rel=1e-13)
         assert value == pytest.approx(want_value, rel=1e-12, abs=1e-12 * want_main)
+        # the period reuse repeats the cosines of the same integer residues:
+        # the same doubles as one cosine per term
+        assert (value, main) == _majorant_every_cos(b, rk, mods, bqs)
