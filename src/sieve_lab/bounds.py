@@ -15,10 +15,10 @@ shape's eps-free power terms and its literal value:
 
 shape_value is the single entry point; evaluate_bounds maps it over the table.
 Two normalizations: "literal" evaluates the complete formulas (natural log)
-and warns on a value above OVERFLOW_FLAG; "shapes" takes the largest eps-free
-power term, with the loglog factor dropped (so loglog's third term is
-N^(1/2)*Q^k), which is the exponent-level comparison the crossover claims are
-about.
+and warns on a value above OVERFLOW_FLAG (a power above the float range raises
+CapacityError); "shapes" takes the largest eps-free power term, with the
+loglog factor dropped (so loglog's third term is N^(1/2)*Q^k), which is the
+exponent-level comparison the crossover claims are about.
 
 delta_exponent is the one definition of the paper's delta, the exponent that
 Wooley's efficient congruencing supplies; BoundParams, crossover_analysis and
@@ -41,6 +41,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .arith import float_power
+from .errors import CapacityError
 
 OVERFLOW_FLAG = 1e300
 
@@ -112,7 +113,8 @@ SHAPE_NAMES = tuple(SHAPES)
 
 def shape_value(name: str, p: BoundParams, normalization: str = "literal") -> float:
     """Evaluate one shape: "literal" gives its complete value and warns above
-    OVERFLOW_FLAG; "shapes" gives its largest eps-free power term."""
+    OVERFLOW_FLAG; "shapes" gives its largest eps-free power term.  A power
+    above the float range raises CapacityError."""
     if normalization not in ("literal", "shapes"):
         raise ValueError(f"unknown normalization {normalization!r}")
     if name not in SHAPES:
@@ -122,7 +124,11 @@ def shape_value(name: str, p: BoundParams, normalization: str = "literal") -> fl
     t = terms(Q, N, p)
     if normalization == "shapes":
         return max(t)
-    value = literal(t, Q, N, p)
+    try:
+        value = literal(t, Q, N, p)
+    except OverflowError:
+        raise CapacityError(f"bound {name} at Q = {p.Q}, N = {p.N}, k = {p.k}, "
+                            f"eps = {p.eps} is above the float range") from None
     if value > OVERFLOW_FLAG or math.isinf(value):
         warnings.warn(f"bound {name} overflowed the flag threshold at {value!r}",
                       RuntimeWarning, stacklevel=2)

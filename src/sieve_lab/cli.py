@@ -7,8 +7,9 @@ EigensolverError becomes a row whose status is the error's `status`
 (`_guarded`); when several kinds of row failures occur in one scan the most
 severe code wins (3, then 4, then 5).  A CapacityError outside a cell (weyl,
 crossover, a fit length N = Q^theta above the float range) ends the run with
-exit 4 and no records.  Commands return their records without the `schema`
-and `command` columns; write_records stamps both on every record.
+exit 4 and no records.  Commands return their records and column lists
+without `schema` and `command`; write_records puts those two columns first and
+fills them with SCHEMA and the command name.
 
 COMMANDS is the one table from each command to its function, its help line
 and the options it reads with their defaults.  Each command takes only those
@@ -17,7 +18,8 @@ options, plus --format, --out and --config; any other flag is a usage error
 range "a..b" of more than RANGE_CAP values, a k above K_CAP, and a run size
 above RUN_CAP, the run size being the product of the value counts of the Q, N
 and k ranges the command reads and of the vectors, samples and points options
-it reads.
+it reads.  A negative seed, and an --out that is neither '-' nor a file in an
+existing directory, are invalid too (exit 2).
 Config precedence: command-line flags override the --config file, which
 overrides the file named by SIEVE_LAB_CONFIG, which overrides the command's
 defaults.  Config files are flat key=value lines with '#' comments.  One
@@ -76,9 +78,9 @@ class ConfigError(Exception):
 
 
 class RunConfig(SimpleNamespace):
-    """One run: its command, the output settings fmt and out, and the parsed
-    options that command reads, under the attribute names in _OPTIONS.  An
-    option the command does not read is not an attribute."""
+    """One run: its command, the output settings format and out, and the
+    parsed options that command reads, each under its _OPTIONS key.  An option
+    the command does not read is not an attribute."""
 
 
 def parse_int_values(text: str, name: str) -> tuple[int, ...]:
@@ -138,25 +140,26 @@ def _range(name: str):
     return lambda text: parse_int_values(text, name)
 
 
-# Every option some command reads: its argparse keywords, the RunConfig
-# attribute it sets, and how a flag or config-file value converts.
+# Every option some command reads, under its RunConfig attribute name: its
+# argparse keywords, whose "choices" are also checked on config-file values,
+# and how a flag or config-file value converts.
 _OPTIONS = {
-    "Q": ({"help": "base range, e.g. 1..4 or 2,3,8"}, "q_values", _range("Q")),
-    "N": ({"help": "length range, e.g. 4,16,64,256"}, "n_values", _range("N")),
-    "k": ({"help": "power range, e.g. 2..3"}, "k_values", _range("k")),
-    "mode": ({"choices": ("full", "dyadic")}, "mode", str),
-    "eps": ({"type": float}, "eps", float),
-    "rel_tol": ({"type": float}, "rel_tol", float),
-    "seed": ({"type": int}, "seed", int),
+    "Q": ({"help": "base range, e.g. 1..4 or 2,3,8"}, _range("Q")),
+    "N": ({"help": "length range, e.g. 4,16,64,256"}, _range("N")),
+    "k": ({"help": "power range, e.g. 2..3"}, _range("k")),
+    "mode": ({"choices": ("full", "dyadic")}, str),
+    "eps": ({"type": float}, float),
+    "rel_tol": ({"type": float}, float),
+    "seed": ({"type": int}, int),
     "oracle": ({"action": "store_const", "const": True,
-                "help": "enable brute-force/dense cross-checks"}, "oracle", _as_bool),
-    "normalization": ({"choices": ("shapes", "literal")}, "normalization", str),
-    "format": ({"choices": ("csv", "json")}, "fmt", str),
-    "out": ({"help": "output path, '-' for stdout"}, "out", str),
-    "theta": ({"type": float, "help": "path exponent for fit"}, "theta", float),
-    "points": ({"type": int, "help": "grid points per column"}, "points", int),
-    "vectors": ({"type": int, "help": "random vectors per cell"}, "vectors", int),
-    "samples": ({"type": int, "help": "samples per cell/table"}, "samples", int),
+                "help": "enable brute-force/dense cross-checks"}, _as_bool),
+    "normalization": ({"choices": ("shapes", "literal")}, str),
+    "format": ({"choices": ("csv", "json")}, str),
+    "out": ({"help": "output path, '-' for stdout"}, str),
+    "theta": ({"type": float, "help": "path exponent for fit"}, float),
+    "points": ({"type": int, "help": "grid points per column"}, int),
+    "vectors": ({"type": int, "help": "random vectors per cell"}, int),
+    "samples": ({"type": int, "help": "samples per cell/table"}, int),
 }
 
 
@@ -175,38 +178,42 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             merged[key] = flag
 
     try:
-        cfg = RunConfig(command=args.command, **{
-            _OPTIONS[key][1]: _OPTIONS[key][2](value) for key, value in merged.items()})
+        cfg = RunConfig(command=args.command,
+                        **{key: _OPTIONS[key][1](value) for key, value in merged.items()})
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid configuration value: {exc}") from exc
 
-    if "mode" in merged and cfg.mode not in ("full", "dyadic"):
-        raise ConfigError(f"mode must be full or dyadic, got {cfg.mode!r}")
-    if "normalization" in merged and cfg.normalization not in ("shapes", "literal"):
-        raise ConfigError(f"normalization must be shapes or literal, got {cfg.normalization!r}")
-    if cfg.fmt not in ("csv", "json"):
-        raise ConfigError(f"format must be csv or json, got {cfg.fmt!r}")
+    for key in merged:
+        choices = _OPTIONS[key][0].get("choices")
+        if choices and getattr(cfg, key) not in choices:
+            raise ConfigError(f"{key} must be {' or '.join(choices)}, "
+                              f"got {getattr(cfg, key)!r}")
     if "eps" in merged and not (math.isfinite(cfg.eps) and cfg.eps > 0):
         raise ConfigError(f"eps must be finite and > 0, got {cfg.eps!r}")
     if "rel_tol" in merged and not 0 < cfg.rel_tol < 1:
         raise ConfigError(f"rel-tol must be in (0, 1), got {cfg.rel_tol!r}")
-    if min(cfg.q_values) < 1:
+    if min(cfg.Q) < 1:
         raise ConfigError("Q values must be >= 1")
-    if min(cfg.k_values) < 2:
+    if min(cfg.k) < 2:
         raise ConfigError("k values must be >= 2")
-    if "N" in merged and min(cfg.n_values) < 1:
+    if "N" in merged and min(cfg.N) < 1:
         raise ConfigError("N values must be >= 1")
-    if cfg.command == "lemma1" and min(cfg.n_values) < 2:
+    if cfg.command == "lemma1" and min(cfg.N) < 2:
         raise ConfigError("lemma1 requires N >= 2")
     if "points" in merged and cfg.points < 2:
         raise ConfigError("points must be >= 2")
     if ("vectors" in merged and cfg.vectors < 1) or ("samples" in merged and cfg.samples < 1):
         raise ConfigError("vectors and samples must be >= 1")
+    if "seed" in merged and cfg.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {cfg.seed!r}")
     if "theta" in merged and not (math.isfinite(cfg.theta) and cfg.theta > 0):
         raise ConfigError(f"theta must be finite and > 0, got {cfg.theta!r}")
-    if max(cfg.k_values) > K_CAP:
+    if cfg.out != "-" and (Path(cfg.out).is_dir() or not Path(cfg.out).parent.is_dir()):
+        raise ConfigError(f"out must be '-' or a file in an existing directory, "
+                          f"got {cfg.out!r}")
+    if max(cfg.k) > K_CAP:
         raise ConfigError(f"k values must be <= {K_CAP}")
-    counts = [len(getattr(cfg, _OPTIONS[key][1])) for key in ("Q", "N", "k") if key in merged]
+    counts = [len(getattr(cfg, key)) for key in ("Q", "N", "k") if key in merged]
     counts += [getattr(cfg, key) for key in ("vectors", "samples", "points") if key in merged]
     size = math.prod(counts)
     if size > RUN_CAP:
@@ -219,28 +226,20 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 # output
 # ---------------------------------------------------------------------------
 
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def write_records(records: list[dict], columns: list[str], cfg: RunConfig) -> None:
-    """Write the records under `columns`, each stamped with SCHEMA and cfg.command."""
-    records = [{"schema": SCHEMA, "command": cfg.command, **rec} for rec in records]
-    if cfg.fmt == "csv":
+    """Write the records under a schema and a command column, filled with SCHEMA
+    and cfg.command, then `columns`; a value a record lacks is empty (JSON null)."""
+    if cfg.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
+        writer.writerow(["schema", "command", *columns])
         for rec in records:
-            writer.writerow([_cell(rec.get(col)) for col in columns])
+            writer.writerow([SCHEMA, cfg.command, *(str(v).lower() if isinstance(v, bool)
+                                                    else v for v in map(rec.get, columns))])
         text = buf.getvalue()
     else:
-        text = json.dumps([{col: rec.get(col) for col in columns} for rec in records],
+        text = json.dumps([{"schema": SCHEMA, "command": cfg.command,
+                            **{col: rec.get(col) for col in columns}} for rec in records],
                           indent=2) + "\n"
     if cfg.out == "-":
         sys.stdout.write(text)
@@ -283,8 +282,8 @@ def _aggregate_exit(rows: list[dict]) -> int:
 # ---------------------------------------------------------------------------
 
 CONSTANT_COLUMNS = (
-    ["schema", "command", "Q", "N", "k", "mode", "eps", "rel_tol", "seed",
-     "delta", "kappa", "size", "measured", "residual", "iterations"]
+    ["Q", "N", "k", "mode", "eps", "rel_tol", "seed", "delta", "kappa", "size",
+     "measured", "residual", "iterations"]
     + [f"bound_{name}" for name in SHAPE_NAMES]
     + [f"ratio_{name}" for name in SHAPE_NAMES]
     + ["oracle_lambda", "oracle_rel_err", "oracle_kernel_abs_err", "status", "detail"]
@@ -292,7 +291,7 @@ CONSTANT_COLUMNS = (
 
 
 def cmd_constant(cfg: RunConfig) -> tuple[list[dict], list[str], int, list[str]]:
-    cells = [(k, Q, N) for k in cfg.k_values for Q in cfg.q_values for N in cfg.n_values]
+    cells = [(k, Q, N) for k in cfg.k for Q in cfg.Q for N in cfg.N]
 
     def run(cell):
         k, Q, N = cell
@@ -326,13 +325,13 @@ def cmd_constant(cfg: RunConfig) -> tuple[list[dict], list[str], int, list[str]]
     return rows, CONSTANT_COLUMNS, _aggregate_exit(rows), []
 
 
-LEMMA1_COLUMNS = ["schema", "command", "Q", "N", "k", "mode", "seed", "size",
-                  "vectors", "max_ratio", "violations", "status", "detail"]
+LEMMA1_COLUMNS = ["Q", "N", "k", "mode", "seed", "size", "vectors", "max_ratio",
+                  "violations", "status", "detail"]
 
 
 def cmd_lemma1(cfg: RunConfig) -> tuple[list[dict], list[str], int, list[str]]:
     mode_idx = 0 if cfg.mode == "full" else 1
-    cells = [(k, Q, N) for k in cfg.k_values for Q in cfg.q_values for N in cfg.n_values]
+    cells = [(k, Q, N) for k in cfg.k for Q in cfg.Q for N in cfg.N]
 
     def run(cell):
         k, Q, N = cell
@@ -370,14 +369,13 @@ def cmd_lemma1(cfg: RunConfig) -> tuple[list[dict], list[str], int, list[str]]:
     return rows, LEMMA1_COLUMNS, _aggregate_exit(rows), summary
 
 
-WEYL_COLUMNS = ["schema", "command", "table", "alpha", "Q", "k", "X", "Y", "u",
-                "v", "residual", "sq_re", "sq_im", "sq_abs", "bound", "min_sum",
-                "ratio"]
+WEYL_COLUMNS = ["table", "alpha", "Q", "k", "X", "Y", "u", "v", "residual", "sq_re",
+                "sq_im", "sq_abs", "bound", "min_sum", "ratio"]
 
 
 def cmd_weyl(cfg: RunConfig) -> tuple[list[dict], list[str], int, list[str]]:
     alphas = regression.sample_alphas(cfg.seed)
-    weyl_rows = regression.weyl_ratio_rows(alphas, cfg.q_values, cfg.k_values, cfg.eps)
+    weyl_rows = regression.weyl_ratio_rows(alphas, cfg.Q, cfg.k, cfg.eps)
     ms_rows = regression.min_sum_ratio_rows(alphas, cfg.seed, n_samples=cfg.samples)
     weyl_max = max((r["ratio"] for r in weyl_rows), default=0.0)
     ms_max = max((r["ratio"] for r in ms_rows), default=0.0)
@@ -385,16 +383,16 @@ def cmd_weyl(cfg: RunConfig) -> tuple[list[dict], list[str], int, list[str]]:
     return weyl_rows + ms_rows, WEYL_COLUMNS, EXIT_OK, summary
 
 
-MAJORANT_COLUMNS = ["schema", "command", "Q", "k", "mode", "b", "r", "x", "B",
-                    "size", "exact_count", "count_near", "majorant",
-                    "main_term", "tail", "ok", "status", "detail"]
+MAJORANT_COLUMNS = ["Q", "k", "mode", "b", "r", "x", "B", "size", "exact_count",
+                    "count_near", "majorant", "main_term", "tail", "ok", "status",
+                    "detail"]
 
 
 def cmd_majorant(cfg: RunConfig) -> tuple[list[dict], list[str], int, list[str]]:
     mode_idx = 0 if cfg.mode == "full" else 1
     rows: list[dict] = []
-    for k in cfg.k_values:
-        for Q in cfg.q_values:
+    for k in cfg.k:
+        for Q in cfg.Q:
             base = {"Q": Q, "k": k, "mode": cfg.mode}
             with _guarded(dict(base)) as head:
                 system = enumerate_system(Q, k, cfg.mode)
@@ -426,7 +424,7 @@ def cmd_majorant(cfg: RunConfig) -> tuple[list[dict], list[str], int, list[str]]
     return rows, MAJORANT_COLUMNS, _aggregate_exit(rows), summary
 
 
-CROSSOVER_COLUMNS = (["schema", "command", "table", "k", "normalization", "Q", "N"]
+CROSSOVER_COLUMNS = (["table", "k", "normalization", "Q", "N"]
                      + list(SHAPE_NAMES)
                      + ["winner", "delta_beats_loglog", "in_analytic_region",
                         "flip_index", "boundary_index", "deviation",
@@ -437,8 +435,8 @@ def cmd_crossover(cfg: RunConfig) -> tuple[list[dict], list[str], int, list[str]
     rows: list[dict] = []
     summary: list[str] = []
     failed = False
-    for k in cfg.k_values:
-        report = crossover_analysis(k, cfg.q_values, cfg.points, cfg.normalization, cfg.eps)
+    for k in cfg.k:
+        report = crossover_analysis(k, cfg.Q, cfg.points, cfg.normalization, cfg.eps)
         rows += report.rows
         if report.claim_applies:
             verdict = "consistent" if report.consistent else "INCONSISTENT"
@@ -453,18 +451,17 @@ def cmd_crossover(cfg: RunConfig) -> tuple[list[dict], list[str], int, list[str]
     return rows, CROSSOVER_COLUMNS, EXIT_VERIFICATION if failed else EXIT_OK, summary
 
 
-FIT_COLUMNS = ["schema", "command", "table", "k", "theta", "mode", "Q", "N",
-               "measured", "residual", "slope", "intercept", "max_residual",
-               "status", "detail"]
+FIT_COLUMNS = ["table", "k", "theta", "mode", "Q", "N", "measured", "residual",
+               "slope", "intercept", "max_residual", "status", "detail"]
 
 
 def cmd_fit(cfg: RunConfig) -> tuple[list[dict], list[str], int, list[str]]:
     rows: list[dict] = []
     summary: list[str] = []
-    for k in cfg.k_values:
+    for k in cfg.k:
         base = {"k": k, "theta": cfg.theta, "mode": cfg.mode}
         samples: list[tuple[float, float]] = []
-        for Q in cfg.q_values:
+        for Q in cfg.Q:
             N = max(1, int(round(float_power(Q, cfg.theta))))
             with _guarded({"table": "sample", **base, "Q": Q, "N": N}) as row:
                 res = measure_constant(Q, N, k, cfg.mode, cfg.rel_tol)
@@ -548,7 +545,7 @@ def main(argv: list[str] | None = None) -> int:
     except CapacityError as exc:
         print(f"sieve-lab: capacity error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
-    write_records(records, list(columns), cfg)
+    write_records(records, columns, cfg)
     for line in summary:
         print(line, file=sys.stderr)
     return code

@@ -113,17 +113,17 @@ def _check_min_terms(alpha: Coeff, count: int) -> None:
         _reduced(alpha)
 
 
-def check_weyl_row(phase: MonomialPhase, Q: int) -> None:
+def check_weyl_row(phase: MonomialPhase, Q: int, eps: float) -> None:
     """Raise what weyl_sum(phase, Q) and then weyl_min_sum_bound(phase, Q, eps)
     raise, without summing a term: the term budget, the denominator width, the
-    float-path width and the float range.
+    float-path width and the float range of Q^k and Q^(1+eps).
 
     weyl_sums and weyl_min_sum_bounds sum one (k, Q) for all coefficients at
     once, so a table checks every row with this first, in row order: its
     first error is then the one a row-by-row table meets first."""
     _check_weyl_sum(phase.alpha, phase.k, Q)
     float_power(Q, phase.k)
-    _check_min_terms(phase.alpha, Q)
+    float_power(Q, 1.0 + eps)
 
 
 def _split(alphas: Sequence[Coeff]):
@@ -158,14 +158,14 @@ def weyl_sum(phase: MonomialPhase, Q: int) -> complex:
 def weyl_pair_bound(approx: ApproxPair, Q: int, k: int, eps: float) -> float:
     """Weyl-sum bound shape from an approximation pair:
     Q^(1+eps) * (1/v + 1/Q + v/Q^k)^delta, delta = 1/(2k(k-1)); raises
-    CapacityError when Q^k is above the float range."""
+    CapacityError when Q^(1+eps) or Q^k is above the float range."""
     if Q < 1:
         raise ValueError(f"Q must be >= 1, got {Q}")
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     delta = float(delta_exponent(k))
     v = approx.v
-    return Q ** (1.0 + eps) * (1.0 / v + 1.0 / Q + v / float_power(Q, k)) ** delta
+    return float_power(Q, 1.0 + eps) * (1.0 / v + 1.0 / Q + v / float_power(Q, k)) ** delta
 
 
 def _min_terms_sum(alphas: Sequence[Coeff], counts: Sequence[int],
@@ -237,16 +237,17 @@ def weyl_min_sum_bounds(alphas: Sequence[Coeff], k: int, Q: int, eps: float) -> 
     _check_q(Q)
     delta = float(delta_exponent(k))
     qk = float_power(Q, k)
+    scale = float_power(Q, 1.0 + eps)
     for alpha in alphas:
         _check_min_terms(alpha, Q)
     inner = _min_terms_sum(alphas, [Q] * len(alphas), [qk] * len(alphas))
-    return [Q ** (1.0 + eps) * (1.0 / Q + s / qk) ** delta for s in inner.tolist()]
+    return [scale * (1.0 / Q + s / qk) ** delta for s in inner.tolist()]
 
 
 def weyl_min_sum_bound(phase: MonomialPhase, Q: int, eps: float) -> float:
     """Weyl-sum bound via the minimum sum:
     Q^(1+eps) * (1/Q + Q^-k * sum_{v<=Q} min(Q^k/v, 1/||v*alpha||))^delta;
-    raises CapacityError when Q^k is above the float range."""
+    raises CapacityError when Q^k or Q^(1+eps) is above the float range."""
     return weyl_min_sum_bounds([phase.alpha], phase.k, Q, eps)[0]
 
 

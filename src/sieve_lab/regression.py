@@ -79,7 +79,7 @@ def weyl_ratio_rows(alphas: Sequence[tuple[str, Alpha]],
         for k in k_values:
             phase = MonomialPhase(alpha, k)
             for Q in q_values:
-                check_weyl_row(phase, Q)
+                check_weyl_row(phase, Q, eps)
     coeffs = [alpha for _, alpha in alphas]
     tables = {(k, Q): (weyl_sums(coeffs, k, Q).tolist(),
                        weyl_min_sum_bounds(coeffs, k, Q, eps))

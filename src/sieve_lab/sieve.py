@@ -141,11 +141,7 @@ def toeplitz_kernel(Q: int, N: int, k: int, mode: Mode = "full") -> ToeplitzKern
         qk = q ** k
         for d, mu in squarefree_divisors_with_mu(q):
             step = qk // d
-            weight = float(mu * step)
-            if step < N:
-                c[::step] += weight
-            else:
-                c[0] += weight
+            c[::step] += float(mu * step)
     return ToeplitzKernel(c)
 
 

@@ -9,6 +9,7 @@ import pytest
 from sieve_lab import bounds
 from sieve_lab.bounds import (BoundParams, SHAPE_NAMES, crossover_analysis,
                               evaluate_bounds, fit_exponent, shape_value)
+from sieve_lab.errors import CapacityError
 
 from helpers import reference_shapes
 
@@ -103,6 +104,14 @@ def test_literal_values_above_the_flag_warn():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert shape_value("ls_a", p, "shapes") == 1e301
+
+
+def test_literal_powers_above_the_float_range_raise():
+    p = BoundParams(4, 4, 2, 400.0)  # (N*Q)^eps = 2^1600; N^eps = 2^800 still fits
+    for name in ("conjecture", "delta"):
+        with pytest.raises(CapacityError, match=f"bound {name} at .* above the float range"):
+            shape_value(name, p)
+    assert shape_value("kappa", p) > 0 and shape_value("ls_a", p) == 260.0
 
 
 SHAPE_GUARD_N = (1, 2, 3, 7, 16, 100, 999, 4096, 12345, 10 ** 6, 3 ** 20, 10 ** 12)

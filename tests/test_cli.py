@@ -39,16 +39,50 @@ def run_cli(args, tmp_path, name="out"):
     return code, out.read_bytes() if out.exists() else b""
 
 
-def test_constant_header_and_determinism(tmp_path):
-    args = ["constant", "--Q", "1..2", "--N", "4,16", "--k", "2", "--mode", "dyadic"]
-    code1, a = run_cli(args, tmp_path, "a.csv")
-    code2, b = run_cli(args, tmp_path, "b.csv")
+# A small run of each command, and the columns its records carry after schema
+# and command.
+SMALL_RUNS = {
+    "constant": ("constant --Q 1..2 --N 4,16 --k 2 --mode dyadic", cli.CONSTANT_COLUMNS),
+    "lemma1": ("lemma1 --Q 1..2 --N 4 --k 2 --vectors 3", cli.LEMMA1_COLUMNS),
+    "weyl": ("weyl --Q 4 --k 2 --samples 3", cli.WEYL_COLUMNS),
+    "majorant": ("majorant --Q 2 --k 2 --samples 3", cli.MAJORANT_COLUMNS),
+    "crossover": ("crossover --Q 4..5 --k 3 --points 3", cli.CROSSOVER_COLUMNS),
+    "fit": ("fit --Q 2..3 --theta 1", cli.FIT_COLUMNS),
+}
+
+
+@pytest.mark.parametrize("command", sorted(SMALL_RUNS))
+def test_header_and_determinism(command, tmp_path):
+    args, columns = SMALL_RUNS[command]
+    code1, a = run_cli(args.split(), tmp_path, "a.csv")
+    code2, b = run_cli(args.split(), tmp_path, "b.csv")
     assert code1 == code2 == EXIT_OK
     assert a == b
-    header = a.decode().splitlines()[0]
-    assert header.startswith("schema,command,Q,N,k,mode,eps,rel_tol,seed,delta,kappa,"
-                             "size,measured,residual,iterations,bound_ls_a")
+    header = a.decode().splitlines()[0].split(",")
+    assert header == ["schema", "command", *columns]
+    assert len(set(header)) == len(header)
+    if command == "constant":
+        assert ",".join(header).startswith(
+            "schema,command,Q,N,k,mode,eps,rel_tol,seed,delta,kappa,"
+            "size,measured,residual,iterations,bound_ls_a")
     assert a.decode().count("\r") == 0
+
+
+def test_write_records_spells_each_cell(capsys):
+    rec = {"none": None, "yes": True, "no": False, "int": 7, "tenth": 0.1,
+           "tiny": 1e-300, "text": "s,t"}
+    columns = [*rec, "missing"]
+    for fmt in ("csv", "json"):
+        cfg = cli.RunConfig(command="demo", format=fmt, out="-")
+        cli.write_records([rec], columns, cfg)
+        text = capsys.readouterr().out
+        if fmt == "csv":
+            assert text == ("schema,command,none,yes,no,int,tenth,tiny,text,missing\n"
+                            'sieve-lab-1,demo,,true,false,7,0.1,1e-300,"s,t",\n')
+        else:
+            (obj,) = json.loads(text)
+            assert list(obj) == ["schema", "command", *columns]
+            assert obj == {"schema": cli.SCHEMA, "command": "demo", **rec, "missing": None}
 
 
 def test_constant_json_mirror(tmp_path):
@@ -99,18 +133,19 @@ def test_capacity_exit_code(tmp_path):
 CHILD_TIMEOUT_S = 10
 
 
-def run_limited(args, tmp_path):
+def run_limited(args, tmp_path, out=None):
     """The CLI in a child process under a 2 GiB address-space limit, which turns
     any attempt to allocate the points or the eigensolve of a huge system into
-    a MemoryError: (exit code, output text, seconds taken)."""
-    out = tmp_path / "a.csv"
+    a MemoryError: (exit code, output text or else stderr, seconds taken).  The
+    output goes to `out`, by default tmp_path/a.csv."""
+    out = tmp_path / "a.csv" if out is None else out
     start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "sieve_lab.cli", *args, "--out", str(out)],
         capture_output=True, text=True, env=child_env(), timeout=CHILD_TIMEOUT_S,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)))
     elapsed = time.perf_counter() - start
-    return proc.returncode, out.read_text() if out.exists() else proc.stderr, elapsed
+    return proc.returncode, out.read_text() if out.is_file() else proc.stderr, elapsed
 
 
 def test_point_budget_exit_code(tmp_path):
@@ -211,6 +246,8 @@ def test_verification_failure_outranks_capacity(tmp_path, monkeypatch):
     ("crossover --Q 10 --k 154 --points 3", EXIT_OK),           # 10^308 still fits
     ("weyl --Q 256 --k 200 --samples 1", EXIT_CAPACITY),        # 256^200 = 2^1600
     ("fit --Q 10 --theta 400", EXIT_CAPACITY),                  # N = 10^400
+    ("weyl --Q 4 --k 2 --samples 1 --eps 1000", EXIT_CAPACITY),  # Q^(1+eps) = 4^1001
+    ("crossover --normalization literal --eps 300", EXIT_CAPACITY),  # (N*Q)^eps
 ])
 def test_float_range_exit_code(args, code, tmp_path, capsys):
     got, raw = run_cli(args.split(), tmp_path)
@@ -218,6 +255,16 @@ def test_float_range_exit_code(args, code, tmp_path, capsys):
     err = capsys.readouterr().err
     if code == EXIT_CAPACITY:
         assert raw == b"" and "capacity error" in err and "above the float range" in err
+
+
+def test_constant_bound_above_the_float_range_is_a_row(tmp_path):
+    # (N*Q)^eps = 16^400 in the conjecture and delta bounds
+    code, raw = run_cli("constant --Q 4 --N 4 --k 2 --eps 400 --format json".split(),
+                        tmp_path)
+    assert code == EXIT_CAPACITY
+    (rec,) = json.loads(raw)
+    assert rec["status"] == "capacity-error" and rec["measured"] == 20.0
+    assert "above the float range" in rec["detail"]
 
 
 def test_weyl_checks_every_row_before_summing(tmp_path, capsys, monkeypatch):
@@ -248,6 +295,22 @@ def test_non_finite_float_options_exit_2(args, tmp_path):
     code, text, elapsed = run_limited(args.split(), tmp_path)
     assert code == EXIT_INVALID_CONFIG and "invalid config" in text
     assert elapsed < 5
+
+
+@pytest.mark.parametrize("args, out, message", [
+    ("lemma1 --seed -1", "a.csv", "seed must be >= 0"),     # ValueError in default_rng
+    ("majorant --seed -1", "a.csv", "seed must be >= 0"),
+    ("weyl --seed -1", "a.csv", "seed must be >= 0"),
+    ("constant --seed -1", "a.csv", "seed must be >= 0"),   # echoed the bad seed
+    ("constant", "missing/a.csv", "out must be"),          # failed after the run
+    ("constant", ".", "out must be"),                      # a directory
+])
+def test_bad_seed_or_out_exits_2_before_running(args, out, message, tmp_path):
+    code, text, elapsed = run_limited(args.split(), tmp_path, tmp_path / out)
+    assert code == EXIT_INVALID_CONFIG, text
+    assert "invalid config" in text and message in text and "Traceback" not in text
+    assert elapsed < 5.0
+    assert not any(tmp_path.iterdir())
 
 
 def test_range_cap_exit_code(tmp_path):
@@ -305,7 +368,7 @@ def test_k_cap_exit_code(args, tmp_path):
 
 def test_k_cap_boundary():
     assert cli.K_CAP == 1024
-    assert config_of(["constant", "--k", "2,1024"]).k_values == (2, 1024)
+    assert config_of(["constant", "--k", "2,1024"]).k == (2, 1024)
     with pytest.raises(cli.ConfigError, match="k values must be <= 1024"):
         config_of(["constant", "--k", "2,1025"])
 
@@ -363,7 +426,6 @@ OWN_FLAGS = {
 FLAG_VALUES = {"Q": "2", "N": "4", "k": "2", "mode": "dyadic", "eps": "0.1",
                "rel-tol": "1e-7", "seed": "3", "oracle": None, "normalization": "literal",
                "theta": "1.5", "points": "5", "vectors": "3", "samples": "3"}
-ATTRIBUTES = {"Q": "q_values", "N": "n_values", "k": "k_values", "rel-tol": "rel_tol"}
 
 
 def flag_argv(flag):
@@ -380,9 +442,9 @@ def test_each_command_takes_only_its_own_flags(command, tmp_path, capsys):
         [command, *(arg for flag in own for arg in flag_argv(flag)),
          "--format", "json", "--out", "x.json", "--config", str(cfg_file)])
     cfg = cli.build_config(args)
-    assert set(vars(cfg)) == ({"command", "fmt", "out"}
-                              | {ATTRIBUTES.get(flag, flag) for flag in own})
-    assert cfg.q_values == (2,) and cfg.fmt == "json" and cfg.out == "x.json"
+    assert set(vars(cfg)) == ({"command", "format", "out"}
+                              | {flag.replace("-", "_") for flag in own})
+    assert cfg.Q == (2,) and cfg.format == "json" and cfg.out == "x.json"
     for flag in sorted(set(FLAG_VALUES) - set(own)):
         with pytest.raises(SystemExit) as info:
             cli.main([command, *flag_argv(flag)])

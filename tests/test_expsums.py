@@ -78,6 +78,11 @@ def test_weyl_bounds_reject_powers_above_the_float_range():
         with pytest.raises(CapacityError, match="above the float range"):
             weyl_min_sum_bound(MonomialPhase(phase.alpha, k), Q, 0.05)
     assert weyl_pair_bound(ApproxPair(0, 1, 0.0), 256, 127, 0.0) > 0
+    # Q^(1+eps) = 4^1001 with Q^k = 16
+    with pytest.raises(CapacityError, match=r"4\^1001.0 is above the float range"):
+        weyl_pair_bound(ApproxPair(0, 1, 0.0), 4, 2, 1000.0)
+    with pytest.raises(CapacityError, match=r"4\^1001.0 is above the float range"):
+        weyl_min_sum_bound(MonomialPhase(Fraction(1, 3), 2), 4, 1000.0)
 
 
 def test_weyl_min_sum_bound_examples():
@@ -153,18 +158,19 @@ def test_batches_equal_their_rows(monkeypatch):
 
 
 def test_check_weyl_row_raises_what_the_row_raises():
-    cases = [(Fraction(1, 2 ** 31), 2, 4, "exact-path width"),
-             (0.123, 4, 5000, "float-path width"),
-             (Fraction(1, 3), 200, 256, "above the float range"),
-             (Fraction(1, 3), 2, expsums.TERM_BUDGET + 1, "above the budget")]
-    for alpha, k, Q, message in cases:
+    cases = [(Fraction(1, 2 ** 31), 2, 4, 0.05, "exact-path width"),
+             (0.123, 4, 5000, 0.05, "float-path width"),
+             (Fraction(1, 3), 200, 256, 0.05, "above the float range"),
+             (Fraction(1, 3), 2, expsums.TERM_BUDGET + 1, 0.05, "above the budget"),
+             (Fraction(1, 3), 2, 4, 1000.0, r"4\^1001.0 is above the float range")]
+    for alpha, k, Q, eps, message in cases:
         phase = MonomialPhase(alpha, k)
         with pytest.raises(CapacityError, match=message):
-            check_weyl_row(phase, Q)
+            check_weyl_row(phase, Q, eps)
         with pytest.raises(CapacityError, match=message):  # the row itself
             weyl_sum(phase, Q)
-            weyl_min_sum_bound(phase, Q, 0.05)
-    check_weyl_row(MonomialPhase(0.123, 4), 4000)
+            weyl_min_sum_bound(phase, Q, eps)
+    check_weyl_row(MonomialPhase(0.123, 4), 4000, 0.05)
 
 
 def test_min_sums_reject_wide_denominators():
