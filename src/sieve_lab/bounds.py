@@ -13,7 +13,8 @@ shape's eps-free power terms and its literal value:
   delta       (N*Q)^eps * (Q^(k+1) + Q^(1-delta)*N + Q^(1+k*delta)*N^(1-delta)),
               delta = 1/(2k(k-1))
 
-shape_value is the single entry point; evaluate_bounds maps it over the table.
+shape_value is the single entry point; evaluate_bounds maps it over the table,
+one shape at a time.
 Two normalizations: "literal" evaluates the complete formulas (natural log)
 and warns on a value above OVERFLOW_FLAG (a power above the float range raises
 CapacityError); "shapes" takes the largest eps-free power term, with the
@@ -136,8 +137,20 @@ def shape_value(name: str, p: BoundParams, normalization: str = "literal") -> fl
 
 
 def evaluate_bounds(p: BoundParams) -> dict[str, float]:
-    """All literal shape values keyed by name, in SHAPE_NAMES order."""
-    return {name: shape_value(name, p) for name in SHAPE_NAMES}
+    """All literal shape values keyed by name, in SHAPE_NAMES order.  Each
+    shape is evaluated on its own: when some are above the float range, the
+    CapacityError of the first is raised, its `values` holding the shapes
+    that fit."""
+    values, errors = {}, []
+    for name in SHAPE_NAMES:
+        try:
+            values[name] = shape_value(name, p)
+        except CapacityError as exc:
+            errors.append(exc)
+    if errors:
+        errors[0].values = values
+        raise errors[0]
+    return values
 
 
 @dataclass(frozen=True)

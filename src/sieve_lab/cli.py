@@ -51,7 +51,8 @@ from .bounds import BoundParams, SHAPE_NAMES, crossover_analysis, fit_exponent
 from .errors import (EXIT_CAPACITY, EXIT_EIGENSOLVER, EXIT_INVALID_CONFIG,
                      EXIT_OK, EXIT_VERIFICATION, CapacityError, EigensolverError)
 from .expsums import fourier_majorant
-from .farey import count_near, counting_rhs, enumerate_system, system_bases, system_size
+from .farey import (budgeted_size, count_near, counting_rhs, enumerate_system, system_bases,
+                    system_point, system_size)
 # sigma_exact is unused here but stays importable from cli, where
 # perfbench/tracing.py wraps it.
 from .sieve import (CoefficientVector, dense_lambda_max, measure_constant,  # noqa: F401
@@ -304,11 +305,15 @@ def cmd_constant(cfg: RunConfig) -> tuple[list[dict], list[str], int, list[str]]
             res = power_iteration(kern, cfg.rel_tol)
             row.update({"size": system_size(Q, k, cfg.mode), "measured": res.value,
                         "residual": res.residual, "iterations": res.iterations})
-            values = bounds.evaluate_bounds(params)  # perfbench/tracing.py wraps it there
-            for name in SHAPE_NAMES:
-                row[f"bound_{name}"] = values[name]
-                row[f"ratio_{name}"] = (res.value / values[name] if values[name] > 0
-                                        else math.inf)
+            try:  # bounds.evaluate_bounds, where perfbench/tracing.py wraps it
+                values, error = bounds.evaluate_bounds(params), None
+            except CapacityError as exc:  # the shapes that fit still fill their columns
+                values, error = exc.values, exc
+            for name, value in values.items():
+                row[f"bound_{name}"] = value
+                row[f"ratio_{name}"] = res.value / value if value > 0 else math.inf
+            if error is not None:
+                raise error
             if cfg.oracle and N <= ORACLE_N_CAP:
                 system = enumerate_system(Q, k, cfg.mode)
                 brute = kernels.autocorr(system.numerators, system.moduli, N)
@@ -395,22 +400,20 @@ def cmd_majorant(cfg: RunConfig) -> tuple[list[dict], list[str], int, list[str]]
         for Q in cfg.Q:
             base = {"Q": Q, "k": k, "mode": cfg.mode}
             with _guarded(dict(base)) as head:
-                system = enumerate_system(Q, k, cfg.mode)
-                if system.size == 0:
+                size = budgeted_size(Q, k, cfg.mode)
+                if size == 0:
                     head.update(size=0, detail="empty system: no centers")
-            if head["status"] != "ok" or system.size == 0:
+            if head["status"] != "ok" or size == 0:
                 rows.append(head)
                 continue
             top = system_bases(Q, k, cfg.mode)[-1] ** k
             rng = np.random.default_rng([cfg.seed, 3, k, Q, mode_idx])
             for _ in range(cfg.samples):
-                idx = int(rng.integers(0, system.size))
-                b = int(system.numerators[idx])
-                r = int(system.bases[idx])
+                b, r = system_point(Q, k, cfg.mode, int(rng.integers(0, size)))
                 x = float(10.0 ** rng.uniform(-3, 0) / (2.0 * top))
-                with _guarded({**base, "b": b, "r": r, "x": x, "size": system.size}) as row:
-                    res = fourier_majorant(system, (b, r), x)
-                    near = count_near(system, Fraction(b, r ** k), x)
+                with _guarded({**base, "b": b, "r": r, "x": x, "size": size}) as row:
+                    res = fourier_majorant(Q, k, cfg.mode, (b, r), x)
+                    near = count_near(Q, k, cfg.mode, Fraction(b, r ** k), x)
                     ok = res.majorant_value >= near - REL_SLACK * abs(res.majorant_value)
                     row.update({"B": res.B, "exact_count": near,
                                 "count_near": near, "majorant": res.majorant_value,

@@ -34,7 +34,8 @@ from . import kernels
 from .arith import ApproxPair, float_power
 from .bounds import delta_exponent
 from .errors import CapacityError
-from .farey import MODULUS_CAP, PowerFareySystem, _radius_as_fraction, system_bases
+from .farey import (MODULUS_CAP, Mode, _radius_as_fraction, is_member, system_bases,
+                    system_size)
 
 Coeff = Union[int, float, Fraction]
 
@@ -251,32 +252,31 @@ def weyl_min_sum_bound(phase: MonomialPhase, Q: int, eps: float) -> float:
     return weyl_min_sum_bounds([phase.alpha], phase.k, Q, eps)[0]
 
 
-def fourier_majorant(system: PowerFareySystem, center_base: tuple[int, int],
+def fourier_majorant(Q: int, k: int, mode: Mode, center_base: tuple[int, int],
                      x) -> MajorantResult:
-    """Poisson-transformed majorant of the number of points within radius x of
-    the member point b/r^k; it counts nothing itself (farey.count_near gives
-    the exact count it dominates).
+    """Poisson-transformed majorant of the number of points of the system
+    (Q, k, mode) within radius x of the member point b/r^k; it counts nothing
+    itself (farey.count_near gives the exact count it dominates).
 
     Per modulus q^k the transform is sum_{|a| <= B_q} w(a/B_q) / B_q *
     e(a b q^k / r^k) with B_q = 1/(2 q^k x) and the weight
     w(s) = (pi^2/4) max(1 - |s|, 0), the Fourier transform of the Fejer-type
     kernel (sin(pi x) / (2x))^2, which majorises the indicator of [-1/2, 1/2].
     Each B_q is rounded one step toward zero so majorant_value >=
-    count_near(system, b/r^k, x) holds exactly (up to the trig roundoff of the
-    finite sum).  If the shortest truncation
-    is < 1 the trivial majorant |points| is reported instead.
+    count_near(Q, k, mode, b/r^k, x) holds exactly (up to the trig roundoff of
+    the finite sum).  If the shortest truncation is < 1 the trivial majorant
+    |points| is reported instead.
     """
     b, r = center_base
     if x <= 0:
         raise ValueError("x must be > 0")
-    if not system.is_member(b, r):
+    if not is_member(Q, k, mode, b, r):
         raise ValueError(f"({b}, {r}) is not a point of the system")
-    rk = r ** system.k
+    rk = r ** k
     xr = _radius_as_fraction(x)
     xn, xd = xr.numerator, xr.denominator
 
-    mods = np.array([q ** system.k for q in system_bases(system.Q, system.k, system.mode)],
-                    dtype=np.int64)
+    mods = np.array([q ** k for q in system_bases(Q, k, mode)], dtype=np.int64)
     # the exact ratio 1/(2 q^k x) rounded strictly downward, so the transform's
     # covered radius is >= the counting radius
     # (int / int is correctly rounded, so this is float(Fraction(xd, 2 qk xn)))
@@ -284,7 +284,7 @@ def fourier_majorant(system: PowerFareySystem, center_base: tuple[int, int],
                    dtype=np.float64)
     b_cap = float(bqs.min())
     if b_cap < 1.0:
-        size = float(system.size)
+        size = float(system_size(Q, k, mode))
         return MajorantResult(majorant_value=size, main_term=size, tail=0.0, B=b_cap)
     if b_cap >= float(MODULUS_CAP):
         raise CapacityError(

@@ -1,9 +1,12 @@
 """The finite system of reduced fractions a/q^k with power moduli, and exact counting.
 
-The points of base q are the units a mod q^k, 0 < a < q^k.  That one rule,
-through the Moebius sum over the squarefree divisors d of q, gives every count
-that needs no point: the system size, membership, the number of points near a
-center (count_near) and, in sieve.toeplitz_kernel, the autocorrelation.
+The points of base q are the units a mod q^k, 0 < a < q^k, that is j*q + u
+with u a unit mod q (_units), phi(q)*q^(k-1) of them; the points are sorted
+by (q, a).  That one layout, through the Moebius sum over the squarefree
+divisors d of q, gives everything that reads (Q, k, mode) alone and builds no
+point: the system size and its POINT_BUDGET check (budgeted_size), the point
+at an index (system_point), membership (is_member), the number of points near
+a center (count_near) and, in sieve.toeplitz_kernel, the autocorrelation.
 enumerate_system builds the points as int64 arrays for the hot kernels, whose
 counting integral compares by exact integer cross-multiplication, so it is
 exact up to one final float division per point.
@@ -14,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from typing import Literal
 
 import numpy as np
@@ -25,8 +29,8 @@ Mode = Literal["full", "dyadic"]
 
 # Keeps every int64 kernel product a*b with a, b < modulus below 2**62.
 MODULUS_CAP = 1 << 31
-# Most points enumerate_system allocates: three int64 arrays, 24 bytes per
-# point, about 400 MB at the budget.
+# Most points a system may have (budgeted_size): enumerate_system allocates
+# two int64 arrays, 16 bytes per point, about 270 MB at the budget.
 POINT_BUDGET = 1 << 24
 # Most point pairs counting_rhs scans: kernels.pairwise_integral_max takes
 # about 14-20 ns a pair on a 2-core VM, so about 20 s at the budget, which
@@ -47,17 +51,11 @@ class PowerFareySystem:
     k: int
     mode: str
     numerators: np.ndarray = field(repr=False)  # int64, the a of each point
-    bases: np.ndarray = field(repr=False)       # int64, the q of each point
     moduli: np.ndarray = field(repr=False)      # int64, q**k of each point
 
     @property
     def size(self) -> int:
         return int(self.numerators.shape[0])
-
-    def is_member(self, b: int, r: int) -> bool:
-        """Whether the pair (numerator b, base r) is a point of the system."""
-        return (r in system_bases(self.Q, self.k, self.mode) and 0 < b < r ** self.k
-                and math.gcd(b, r) == 1)
 
 
 def squarefree_divisors_with_mu(q: int) -> list[tuple[int, int]]:
@@ -99,41 +97,72 @@ def system_bases(Q: int, k: int, mode: Mode) -> range:
     return range(2 if mode == "full" else Q + 1, top + 1)
 
 
+def _units(q: int) -> list[int]:
+    """The units mod q in [1, q), ascending."""
+    return [u for u in range(1, q) if math.gcd(u, q) == 1]
+
+
+@cache  # system_point walks the same bases once per sample
+def _base_size(q: int, k: int) -> int:
+    """Number of units mod q**k, sum over squarefree d | q of mu(d) * q**k / d."""
+    return sum(mu * (q ** k // d) for d, mu in squarefree_divisors_with_mu(q))
+
+
 def system_size(Q: int, k: int, mode: Mode) -> int:
-    """Number of points of the system, the units mod q**k summed over its bases
-    as sum over squarefree d | q of mu(d) * q**k / d, computed without building
-    them."""
-    return sum(mu * (q ** k // d) for q in system_bases(Q, k, mode)
-               for d, mu in squarefree_divisors_with_mu(q))
+    """Number of points of the system, the units mod q**k summed over its
+    bases, computed without building them."""
+    return sum(_base_size(q, k) for q in system_bases(Q, k, mode))
+
+
+def budgeted_size(Q: int, k: int, mode: Mode) -> int:
+    """system_size, rejecting a system of more than POINT_BUDGET points with
+    CapacityError."""
+    size = system_size(Q, k, mode)
+    if size > POINT_BUDGET:
+        raise CapacityError(
+            f"system has {size} points, above the budget of {POINT_BUDGET}")
+    return size
+
+
+def system_point(Q: int, k: int, mode: Mode, idx: int) -> tuple[int, int]:
+    """The pair (a, q) of point idx of the system in (q, a) order, found from
+    the per-base counts without building the points; IndexError outside
+    0 <= idx < system_size."""
+    if idx >= 0:
+        for q in system_bases(Q, k, mode):
+            count = _base_size(q, k)
+            if idx < count:
+                units = _units(q)
+                j, i = divmod(idx, len(units))
+                return j * q + units[i], q
+            idx -= count
+    raise IndexError("point index out of range")
+
+
+def is_member(Q: int, k: int, mode: Mode, b: int, r: int) -> bool:
+    """Whether the pair (numerator b, base r) is a point of the system."""
+    return r in system_bases(Q, k, mode) and 0 < b < r ** k and math.gcd(b, r) == 1
 
 
 def enumerate_system(Q: int, k: int, mode: Mode) -> PowerFareySystem:
     """Enumerate the system for (Q, k, mode), sorted by (q, a).
 
     Validates as system_bases does, and rejects before allocating any system
-    of more than POINT_BUDGET points with CapacityError.
+    of more than POINT_BUDGET points with CapacityError (budgeted_size).
     """
-    size = system_size(Q, k, mode)
-    if size > POINT_BUDGET:
-        raise CapacityError(
-            f"system has {size} points, above the budget of {POINT_BUDGET}")
-
+    size = budgeted_size(Q, k, mode)
     nums = np.empty(size, dtype=np.int64)
-    bases = np.empty(size, dtype=np.int64)
     mods = np.empty(size, dtype=np.int64)
     start = 0
     for q in system_bases(Q, k, mode):
         qk = q ** k
-        residues = np.array([r for r in range(1, q) if math.gcd(r, q) == 1],
-                            dtype=np.int64)
+        units = np.array(_units(q), dtype=np.int64)
         offsets = np.arange(0, qk, q, dtype=np.int64)
-        stop = start + offsets.shape[0] * residues.shape[0]
-        nums[start:stop] = (offsets[:, None] + residues[None, :]).ravel()
-        bases[start:stop] = q
+        stop = start + offsets.shape[0] * units.shape[0]
+        nums[start:stop] = (offsets[:, None] + units[None, :]).ravel()
         mods[start:stop] = qk
         start = stop
-    return PowerFareySystem(Q=Q, k=k, mode=mode, numerators=nums, bases=bases,
-                            moduli=mods)
+    return PowerFareySystem(Q=Q, k=k, mode=mode, numerators=nums, moduli=mods)
 
 
 def _radius_as_fraction(x) -> Fraction:
@@ -150,8 +179,8 @@ def _radius_as_fraction(x) -> Fraction:
     return Fraction(math.ceil(x * (1 << 53)), 1 << 53)
 
 
-def count_near(system: PowerFareySystem, center: Fraction, x) -> int:
-    """Exact number of points with |a/q^k - center| <= x.
+def count_near(Q: int, k: int, mode: Mode, center: Fraction, x) -> int:
+    """Exact number of points of the system with |a/q^k - center| <= x.
 
     Per base q these are the units a mod q^k in [L, U] = [ceil(q^k (c - x)),
     floor(q^k (c + x))] clipped to [1, q^k - 1], counted as the sum over
@@ -163,8 +192,8 @@ def count_near(system: PowerFareySystem, center: Fraction, x) -> int:
     xr = _radius_as_fraction(x)
     lo, hi = center - xr, center + xr
     count = 0
-    for q in system_bases(system.Q, system.k, system.mode):
-        qk = q ** system.k
+    for q in system_bases(Q, k, mode):
+        qk = q ** k
         first = max(math.ceil(qk * lo), 1)
         last = min(math.floor(qk * hi), qk - 1)
         if first <= last:

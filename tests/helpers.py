@@ -31,27 +31,36 @@ def brute_dirichlet(alpha: float, bound: int) -> tuple[int, int, float]:
     return best
 
 
-def fraction_dirichlet_approx(alpha, bound: int) -> tuple[int, int, float]:
-    """dirichlet_approx's (u, v, residual) by continued-fraction convergents in
-    Fraction arithmetic: each convergent's residual |v*alpha - u| is an exact
-    Fraction, the smallest wins (ties toward smaller v)."""
+def fraction_convergents(alpha):
+    """Yield the continued-fraction convergents (u, v) of alpha, v
+    nondecreasing, each with its exact Fraction residual |v*alpha - u|, up to
+    the first zero residual."""
     exact = Fraction(alpha)
     num, den = exact.numerator, exact.denominator
     u_prev, v_prev, u_prev2, v_prev2 = 1, 0, 0, 1
-    best = best_res = None
     while den:
         step, rem = divmod(num, den)
         u, v = step * u_prev + u_prev2, step * v_prev + v_prev2
-        if v > bound:
-            break
         res = abs(v * exact - u)
-        if best_res is None or res < best_res:
-            best, best_res = (u, v), res
+        yield u, v, res
         if res == 0:
-            break
+            return
         u_prev2, v_prev2, u_prev, v_prev = u_prev, v_prev, u, v
         num, den = den, rem
-    u, v = best
+
+
+def fraction_dirichlet_approx(alpha, bound: int, convergents=None) -> tuple[int, int, float]:
+    """dirichlet_approx's (u, v, residual) in Fraction arithmetic: among the
+    convergents with v <= bound the smallest exact residual wins (ties toward
+    smaller v).  `convergents`, a list of fraction_convergents(alpha) holding
+    every one with v <= bound, lets a scan over many bounds build them once."""
+    best = None
+    for u, v, res in fraction_convergents(alpha) if convergents is None else convergents:
+        if v > bound:
+            break
+        if best is None or res < best[2]:
+            best = (u, v, res)
+    u, v, _ = best
     return u, v, float(abs(alpha * v - u))
 
 

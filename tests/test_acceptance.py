@@ -15,7 +15,7 @@ import pytest
 from sieve_lab import cli, kernels, regression
 from sieve_lab.bounds import crossover_analysis, fit_exponent
 from sieve_lab.expsums import fourier_majorant
-from sieve_lab.farey import count_near, counting_rhs, enumerate_system
+from sieve_lab.farey import count_near, counting_rhs, enumerate_system, system_point
 from sieve_lab.frozen import FROZEN_RATIOS
 from sieve_lab.sieve import (CoefficientVector, dense_lambda_max,
                              power_iteration, sigma_exact_batch,
@@ -175,11 +175,12 @@ def test_criterion_05_majorant_dominates_exact_count():
         if system.size == 0:
             continue
         idx = int(rng.integers(0, system.size))
-        b, r = int(system.numerators[idx]), int(system.bases[idx])
+        b, r = system_point(Q, k, mode, idx)
+        assert (b, r ** k) == (int(system.numerators[idx]), int(system.moduli[idx]))
         top = int(system.moduli.max())
         x = float(10.0 ** rng.uniform(-3, -0.01) / (2.0 * top))
-        res = fourier_majorant(system, (b, r), x)
-        near = count_near(system, Fraction(b, r ** k), x)
+        res = fourier_majorant(Q, k, mode, (b, r), x)
+        near = count_near(Q, k, mode, Fraction(b, r ** k), x)
         if res.B < 1.0:
             continue
         if not res.majorant_value >= near - REL * abs(res.majorant_value):

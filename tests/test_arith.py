@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import takewhile
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from sieve_lab.arith import dirichlet_approx
 from sieve_lab.regression import sample_alphas
 
-from helpers import brute_dirichlet, fraction_dirichlet_approx, valid_pairs
+from helpers import brute_dirichlet, fraction_convergents, fraction_dirichlet_approx, valid_pairs
 
 
 def test_dirichlet_exact_rational():
@@ -65,12 +66,15 @@ def test_dirichlet_minimal_among_valid_pairs():
 
 def test_dirichlet_equals_the_fraction_version_on_the_sample_alphas():
     # the integer ranking |v*num - u*den| picks the pair the exact Fraction
-    # residuals pick, and the residual is computed the same way: equal, not close
+    # residuals pick, and the residual is computed the same way: equal, not close.
+    # Each alpha's convergents with v <= 512 are built once.
     for seed in (0xC0FFEE, 1, 7):
         for _, alpha in sample_alphas(seed):
+            convergents = list(takewhile(lambda c: c[1] <= 512, fraction_convergents(alpha)))
             for bound in range(1, 513):
                 got = dirichlet_approx(alpha, bound)
-                assert tuple(got) == fraction_dirichlet_approx(alpha, bound), (alpha, bound)
+                want = fraction_dirichlet_approx(alpha, bound, convergents)
+                assert tuple(got) == want, (alpha, bound)
 
 
 @pytest.mark.parametrize("alpha", [

@@ -112,6 +112,12 @@ def test_literal_powers_above_the_float_range_raise():
         with pytest.raises(CapacityError, match=f"bound {name} at .* above the float range"):
             shape_value(name, p)
     assert shape_value("kappa", p) > 0 and shape_value("ls_a", p) == 260.0
+    # evaluate_bounds raises the first shape's error and keeps the shapes that fit
+    with pytest.raises(CapacityError, match="bound conjecture at") as info:
+        evaluate_bounds(p)
+    assert tuple(info.value.values) == ("ls_a", "ls_b", "kappa", "loglog")
+    assert info.value.values["ls_a"] == 260.0
+    assert info.value.values["kappa"] == shape_value("kappa", p)
 
 
 SHAPE_GUARD_N = (1, 2, 3, 7, 16, 100, 999, 4096, 12345, 10 ** 6, 3 ** 20, 10 ** 12)

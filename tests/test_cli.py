@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from sieve_lab import cli, expsums, farey, kernels, sieve
+from sieve_lab.bounds import SHAPE_NAMES
 from sieve_lab.farey import counting_rhs, enumerate_system
 from sieve_lab.sieve import CoefficientVector, sigma_exact, sigma_exact_batch
 from sieve_lab.errors import (EXIT_CAPACITY, EXIT_EIGENSOLVER, EXIT_INVALID_CONFIG, EXIT_OK,
@@ -159,6 +160,26 @@ def test_point_budget_exit_code(tmp_path):
     assert "above the budget" in text
 
 
+def test_majorant_builds_no_point(tmp_path):
+    # 16.1 million points, just under the point budget: building them took
+    # about 390 MB, while the centres need only the per-base counts
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "sieve_lab.cli", "majorant", "--Q", "430", "--k", "2",
+         "--samples", "2", "--out", str(tmp_path / "a.csv")],
+        env=child_env(), stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == EXIT_OK
+    assert usage.ru_maxrss / 1024 < 256  # KiB on Linux
+    assert len((tmp_path / "a.csv").read_text().splitlines()) == 3
+
+    # one base more is above the budget, counted without building a point
+    code, text, elapsed = run_limited(["majorant", "--Q", "440", "--k", "2"], tmp_path)
+    assert code == EXIT_CAPACITY, text
+    assert elapsed < 5.0
+    assert "above the budget" in text
+
+
 def test_constant_needs_no_points(tmp_path):
     # the same system as above: the closed-form kernel reads only its 99 bases
     code, text, elapsed = run_limited(["constant", "--Q", "100", "--N", "16", "--k", "4"],
@@ -265,6 +286,13 @@ def test_constant_bound_above_the_float_range_is_a_row(tmp_path):
     (rec,) = json.loads(raw)
     assert rec["status"] == "capacity-error" and rec["measured"] == 20.0
     assert "above the float range" in rec["detail"]
+    # the first shape that overflows names the error; the others still fit
+    assert rec["detail"].startswith("bound conjecture at Q = 4, N = 4, k = 2, eps = 400.0 ")
+    assert rec["bound_ls_a"] == 260.0 and rec["ratio_ls_a"] == 20 / 260
+    for name in SHAPE_NAMES:
+        empty = name in ("conjecture", "delta")
+        assert (rec[f"bound_{name}"] is None) == empty, name
+        assert (rec[f"ratio_{name}"] is None) == empty, name
 
 
 def test_weyl_checks_every_row_before_summing(tmp_path, capsys, monkeypatch):

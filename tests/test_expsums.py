@@ -10,7 +10,7 @@ from sieve_lab.errors import CapacityError
 from sieve_lab.expsums import (MonomialPhase, check_weyl_row, fourier_majorant, min_sum,
                                min_sum_bound, min_sums, weyl_min_sum_bound,
                                weyl_min_sum_bounds, weyl_pair_bound, weyl_sum, weyl_sums)
-from sieve_lab.farey import count_near, enumerate_system
+from sieve_lab.farey import count_near, enumerate_system, system_point
 from sieve_lab.regression import sample_alphas
 
 from helpers import brute_count_near, brute_min_sum, int_points, valid_pairs
@@ -204,9 +204,9 @@ def test_min_sum_bound_examples():
 
 
 def test_fourier_majorant_worked_example():
-    s = enumerate_system(1, 2, "dyadic")  # the points 1/4 and 3/4
-    res = fourier_majorant(s, (1, 2), 1 / 16)
-    assert count_near(s, Fraction(1, 4), 1 / 16) == 1
+    # Q = 1 dyadic: the points 1/4 and 3/4
+    res = fourier_majorant(1, 2, "dyadic", (1, 2), 1 / 16)
+    assert count_near(1, 2, "dyadic", Fraction(1, 4), 1 / 16) == 1
     assert res.B == pytest.approx(2.0, rel=1e-12)
     # all five transform terms have unit phase here, so the value collapses to
     # the weights (pi^2/4) max(1 - |a|/2, 0) / 2 of a = 0, +-1: pi^2/8 + 2 pi^2/16 = pi^2/4
@@ -217,18 +217,17 @@ def test_fourier_majorant_worked_example():
 
 def test_fourier_majorant_trivial_fallback():
     s = enumerate_system(2, 2, "dyadic")
-    res = fourier_majorant(s, (1, 3), 0.9)  # truncation below 1
+    res = fourier_majorant(2, 2, "dyadic", (1, 3), 0.9)  # truncation below 1
     assert res.B < 1.0
     assert res.majorant_value == s.size
-    assert count_near(s, Fraction(1, 9), 0.9) <= s.size
+    assert count_near(2, 2, "dyadic", Fraction(1, 9), 0.9) <= s.size
 
 
 def test_fourier_majorant_validation():
-    s = enumerate_system(2, 2, "dyadic")
     with pytest.raises(ValueError):
-        fourier_majorant(s, (2, 4), 0.01)  # gcd(2,4) > 1: not a member
+        fourier_majorant(2, 2, "dyadic", (2, 4), 0.01)  # gcd(2,4) > 1: not a member
     with pytest.raises(ValueError):
-        fourier_majorant(s, (1, 3), 0.0)
+        fourier_majorant(2, 2, "dyadic", (1, 3), 0.0)
 
 
 def test_fourier_majorant_dominates_and_matches_count_near():
@@ -242,11 +241,12 @@ def test_fourier_majorant_dominates_and_matches_count_near():
         if s.size == 0:
             continue
         idx = int(rng.integers(0, s.size))
-        b, r = int(s.numerators[idx]), int(s.bases[idx])
+        b, r = system_point(Q, k, mode, idx)
+        assert (b, r ** k) == (int(s.numerators[idx]), int(s.moduli[idx]))
         top = int(s.moduli.max())
         x = float(10.0 ** rng.uniform(-3, -0.01) / (2.0 * top))
-        res = fourier_majorant(s, (b, r), x)
-        near = count_near(s, Fraction(b, r ** k), x)
+        res = fourier_majorant(Q, k, mode, (b, r), x)
+        near = count_near(Q, k, mode, Fraction(b, r ** k), x)
         # the oracle counts at the exact radius x, count_near at x rounded up
         # onto the 2^-53 grid; no point distance falls in between here
         assert near == brute_count_near(int_points(s), Fraction(b, r ** k), Fraction(x))

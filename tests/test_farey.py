@@ -6,7 +6,8 @@ from scipy.integrate import quad
 
 from sieve_lab import farey
 from sieve_lab.errors import CapacityError
-from sieve_lab.farey import PowerFareySystem, count_near, counting_rhs, enumerate_system
+from sieve_lab.farey import (PowerFareySystem, count_near, counting_rhs, enumerate_system,
+                             is_member, system_point)
 from sieve_lab.sieve import CoefficientVector, sigma_exact_batch
 
 from helpers import (brute_count_near, brute_enumerate, int_points, stieltjes_integral,
@@ -17,14 +18,13 @@ def make_singleton(a: int, q: int, k: int) -> PowerFareySystem:
     """A one-point system (used by the closed-form cross-checks)."""
     return PowerFareySystem(Q=q, k=k, mode="full",
                             numerators=np.array([a], dtype=np.int64),
-                            bases=np.array([q], dtype=np.int64),
                             moduli=np.array([q ** k], dtype=np.int64))
 
 
 def test_enumerate_examples():
     s = enumerate_system(2, 2, "dyadic")
     assert s.size == 14
-    assert np.sum(s.bases == 3) == 6 and np.sum(s.bases == 4) == 8
+    assert np.sum(s.moduli == 9) == 6 and np.sum(s.moduli == 16) == 8
 
     s = enumerate_system(2, 2, "full")
     assert int_points(s) == [(1, 4), (3, 4)]
@@ -48,8 +48,7 @@ def test_enumerate_matches_brute_force(mode):
     for Q in range(1, 5):
         for k in (2, 3):
             s = enumerate_system(Q, k, mode)
-            got = list(zip(s.numerators.tolist(), s.bases.tolist()))
-            assert got == brute_enumerate(Q, k, mode)
+            assert int_points(s) == [(a, q ** k) for a, q in brute_enumerate(Q, k, mode)]
 
 
 def test_enumerate_validation():
@@ -68,19 +67,34 @@ def test_point_budget_is_the_exact_size(monkeypatch):
         qs = range(1, Q + 1) if mode == "full" else range(Q + 1, 2 * Q + 1)
         size = sum(totient(q) * q ** (k - 1) for q in qs if q > 1)
         monkeypatch.setattr(farey, "POINT_BUDGET", size)
-        assert enumerate_system(Q, k, mode).size == size
+        assert enumerate_system(Q, k, mode).size == farey.budgeted_size(Q, k, mode) == size
         monkeypatch.setattr(farey, "POINT_BUDGET", size - 1)
         with pytest.raises(CapacityError):
             enumerate_system(Q, k, mode)
+        with pytest.raises(CapacityError, match=f"above the budget of {size - 1}"):
+            farey.budgeted_size(Q, k, mode)
+
+
+@pytest.mark.parametrize("mode", ["full", "dyadic"])
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_system_point_is_the_enumerated_point(mode, k):
+    # every index of systems from empty up to 32702 points (Q = 6, k = 4 dyadic);
+    # q^k determines q, so the pairs compare through the moduli
+    for Q in range(1, 7 if (k, mode) == (4, "dyadic") else 6):
+        s = enumerate_system(Q, k, mode)
+        got = [system_point(Q, k, mode, i) for i in range(s.size)]
+        assert [(a, q ** k) for a, q in got] == int_points(s), (Q, k, mode)
+        for idx in (-1, s.size):
+            with pytest.raises(IndexError):
+                system_point(Q, k, mode, idx)
 
 
 def test_count_near_examples():
     s = enumerate_system(2, 2, "dyadic")
-    assert count_near(s, Fraction(1, 9), 0) == 1
-    assert count_near(s, Fraction(5, 16), 1) == s.size
+    assert count_near(2, 2, "dyadic", Fraction(1, 9), 0) == 1
+    assert count_near(2, 2, "dyadic", Fraction(5, 16), 1) == s.size
 
-    full = enumerate_system(2, 2, "full")
-    assert count_near(full, Fraction(1, 4), 0.5) == 2  # the boundary point counts
+    assert count_near(2, 2, "full", Fraction(1, 4), 0.5) == 2  # the boundary point counts
 
 
 def test_count_near_monotone_and_member_floor():
@@ -94,13 +108,13 @@ def test_count_near_monotone_and_member_floor():
             continue
         idx = int(rng.integers(0, s.size))
         center = Fraction(int(s.numerators[idx]), int(s.moduli[idx]))
-        assert count_near(s, center, 0) >= 1
+        assert count_near(Q, k, mode, center, 0) >= 1
         last = -1
         for x in sorted(rng.uniform(0, 1.2, size=8)):
-            c = count_near(s, center, float(x))
+            c = count_near(Q, k, mode, center, float(x))
             assert c >= last
             last = c
-        assert count_near(s, center, 1) == s.size
+        assert count_near(Q, k, mode, center, 1) == s.size
 
 
 # Corners of Q <= 12, k <= 4 in both modes, up to 33824 points: the Fraction
@@ -119,7 +133,7 @@ def test_count_near_matches_fraction_oracle():
         s = enumerate_system(Q, k, mode)
         center = Fraction(int(rng.integers(0, 50)), int(rng.integers(1, 50)))
         x = Fraction(int(rng.integers(0, 30)), int(rng.integers(1, 100)))
-        assert count_near(s, center, x) == brute_count_near(int_points(s), center, x)
+        assert count_near(Q, k, mode, center, x) == brute_count_near(int_points(s), center, x)
 
     tiny = Fraction(1, 10 ** 30)
     for Q, k, mode in EDGE_SYSTEMS:
@@ -142,20 +156,20 @@ def test_count_near_matches_fraction_oracle():
                 queries += [(center, x), (center, max(x - tiny, 0))]
             queries.append((member, 0))
         for center, x in queries:
-            got = count_near(s, center, x)
+            got = count_near(Q, k, mode, center, x)
             assert got == brute_count_near(pts, center, Fraction(x)), (Q, k, mode, center, x)
 
 
 def test_is_member_matches_enumeration():
     for Q, k, mode in EDGE_SYSTEMS:
         s = enumerate_system(Q, k, mode)
-        members = set(zip(s.numerators.tolist(), s.bases.tolist()))
+        members = set(int_points(s))
         # every base of the system, one below the lowest and one above the top
         lowest = 2 if mode == "full" else Q + 1
         top = Q if mode == "full" else 2 * Q
         for r in range(lowest - 1, top + 2):
             for b in range(-1, r ** k + 1):
-                assert s.is_member(b, r) == ((b, r) in members), (Q, k, mode, b, r)
+                assert is_member(Q, k, mode, b, r) == ((b, r ** k) in members), (Q, k, mode, b, r)
 
 
 def test_stieltjes_examples():
@@ -176,7 +190,7 @@ def _quadrature_oracle(system, center: Fraction, N: int) -> float:
     jumps = sorted({float(abs(Fraction(a, qk) - center))
                     for a, qk in int_points(system)})
     inner = [x for x in jumps if 1.0 / N < x < 0.5]
-    value, err = quad(lambda x: count_near(system, center, x) / x ** 2,
+    value, err = quad(lambda x: count_near(system.Q, system.k, system.mode, center, x) / x ** 2,
                       1.0 / N, 0.5, points=inner, limit=10 * (len(inner) + 10))
     return value
 
@@ -230,7 +244,7 @@ def test_counting_rhs_matches_per_center_integrals():
     for Q, k, mode in [(2, 2, "full"), (2, 2, "dyadic"), (3, 3, "dyadic"), (4, 2, "full")]:
         s = enumerate_system(Q, k, mode)
         for N in (4, 64):
-            want = 4.0 * sum(q ** k for q in set(s.bases.tolist())) + max(
+            want = 4.0 * sum(set(s.moduli.tolist())) + max(
                 stieltjes_integral(s, Fraction(a, qk), N) for a, qk in int_points(s))
             assert counting_rhs(s, N) == pytest.approx(want, rel=1e-12)
 

@@ -1,15 +1,18 @@
 """The names the benchmark's traced run (perfbench/run.py --trace 1) reaches
 into the package by.  The tracer patches functions by module and attribute,
-and the kernel probe calls the scalar kernels directly, so a rename in the
-package breaks the traced run; these tests read perfbench/ without importing
-or changing it."""
+and the kernel probe calls the kernels directly on an enumerated system's
+arrays, so a rename in the package breaks the traced run; these tests read
+perfbench/ without importing or changing it."""
 
 import ast
 import importlib
 import math
 from pathlib import Path
 
+import numpy as np
+
 from sieve_lab import kernels
+from sieve_lab.farey import enumerate_system
 
 TRACING_PY = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -38,3 +41,11 @@ def test_probe_scalar_kernels_return_complex():
            kernels.weyl_float(math.pi % 1.0, 2, 4096, 8192)]
     for value in got:
         assert type(value) is complex and abs(value) <= 4096
+
+
+def test_probe_system_has_the_fields_it_reads():
+    # probe_kernels passes .numerators and .moduli to the kernels, and the
+    # tracer counts an enumerate_system span's points by .size
+    system = enumerate_system(8, 3, "dyadic")
+    assert system.numerators.dtype == system.moduli.dtype == np.int64
+    assert system.size == system.numerators.shape[0] == system.moduli.shape[0] > 0
