@@ -184,18 +184,22 @@ def count_near(Q: int, k: int, mode: Mode, center: Fraction, x) -> int:
 
     Per base q these are the units a mod q^k in [L, U] = [ceil(q^k (c - x)),
     floor(q^k (c + x))] clipped to [1, q^k - 1], counted as the sum over
-    squarefree d | q of mu(d) * (floor(U/d) - floor((L-1)/d)); the bounds are
-    exact rationals, so the count is exact.
+    squarefree d | q of mu(d) * (floor(U/d) - floor((L-1)/d)); c - x and c + x
+    are taken as integer numerators over one common denominator, so L and U
+    are exact integer divisions and the count is exact.
     """
     if x < 0:
         raise ValueError("radius x must be >= 0")
     xr = _radius_as_fraction(x)
-    lo, hi = center - xr, center + xr
+    den = math.lcm(center.denominator, xr.denominator)
+    c_n = center.numerator * (den // center.denominator)
+    x_n = xr.numerator * (den // xr.denominator)
+    lo_n, hi_n = c_n - x_n, c_n + x_n
     count = 0
     for q in system_bases(Q, k, mode):
         qk = q ** k
-        first = max(math.ceil(qk * lo), 1)
-        last = min(math.floor(qk * hi), qk - 1)
+        first = max(-((-qk * lo_n) // den), 1)
+        last = min((qk * hi_n) // den, qk - 1)
         if first <= last:
             count += sum(mu * (last // d - (first - 1) // d)
                          for d, mu in squarefree_divisors_with_mu(q))

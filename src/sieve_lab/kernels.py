@@ -1,8 +1,9 @@
 """Hot numeric kernels in numpy: quadratic forms, autocorrelation, Weyl phase
 sums, the majorant transform sum and the pairwise counting integral.
 
-The quadratic form and the Weyl sums are batched: quadform_batch evaluates
-many coefficient vectors in one pass, weyl_rational_batch and
+The quadratic form and the Weyl sums are batched: quadform_batch, the one
+batch entry of the sieve quadratic form, evaluates a (B, N) array of
+coefficient vectors in one pass, weyl_rational_batch and
 weyl_float_batch one Weyl sum per phase coefficient over a shared range of q,
 and quadform, weyl_rational and weyl_float are their batches of one.
 
@@ -47,16 +48,19 @@ def quadform_batch(nums, mods, m_offs, vs):
     way one phase matrix, built from the exact integer residues a*r mod q^k,
     serves the whole batch through one matrix product per block of points.
     Memory per block is at most BLOCK_ELEMENTS for the phase matrix and for
-    the product, plus B x min(q^k, span) for the folded or placed rows.
+    the product, plus B x min(q^k, span) for the folded or placed rows.  A
+    batch of no rows gives an empty array.
     """
     vs = np.asarray(vs, dtype=np.complex128)
     m_offs = np.asarray(m_offs, dtype=np.int64)
     nb, n = vs.shape
     totals = np.zeros(nb)
+    if nb == 0:
+        return totals
     lo = int(m_offs.min())
     span = n + int(m_offs.max()) - lo
     placed = None
-    for qk in np.unique(mods).tolist():
+    for qk in sorted(set(mods.tolist())):
         sel = nums[mods == qk]
         if qk <= span:
             full = n - n % qk
@@ -69,7 +73,7 @@ def quadform_batch(nums, mods, m_offs, vs):
         else:
             if placed is None:
                 placed = np.zeros((nb, span), dtype=np.complex128)
-                for m in np.unique(m_offs).tolist():
+                for m in set(m_offs.tolist()):
                     same = m_offs == m
                     placed[same, m - lo:m - lo + n] = vs[same]
             w = placed

@@ -14,6 +14,10 @@ c(t) is a real integer, so T is real symmetric: its products use real FFTs
 and its top eigenvalue comes from a restarted Lanczos iteration.  The O(|F| N)
 brute-force sum over the enumerated points, kernels.autocorr, is the oracle.
 
+The quadratic form itself has one batch entry, kernels.quadform_batch, which
+the lemma1 command calls with one (B, N) coefficient array per chunk;
+sigma_exact is its batch of one for a CoefficientVector.
+
 Note on the enumerated range: the zero frequency (base q = 1, value 1, whose
 aligned term would add |sum v_n|^2) is never part of the system, so the
 measured constant is the best constant over the fractions with denominator
@@ -265,27 +269,11 @@ def dense_lambda_max(kernel: ToeplitzKernel) -> float:
     return float(np.linalg.eigvalsh(kernel.dense())[-1])
 
 
-def sigma_exact_batch(system: PowerFareySystem, vecs) -> np.ndarray:
-    """sigma_exact of each CoefficientVector in vecs (one common length N), as
-    an array: sum over points of |sum_n v_n e((a/q^k) n)|^2, n = M+1..M+N.
-
-    The batch is evaluated in one pass (kernels.quadform_batch): per modulus
-    q^k the coefficients are folded by residue class mod q^k, and one phase
-    matrix with exact integer phase reduction serves every vector.
-    """
-    vecs = list(vecs)
-    if len({vec.N for vec in vecs}) > 1:
-        raise ValueError("all vectors of a batch must have the same length")
-    if system.size == 0 or not vecs:
-        return np.zeros(len(vecs))
-    return kernels.quadform_batch(system.numerators, system.moduli,
-                                  [vec.M for vec in vecs],
-                                  np.stack([vec.values for vec in vecs]))
-
-
 def sigma_exact(system: PowerFareySystem, vec: CoefficientVector) -> float:
-    """The sieve quadratic form of one vector: sigma_exact_batch of [vec]."""
-    return float(sigma_exact_batch(system, [vec])[0])
+    """The sieve quadratic form of one vector, sum over points of
+    |sum_n v_n e((a/q^k) n)|^2 for n = M+1..M+N: kernels.quadform.  Batches go
+    to kernels.quadform_batch directly."""
+    return kernels.quadform(system.numerators, system.moduli, vec.M, vec.values)
 
 
 def measure_constant(Q: int, N: int, k: int, mode: Mode = "full",

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from sieve_lab import kernels
 from sieve_lab.errors import EigensolverError
 from sieve_lab.sieve import (INVARIANT_TOL, ITERATION_CAP_BASE, RESTART_LENGTH, START_SEED,
                              PowerResult)
@@ -104,6 +105,14 @@ def brute_sigma(points: list[tuple[int, int]], m_off: int,
             s += values[j] * cmath.exp(2j * cmath.pi * a * (m_off + 1 + j) / qk)
         total += abs(s) ** 2
     return total
+
+
+def quadform_of(system, vecs) -> np.ndarray:
+    """kernels.quadform_batch of CoefficientVectors of one length over the
+    system's points, in one call: the (offsets, (B, N) array) batch that the
+    lemma1 command evaluates."""
+    return kernels.quadform_batch(system.numerators, system.moduli, [vec.M for vec in vecs],
+                                  np.stack([vec.values for vec in vecs]))
 
 
 def brute_weyl_rational(num: int, den: int, k: int, q_lo: int, q_hi: int) -> complex:

@@ -17,11 +17,9 @@ from sieve_lab.bounds import crossover_analysis, fit_exponent
 from sieve_lab.expsums import fourier_majorant
 from sieve_lab.farey import count_near, counting_rhs, enumerate_system, system_point
 from sieve_lab.frozen import FROZEN_RATIOS
-from sieve_lab.sieve import (CoefficientVector, dense_lambda_max,
-                             power_iteration, sigma_exact_batch,
-                             toeplitz_kernel)
+from sieve_lab.sieve import CoefficientVector, dense_lambda_max, power_iteration, toeplitz_kernel
 
-from helpers import stieltjes_integral
+from helpers import quadform_of, stieltjes_integral
 from test_farey import _quadrature_oracle
 
 SEED = 0xC0FFEE
@@ -84,7 +82,7 @@ def _ensure_sigma_cache():
         vecs = [CoefficientVector(m_off, values)
                 for m_off, values in _cell_vectors(k, mode, Q, N)]
         stats = []
-        for vec, lhs in zip(vecs, sigma_exact_batch(system, vecs).tolist()):
+        for vec, lhs in zip(vecs, quadform_of(system, vecs).tolist()):
             stats.append((lhs, vec.norm_sq))
             if system.size == 0:
                 continue

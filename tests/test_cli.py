@@ -15,7 +15,7 @@ import pytest
 from sieve_lab import cli, expsums, farey, kernels, sieve
 from sieve_lab.bounds import SHAPE_NAMES
 from sieve_lab.farey import counting_rhs, enumerate_system
-from sieve_lab.sieve import CoefficientVector, sigma_exact, sigma_exact_batch
+from sieve_lab.sieve import CoefficientVector, sigma_exact
 from sieve_lab.errors import (EXIT_CAPACITY, EXIT_EIGENSOLVER, EXIT_INVALID_CONFIG, EXIT_OK,
                               EXIT_VERIFICATION, CapacityError, EigensolverError)
 
@@ -547,28 +547,34 @@ def test_lemma1_runs_clean(tmp_path, capsys):
 
 @pytest.mark.parametrize("block", [None, 448])
 def test_lemma1_matches_per_vector_reference(tmp_path, monkeypatch, block):
-    """The batched lemma1 cells see the same draws, in order and in chunks of
-    at most max(1, BLOCK_ELEMENTS // N) vectors, and give the same max_ratio
-    and violations as a loop of single sigma_exact calls; block 448 splits
-    the N=64 cells into chunks of 7 vectors."""
+    """The lemma1 cells hand kernels.quadform_batch the same draws, in order
+    and in chunks of at most max(1, BLOCK_ELEMENTS // N) vectors, and give the
+    same max_ratio and violations as a loop of single sigma_exact calls;
+    block 448 splits the N=64 cells into chunks of 7 vectors."""
     if block is not None:
         monkeypatch.setattr(kernels, "BLOCK_ELEMENTS", block)
-    seen = {}
+    quadform_batch = kernels.quadform_batch
+    calls = []
 
-    def recording(system, vecs):
-        key = (system.k, system.Q, vecs[0].N)
-        assert len(vecs) <= max(1, kernels.BLOCK_ELEMENTS // vecs[0].N)
-        seen.setdefault(key, []).extend(vecs)
-        return sigma_exact_batch(system, vecs)
+    def recording(nums, mods, m_offs, vs):
+        assert vs.shape[0] <= max(1, kernels.BLOCK_ELEMENTS // vs.shape[1])
+        calls.append((nums, mods, m_offs.copy(), vs.copy()))
+        return quadform_batch(nums, mods, m_offs, vs)
 
-    monkeypatch.setattr(cli, "sigma_exact_batch", recording)
     seed, vectors = 5, 25
     for mode_idx, mode in enumerate(("full", "dyadic")):
-        seen.clear()
+        calls.clear()
         args = ["lemma1", "--Q", "1..3", "--N", "16,64", "--k", "2,3", "--mode", mode,
                 "--vectors", str(vectors), "--seed", str(seed), "--format", "json"]
-        code, raw = run_cli(args, tmp_path, f"{mode}.json")
+        with monkeypatch.context() as patch:
+            patch.setattr(kernels, "quadform_batch", recording)
+            code, raw = run_cli(args, tmp_path, f"{mode}.json")
         assert code == EXIT_OK
+        # each cell's draws, keyed by its system's points and N
+        seen = {}
+        for nums, mods, m_offs, vs in calls:
+            key = (nums.tobytes(), mods.tobytes(), vs.shape[1])
+            seen.setdefault(key, []).extend(zip(m_offs.tolist(), vs))
         rows = json.loads(raw)
         assert len(rows) == 12
         for row in rows:
@@ -579,13 +585,13 @@ def test_lemma1_matches_per_vector_reference(tmp_path, monkeypatch, block):
                 continue
             rhs_unit = counting_rhs(system, N)
             rng = np.random.default_rng([seed, k, Q, N, mode_idx])
-            batched = seen[(k, Q, N)]
+            batched = seen.pop((system.numerators.tobytes(), system.moduli.tobytes(), N))
             assert len(batched) == vectors
             max_ratio, violations = 0.0, 0
-            for got in batched:
+            for got_m, got_v in batched:
                 m_off = int(rng.integers(-64, 65))
                 v = rng.standard_normal(N) + 1j * rng.standard_normal(N)
-                assert got.M == m_off and np.array_equal(got.values, v)
+                assert got_m == m_off and np.array_equal(got_v, v)
                 vec = CoefficientVector(m_off, v)
                 lhs = sigma_exact(system, vec)
                 rhs = rhs_unit * vec.norm_sq
@@ -593,6 +599,7 @@ def test_lemma1_matches_per_vector_reference(tmp_path, monkeypatch, block):
                 violations += lhs > rhs * (1.0 + cli.REL_SLACK)
             assert row["max_ratio"] == pytest.approx(max_ratio, rel=1e-12)
             assert row["violations"] == violations
+        assert not seen
 
 
 def test_weyl_rows_and_determinism(tmp_path):

@@ -8,10 +8,10 @@ from sieve_lab import farey
 from sieve_lab.errors import CapacityError
 from sieve_lab.farey import (PowerFareySystem, count_near, counting_rhs, enumerate_system,
                              is_member, system_point)
-from sieve_lab.sieve import CoefficientVector, sigma_exact_batch
+from sieve_lab.sieve import CoefficientVector
 
-from helpers import (brute_count_near, brute_enumerate, int_points, stieltjes_integral,
-                     totient)
+from helpers import (brute_count_near, brute_enumerate, int_points, quadform_of,
+                     stieltjes_integral, totient)
 
 
 def make_singleton(a: int, q: int, k: int) -> PowerFareySystem:
@@ -155,6 +155,14 @@ def test_count_near_matches_fraction_oracle():
                 x = abs(Fraction(b, rk) - center)
                 queries += [(center, x), (center, max(x - tiny, 0))]
             queries.append((member, 0))
+            # centers at the first and last points: every other point lies on
+            # one side, at most their distance away
+            first, last = Fraction(*pts[0]), Fraction(*pts[-1])
+            spread = last - first
+            for center in (first, last):
+                queries += [(center, 0), (center, 2), (center, spread),
+                            (center, max(spread - tiny, 0)), (center, spread / 2),
+                            (center, 2.0 ** 61), (center, 1e300), (center, 1 << 70)]
         for center, x in queries:
             got = count_near(Q, k, mode, center, x)
             assert got == brute_count_near(pts, center, Fraction(x)), (Q, k, mode, center, x)
@@ -261,6 +269,6 @@ def test_counting_inequality_end_to_end():
                     for _ in range(100):
                         v = rng.standard_normal(N) + 1j * rng.standard_normal(N)
                         vecs.append(CoefficientVector(int(rng.integers(-20, 21)), v))
-                    for vec, lhs in zip(vecs, sigma_exact_batch(s, vecs)):
+                    for vec, lhs in zip(vecs, quadform_of(s, vecs)):
                         rhs = rhs_unit * vec.norm_sq
                         assert lhs <= rhs * (1 + 1e-9)

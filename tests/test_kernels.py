@@ -65,6 +65,18 @@ def test_quadform_batch_over_several_blocks(system, monkeypatch):
         assert blocked[b] == pytest.approx(whole[b], rel=1e-12)
 
 
+def test_quadform_batch_shapes():
+    s = enumerate_system(2, 2, "dyadic")
+    none = kernels.quadform_batch(s.numerators, s.moduli, np.zeros(0, dtype=np.int64),
+                                  np.zeros((0, 4), dtype=np.complex128))
+    assert none.shape == (0,)
+    empty = enumerate_system(1, 2, "full")
+    assert empty.size == 0
+    rng = np.random.default_rng(1)
+    vs = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
+    assert kernels.quadform_batch(empty.numerators, empty.moduli, [0, 0], vs).tolist() == [0.0, 0.0]
+
+
 def test_weyl_float_matches_naive_at_small_sizes():
     # q**k stays tiny here, so the naive product-then-mod evaluation is accurate
     for alpha in (0.1234, 0.777, 1 / math.e):

@@ -8,10 +8,10 @@ from sieve_lab import kernels, sieve
 from sieve_lab.errors import CapacityError, EigensolverError
 from sieve_lab.farey import enumerate_system, system_size
 from sieve_lab.sieve import (CoefficientVector, ToeplitzKernel, dense_lambda_max,
-                             measure_constant, power_iteration, sigma_exact,
-                             sigma_exact_batch, toeplitz_kernel)
+                             measure_constant, power_iteration, sigma_exact, toeplitz_kernel)
 
-from helpers import brute_sigma, int_points, lanczos_every_step, rayleigh_quotient
+from helpers import (brute_sigma, int_points, lanczos_every_step, quadform_of,
+                     rayleigh_quotient)
 from test_farey import make_singleton
 
 GRID = [(Q, k, mode) for Q in (1, 2, 3, 4) for k in (2, 3)
@@ -63,17 +63,18 @@ def test_sigma_exact_is_batch_of_one():
             v = random_vec(n, int(rng.integers(1 << 30)), int(rng.integers(-30, 31)))
             single = sigma_exact(s, v)
             assert isinstance(single, float)
-            assert single == pytest.approx(sigma_exact_batch(s, [v])[0], rel=1e-12)
+            assert single == pytest.approx(quadform_of(s, [v])[0], rel=1e-12)
 
 
-def test_sigma_exact_batch_shapes():
-    s = enumerate_system(2, 2, "dyadic")
-    assert sigma_exact_batch(s, []).shape == (0,)
-    empty = enumerate_system(1, 2, "full")
-    assert empty.size == 0
-    assert sigma_exact_batch(empty, [random_vec(4, 1), random_vec(4, 2)]).tolist() == [0.0, 0.0]
-    with pytest.raises(ValueError):
-        sigma_exact_batch(s, [random_vec(4, 1), random_vec(5, 2)])
+@pytest.mark.parametrize("n", [1, 2, 7, 128, 129, 1000, 4096])
+@pytest.mark.parametrize("nb", [1, 3, 100])
+def test_batch_row_norms_equal_norm_sq(n, nb):
+    # the lemma1 command's row norms of a (B, N) batch, bit for bit the
+    # norm_sq of each row as a CoefficientVector
+    rng = np.random.default_rng([n, nb])
+    vs = rng.standard_normal((nb, n)) + 1j * rng.standard_normal((nb, n))
+    norms = np.sum(vs.real ** 2 + vs.imag ** 2, axis=1)
+    assert norms.tolist() == [CoefficientVector(m, v).norm_sq for m, v in enumerate(vs)]
 
 
 def test_kernel_c0_is_size_and_examples():

@@ -2,19 +2,37 @@
 into the package by.  The tracer patches functions by module and attribute,
 and the kernel probe calls the kernels directly on an enumerated system's
 arrays, so a rename in the package breaks the traced run; these tests read
-perfbench/ without importing or changing it."""
+perfbench/ without importing or changing it.  The last test keeps heavy
+imports out of the commands the benchmark times."""
 
 import ast
 import importlib
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from sieve_lab import kernels
 from sieve_lab.farey import enumerate_system
 
 TRACING_PY = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+SRC = Path(kernels.__file__).resolve().parents[1]
+# Modules no command may import: each one counts in every benchmark child's
+# setup_s and wall_s (scipy.linalg alone takes about 0.33 s).
+HEAVY_MODULES = ("scipy", "numpy.ma")
+# Runs the command in argv, then prints its exit code and the heavy modules
+# loaded at exit as the last line.
+_CHILD = f"""
+import sys
+from sieve_lab import cli
+code = cli.main(sys.argv[1:])
+print(code, sorted(m for m in sys.modules
+                   if any(m == h or m.startswith(h + ".") for h in {HEAVY_MODULES!r})))
+"""
 
 
 def _spans():
@@ -49,3 +67,19 @@ def test_probe_system_has_the_fields_it_reads():
     system = enumerate_system(8, 3, "dyadic")
     assert system.numerators.dtype == system.moduli.dtype == np.int64
     assert system.size == system.numerators.shape[0] == system.moduli.shape[0] > 0
+
+
+@pytest.mark.parametrize("args", [
+    "constant --Q 2 --N 4 --k 2",
+    "lemma1 --Q 2 --N 4 --k 2 --vectors 2",
+    "weyl --Q 4 --k 2 --samples 2",
+    "majorant --Q 2 --k 2 --samples 2",
+])
+def test_commands_import_no_heavy_module(tmp_path, args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _CHILD, *args.split(), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []", (args, proc.stdout)
