@@ -228,7 +228,7 @@ def fit_exponent(samples: Sequence[tuple[float, float]]) -> FitResult:
     if np.any(xs <= 0) or np.any(ys <= 0):
         raise ValueError("samples must be strictly positive")
     lx, ly = np.log(xs), np.log(ys)
-    if np.unique(lx).shape[0] < 2:
+    if len(set(lx.tolist())) < 2:
         raise ValueError("need at least 2 distinct x values")
     slope, intercept = np.polyfit(lx, ly, 1)
     resid = float(np.max(np.abs(ly - (slope * lx + intercept))))

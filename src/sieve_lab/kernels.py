@@ -7,9 +7,9 @@ coefficient vectors in one pass, weyl_rational_batch and
 weyl_float_batch one Weyl sum per phase coefficient over a shared range of q,
 and quadform, weyl_rational and weyl_float are their batches of one.
 
-All integer phase arithmetic stays inside int64: callers guarantee that every
-modulus is < 2**31 (see farey.MODULUS_CAP), so products of two reduced
-residues never exceed 2**62.
+All integer phase arithmetic stays inside int64: callers keep every modulus
+< 2**31 (see farey.MODULUS_CAP), so products of two reduced residues, and the
+majorant's term counts (see expsums.fourier_majorant), stay below 2**62.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ _SPLIT_BITS = 26
 _SPLIT = 1 << _SPLIT_BITS  # high/low split of a float phase for exact mod-1 reduction
 PI_SQ_OVER_4 = math.pi * math.pi / 4.0
 # Element budget of one dense numpy block: phase matrices, their products, the
-# majorant's a-ranges and the coefficient batches the lemma1 command evaluates
-# at once.
+# majorant's residue classes and the coefficient batches the lemma1 command
+# evaluates at once.
 BLOCK_ELEMENTS = 1 << 21
 # Most terms one row-blocked pass takes (row_blocks).  The Weyl tables are
 # hundreds to thousands of short rows, one per phase coefficient; passes of
@@ -96,7 +96,8 @@ def autocorr(nums, mods, n_len):
     """c[t] = sum_j e(a_j * t / qk_j) for t = 0..n_len-1, from exact residues."""
     out = np.zeros(n_len, dtype=np.complex128)
     ts = np.arange(n_len, dtype=np.int64)
-    for qk in np.unique(mods):
+    # np.int64 moduli, so 2j * np.pi / qk divides in numpy
+    for qk in map(np.int64, sorted(set(mods.tolist()))):
         sel = nums[mods == qk]
         tmod = ts % qk
         block = max(1, BLOCK_ELEMENTS // max(1, n_len))
@@ -171,29 +172,24 @@ def majorant_sum(b_red, rk, mods, bqs):
 
     bqs[j] is the truncation length for modulus mods[j] (1/(2*qk*x), rounded
     down by the caller so the transform provably dominates the exact count).
-    The a-sum uses the exact residue of a*b*qk mod rk and the triangular
-    weight (pi^2/4) * max(1 - |a|/B_q, 0), summed in blocks of at most
-    BLOCK_ELEMENTS terms.  The residue a*s0 mod rk, s0 = b*qk mod rk, repeats
-    with period P = rk / gcd(s0, rk) in a, so each block takes the cosine of
-    its first min(P, length) terms only and repeats those values; the residues
-    are the same integers, so every term is the same double.
+    Term a in 1..n = floor(B_q) has the weight (pi^2/4) * (1 - a/B_q) and the
+    cosine of the exact residue a*s0 mod rk, s0 = b*qk mod rk, which depends
+    only on a mod P, P = rk / gcd(s0, rk).  So each class j in 1..min(P, n)
+    of c_j = (n - j) // P + 1 terms takes one cosine and the weight sum
+    c_j - c_j*(j + P*(c_j - 1)/2) / B_q: min(P, n) <= rk cosines per modulus,
+    in blocks of at most BLOCK_ELEMENTS classes.  j*s0 < 2**62 as j <= P <= rk.
     """
-    total = 0.0
-    main = 0.0
+    total = main = 0.0
     for qk, bq in zip(mods.tolist(), bqs.tolist()):
         s0 = (b_red * (qk % rk)) % rk
         period = rk // math.gcd(s0, rk)
         n_a = int(bq)
         tail = 0.0
-        for start in range(1, n_a + 1, BLOCK_ELEMENTS):
-            a = np.arange(start, min(start + BLOCK_ELEMENTS, n_a + 1), dtype=np.int64)
-            r = (a[:period] * s0) % rk
-            cycle = np.cos(TWO_PI * (r / rk))
-            reps = -(-a.shape[0] // cycle.shape[0])
-            # term i takes the cosine of a[i % P]
-            cos = np.broadcast_to(cycle, (reps, cycle.shape[0])).reshape(-1)[:a.shape[0]]
-            w = np.maximum(1.0 - a * (1.0 / bq), 0.0)
-            tail += float(np.sum(w * cos))
+        for start in range(1, min(period, n_a) + 1, BLOCK_ELEMENTS):
+            j = np.arange(start, min(start + BLOCK_ELEMENTS, period + 1, n_a + 1), dtype=np.int64)
+            cnt = ((n_a - j) // period + 1).astype(np.float64)
+            w = cnt - cnt * (j + period * (cnt - 1.0) / 2.0) / bq
+            tail += float(np.sum(w * np.cos(TWO_PI * (((j * s0) % rk) / rk))))
         acc = 1.0 + 2.0 * tail
         total += PI_SQ_OVER_4 / bq * acc
         main += PI_SQ_OVER_4 / bq

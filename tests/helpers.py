@@ -137,6 +137,25 @@ def brute_majorant(b: int, rk: int, mods, bqs) -> tuple[float, float]:
     return value, main
 
 
+def per_term_majorant(b: int, rk: int, mods, bqs) -> tuple[float, float]:
+    """kernels.majorant_sum's value and main term, summed term by term: per
+    modulus one weight max(1 - a/B_q, 0) and one cosine of the residue
+    a*b*q^k mod r^k for every a in 1..floor(B_q), in numpy blocks of
+    kernels.BLOCK_ELEMENTS terms; the same cosine doubles as the kernel."""
+    total = main = 0.0
+    for qk, bq in zip(mods, bqs):
+        s0 = (b * (qk % rk)) % rk
+        tail = 0.0
+        for start in range(1, int(bq) + 1, kernels.BLOCK_ELEMENTS):
+            a = np.arange(start, min(start + kernels.BLOCK_ELEMENTS, int(bq) + 1),
+                          dtype=np.int64)
+            w = np.maximum(1.0 - a * (1.0 / bq), 0.0)
+            tail += float(np.sum(w * np.cos(kernels.TWO_PI * (((a * s0) % rk) / rk))))
+        total += kernels.PI_SQ_OVER_4 / bq * (1.0 + 2.0 * tail)
+        main += kernels.PI_SQ_OVER_4 / bq
+    return total, main
+
+
 def brute_min_sum(alpha, count: int, xy: float) -> float:
     """sum_{1 <= v <= count} min(xy/v, 1/||v*alpha||), term by term in a Python
     loop added left to right; ||v*alpha|| from exact integer residues for

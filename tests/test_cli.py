@@ -128,9 +128,10 @@ def test_capacity_exit_code(tmp_path):
     assert b"capacity-error" in raw
 
 
-# Every run_limited caller asserts the child took under 5 s; the timeout sits
-# a little above that, so a cap that stops failing fast fails its test with
-# TimeoutExpired instead of hanging it.
+# Every run_limited caller of a capacity check asserts the child took under
+# 5 s; the timeout sits a little above that, so a cap that stops failing fast
+# fails its test with TimeoutExpired instead of hanging it.  It also bounds
+# the one full run, the majorant at the point budget.
 CHILD_TIMEOUT_S = 10
 
 
@@ -178,6 +179,19 @@ def test_majorant_builds_no_point(tmp_path):
     assert code == EXIT_CAPACITY, text
     assert elapsed < 5.0
     assert "above the budget" in text
+
+
+def test_majorant_at_the_point_budget_in_time_and_memory(tmp_path):
+    # up to 1.2e8 transform terms a sample; summed by residue class, at most
+    # r^k <= 430^2 cosines per modulus, the run takes about 3.7 s on a 2-core
+    # VM, against 9.7 to 10.5 s with one cosine per term
+    code, text, elapsed = run_limited(["majorant", "--Q", "430", "--k", "2", "--samples", "42"],
+                                tmp_path)
+    assert code == EXIT_OK, text
+    assert elapsed < 7.0
+    rows = list(csv.DictReader(io.StringIO(text)))
+    assert len(rows) == 42
+    assert all(row["ok"] == "true" and row["status"] == "ok" for row in rows)
 
 
 def test_constant_needs_no_points(tmp_path):

@@ -1,6 +1,7 @@
 """The numpy kernels against direct plain-Python oracles (see helpers.py)."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ import pytest
 from sieve_lab import kernels
 from sieve_lab.farey import enumerate_system
 
-from helpers import brute_majorant, brute_sigma, brute_weyl_rational, int_points
+from helpers import (brute_majorant, brute_sigma, brute_weyl_rational, int_points,
+                     per_term_majorant)
 
 
 @pytest.fixture(scope="module")
@@ -100,20 +102,26 @@ def test_weyl_rational_matches_exact_residues(num, den, k, q_lo, q_hi):
     assert got == pytest.approx(brute_weyl_rational(num, den, k, q_lo, q_hi), abs=1e-9)
 
 
-def _majorant_every_cos(b, rk, mods, bqs):
-    """majorant_sum with one cosine per term (no period reuse), same blocks."""
-    total = main = 0.0
-    for qk, bq in zip(mods, bqs):
-        s0 = (b * (qk % rk)) % rk
-        tail = 0.0
-        for start in range(1, int(bq) + 1, kernels.BLOCK_ELEMENTS):
-            a = np.arange(start, min(start + kernels.BLOCK_ELEMENTS, int(bq) + 1),
-                          dtype=np.int64)
-            w = np.maximum(1.0 - a * (1.0 / bq), 0.0)
-            tail += float(np.sum(w * np.cos(kernels.TWO_PI * (((a * s0) % rk) / rk))))
-        total += kernels.PI_SQ_OVER_4 / bq * (1.0 + 2.0 * tail)
-        main += kernels.PI_SQ_OVER_4 / bq
-    return total, main
+# the unit roundoff of float64
+U = 2.0 ** -53
+
+
+def majorant_roundoff(bqs):
+    """8u times the absolute mass sum_q (pi^2/4)(1 + 2 floor(B_q))/B_q of a
+    majorant sum, every |weight * cosine| being at most 1.
+
+    The bound is fixed from u alone, before any run.  The class sums and the
+    per-term sum (helpers.per_term_majorant) take the same cosine doubles, one
+    expression of the same integer residue, so they differ only in rounding
+    the weights, the products and the additions.  To first order each rounds
+    every term or class a few times (at most 6 roundings of a value <= its
+    share of the mass) and adds them in numpy's pairwise order, whose error
+    grows like u*sqrt(log m) for m addends in practice (u*log m in the worst
+    case).  That puts each sum within 4u of the mass of the exact sum of the
+    same cosines, and the two within 8u.  On 3,300 random cases, s0 = 0 and
+    floor(B_q) up to 3e6 among them, the largest difference was 0.21 of it.
+    """
+    return 8 * U * sum(kernels.PI_SQ_OVER_4 * (1 + 2 * math.floor(bq)) / bq for bq in bqs)
 
 
 @pytest.mark.parametrize("b,rk,mods,bqs", [
@@ -123,17 +131,40 @@ def _majorant_every_cos(b, rk, mods, bqs):
     (3, 8, [4, 6], [50.5, 20.0]),                   # periods P = 2 and 4, far below n_a
     (1, 9, [9, 27, 18], [30.25, 3.0, 12.5]),        # q^k = 0 mod r^k: s0 = 0, P = 1
     (2, 9, [16], [40.5]),                           # P = 9, between patched block sizes
+    (2, 9, [16], [5.5]),                            # P = 9 > floor(B_q) = 5: one term a class
+    (2, 9, [16], [9.25]),                           # P = floor(B_q) = 9
+    (2, 9, [16, 25], [27.5, 18.0]),                 # P = 9 divides floor(B_q) = 27 and 18
+    (5, 2**31 - 1, [2**31 - 1, 3], [1000.5, 60.5]),  # r^k = 2^31 - 1: P = 1, then P = r^k
 ])
 def test_majorant_sum_matches_direct_sum(b, rk, mods, bqs, monkeypatch):
     want_value, want_main = brute_majorant(b, rk, mods, bqs)
-    # one block per modulus, then blocks of 7, 3 and 1 terms (below and above
-    # every period P here) with a shorter last one
+    # one block per modulus, then blocks of 7, 3 and 1 residue classes (below
+    # and above every period P here) with a shorter last one
     for block in (kernels.BLOCK_ELEMENTS, 7, 3, 1):
         monkeypatch.setattr(kernels, "BLOCK_ELEMENTS", block)
         value, main = kernels.majorant_sum(b, rk, np.array(mods, dtype=np.int64),
                                            np.array(bqs, dtype=np.float64))
         assert main == pytest.approx(want_main, rel=1e-13)
         assert value == pytest.approx(want_value, rel=1e-12, abs=1e-12 * want_main)
-        # the period reuse repeats the cosines of the same integer residues:
-        # the same doubles as one cosine per term
-        assert (value, main) == _majorant_every_cos(b, rk, mods, bqs)
+        # the class sums add the per-term sum's cosine doubles in another order
+        term_value, term_main = per_term_majorant(b, rk, mods, bqs)
+        assert main == term_main
+        assert abs(value - term_value) <= majorant_roundoff(bqs)
+
+
+# floor(B) near 2^40, and at 2^61, inside the int64 range that fourier_majorant's
+# cap on the shortest truncation leaves every floor(B_q)
+@pytest.mark.parametrize("bq", [2.0 ** 40 + 0.75, 2.0 ** 40 - 0.5, 3.0e12, 2.0 ** 61])
+def test_majorant_sum_one_class_matches_fractions(bq, monkeypatch):
+    # q^k = 0 mod r^k, so s0 = 0, P = 1 and every cosine is 1: the tail is the
+    # weight sum n - n(n+1)/(2B) over n = floor(B) terms, far beyond a per-term
+    # sum, taken here as one class and checked in exact rationals
+    n, exact_b = math.floor(bq), Fraction(bq)
+    tail = n - Fraction(n * (n + 1), 2) / exact_b
+    want = Fraction(kernels.PI_SQ_OVER_4) / exact_b * (1 + 2 * tail)
+    for block in (kernels.BLOCK_ELEMENTS, 1):
+        monkeypatch.setattr(kernels, "BLOCK_ELEMENTS", block)
+        value, main = kernels.majorant_sum(3, 49, np.array([49, 98], dtype=np.int64),
+                                           np.array([bq, bq], dtype=np.float64))
+        assert main == 2 * (kernels.PI_SQ_OVER_4 / bq)
+        assert abs(Fraction(value) - 2 * want) <= Fraction(majorant_roundoff([bq, bq]))

@@ -74,6 +74,9 @@ def test_probe_system_has_the_fields_it_reads():
     "lemma1 --Q 2 --N 4 --k 2 --vectors 2",
     "weyl --Q 4 --k 2 --samples 2",
     "majorant --Q 2 --k 2 --samples 2",
+    "constant --oracle --Q 2 --N 4 --k 2",
+    "fit --Q 2..4 --k 2",
+    "crossover --Q 4..6 --k 3 --points 4",
 ])
 def test_commands_import_no_heavy_module(tmp_path, args):
     env = dict(os.environ)
