@@ -43,12 +43,6 @@ ITERATION_CAP_BASE = 1000
 RESTART_LENGTH = 64
 # Lanczos steps between scheduled convergence tests (see power_iteration).
 RITZ_CHECK_EVERY = 4
-# A test whose Ritz estimate is within this factor of rel_tol also tests the
-# steps it skipped.  The estimate is not monotone in the step: in exact
-# arithmetic it can grow after a passing step by up to sqrt(lambda_1 / gap),
-# gap the distance from that step's top Ritz value down to lambda_2, so 1024
-# covers every relative gap above 1e-6.
-RITZ_NEAR = 1024
 # Largest estimated eigensolve footprint toeplitz_kernel accepts, in bytes:
 # the basis plus 16 more float64 N-vectors (c, the 2N embedding and its rfft,
 # the FFT temporaries of one product and the iteration vectors).  2 GiB admits
@@ -155,49 +149,28 @@ class PowerResult(NamedTuple):
     iterations: int
 
 
-def _ritz_stop(alpha: np.ndarray, beta: np.ndarray, j: int,
-               rel_tol: float) -> tuple[bool, bool, np.ndarray]:
-    """Convergence test at Lanczos step j, on the (j+1) x (j+1) tridiagonal
-    matrix: (stop, near, y), y its top Ritz vector.  stop: the Ritz estimate
-    beta_j |y_j| is below rel_tol times the top Ritz value theta, or beta_j
-    marks an invariant subspace.  near: the estimate is below
-    RITZ_NEAR * rel_tol * theta."""
-    s = j + 1
-    T = np.zeros((s, s))
-    T.flat[::s + 1] = alpha[:s]
-    T.flat[1::s + 1] = T.flat[s::s + 1] = beta[:j]
-    theta, Y = np.linalg.eigh(T)
-    y = Y[:, -1]
-    ritz = beta[j] * abs(y[j])
-    return (ritz < rel_tol * theta[-1] or beta[j] <= INVARIANT_TOL * theta[-1],
-            ritz < RITZ_NEAR * rel_tol * theta[-1], y)
-
-
 def power_iteration(kernel: ToeplitzKernel, rel_tol: float = 1e-8) -> PowerResult:
     """Largest eigenvalue of the PSD kernel by explicitly restarted Lanczos.
 
-    Each cycle builds a Krylov basis of at most RESTART_LENGTH vectors with
-    full (two-pass) reorthogonalisation and stops at the first step whose
-    test passes (_ritz_stop): the Ritz estimate beta_j |y_j| / theta of the
-    top Ritz pair is below rel_tol, or the basis spans an invariant subspace.
-    The test, a dense eigh of the growing tridiagonal matrix, costs more than
-    a product at small N, so it is scheduled only every RITZ_CHECK_EVERY
-    steps, at the cycle's last step, at the product cap and whenever beta_j
-    is small enough for the invariant-subspace stop.  A scheduled test that
-    passes, or whose estimate is within RITZ_NEAR of passing, then tests the
-    steps skipped since the previous test in order, and the cycle stops at
-    the first of them that passes.  So the stop step and its Ritz vector,
-    and with them value and residual, are those of a test after every step
-    (RITZ_NEAR states the condition).  The normalised top Ritz vector x is certified by one explicit
-    product: value = x*Tx (a Rayleigh quotient, never above lambda_max) and
-    residual = ||Tx - value x|| / value.  The result is returned only when
+    Each cycle runs the plain three-term recurrence for at most RESTART_LENGTH
+    steps, with no reorthogonalisation: only the top eigenvalue is wanted, and
+    a Lanczos basis loses orthogonality only along Ritz vectors that have
+    already converged (Paige 1980).  The convergence test, a dense eigh of the
+    growing tridiagonal matrix, costs more than a product at small N, so it is
+    scheduled only every RITZ_CHECK_EVERY steps, at the cycle's last step, at
+    the product cap and whenever beta_j is small enough for the
+    invariant-subspace stop.  The cycle stops at the first scheduled test that
+    passes: the Ritz estimate beta_j |y_j| / theta of the top Ritz pair is
+    below rel_tol, or beta_j marks an invariant subspace.  The normalised top
+    Ritz vector x is certified by one explicit product: value = x*Tx (a
+    Rayleigh quotient, never above lambda_max) and residual =
+    ||Tx - value x|| / value.  The result is returned only when
     residual < rel_tol; otherwise the next cycle restarts from x, reusing Tx
     as its first product.  The first cycle starts from a fixed-seed Gaussian
     vector, so the result is deterministic.  `iterations` counts every
-    product applied with T, including the up to RITZ_CHECK_EVERY - 1
-    products a cycle computes past its stop step.  Raises EigensolverError
-    with the last value and residual when the cap of 10N + 1000 products is
-    reached.  rel_tol must lie in (0, 1).
+    product applied with T.  Raises EigensolverError with the last value and
+    residual when the cap of 10N + 1000 products is reached.  rel_tol must
+    lie in (0, 1).
     """
     if not 0 < rel_tol < 1:
         raise ValueError(f"rel_tol must be in (0, 1), got {rel_tol!r}")
@@ -234,29 +207,24 @@ def power_iteration(kernel: ToeplitzKernel, rel_tol: float = 1e-8) -> PowerResul
                 last_value=value, last_residual=residual, iterations=matvecs)
         V[0] = x
         w = tx
-        tested = -1  # last step tested
         for j in range(m):
             if j > 0:
                 w = kernel.matvec(V[j])
                 matvecs += 1
-            alpha[j] = 0.0
-            for _ in range(2):  # full reorthogonalisation, two passes
-                h = V[:j + 1] @ w
-                w = w - h @ V[:j + 1]
-                alpha[j] += h[j]
+            alpha[j] = V[j] @ w
+            w = w - alpha[j] * V[j]
+            if j > 0:
+                w -= beta[j - 1] * V[j - 1]
             beta[j] = float(np.linalg.norm(w))
             last = j == m - 1 or matvecs >= cap - 1
             if last or (j + 1) % RITZ_CHECK_EVERY == 0 or beta[j] <= near_invariant:
-                stop, near, y = _ritz_stop(alpha, beta, j, rel_tol)
-                if stop or near or last:
-                    for i in range(tested + 1, j):  # the skipped steps, in order
-                        skipped_stop, _, y_i = _ritz_stop(alpha, beta, i, rel_tol)
-                        if skipped_stop:
-                            stop, j, y = True, i, y_i  # stop at step i instead
-                            break
-                if stop or last:
+                # top Ritz pair (theta[-1], y) of the (j+1) x (j+1) tridiagonal
+                theta, Y = np.linalg.eigh(np.diag(alpha[:j + 1]) + np.diag(beta[:j], 1)
+                                          + np.diag(beta[:j], -1))
+                y = Y[:, -1]
+                if (last or beta[j] * abs(y[j]) < rel_tol * theta[-1]
+                        or beta[j] <= INVARIANT_TOL * theta[-1]):
                     break
-                tested = j
             V[j + 1] = w / beta[j]
         x = y @ V[:j + 1]
         x /= np.linalg.norm(x)

@@ -250,9 +250,10 @@ def totient(n: int) -> int:
 
 
 def lanczos_every_step(kernel, rel_tol: float = 1e-8):
-    """sieve.power_iteration as it was with the convergence test (a dense eigh
-    of the tridiagonal matrix) after every Lanczos step: (PowerResult, number
-    of Lanczos cycles run)."""
+    """Independent reference for sieve.power_iteration: restarted Lanczos with
+    full two-pass reorthogonalisation and the convergence test (a dense eigh
+    of the tridiagonal matrix) after every step, from the same start, restart
+    and certificate: (PowerResult, number of Lanczos cycles run)."""
     if rel_tol <= 0:
         raise ValueError("rel_tol must be > 0")
     n = kernel.N

@@ -138,7 +138,7 @@ def test_lambda_max_matches_dense_on_grid():
             kern = toeplitz_kernel(Q, n, k, mode)
             fast = power_iteration(kern).value
             dense = dense_lambda_max(kern)
-            assert fast == pytest.approx(dense, rel=1e-6, abs=1e-12)
+            assert fast == pytest.approx(dense, rel=1e-11, abs=1e-12)
 
     # (Q, N, k) full: two k = 4 cells with dense values 3188 and 5236, and two
     # whose top eigenvalues are a near-degenerate even/odd pair (286.11 vs
@@ -171,14 +171,15 @@ def test_power_iteration_rejects_rel_tol_outside_unit_interval(rel_tol):
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_sparse_ritz_checks_match_every_step_loop(k, mode):
     # (2, 256, 4) dyadic is on this grid: its Ritz estimate passes at a skipped
-    # step and fails again at the next scheduled test, which only the
-    # RITZ_NEAR walk-back catches
+    # step and fails again at the next scheduled test, so its cycle runs on to
+    # a later stop than the reference's and takes the most extra products
     for Q in range(1, 9):
         for n in (2, 3, 4, 5, 16, 63, 64, 65, 256, 1000, 4096):
             kern = toeplitz_kernel(Q, n, k, mode)
             oracle, cycles = lanczos_every_step(kern)
             res = power_iteration(kern)
-            assert res.value == oracle.value and res.residual == oracle.residual, (Q, n)
+            assert abs(res.value - oracle.value) <= 1e-12 * oracle.value, (Q, n)
+            assert res.residual < 1e-8, (Q, n)
             extra = res.iterations - oracle.iterations
             assert 0 <= extra <= (sieve.RITZ_CHECK_EVERY - 1) * cycles, (Q, n)
 
@@ -200,13 +201,36 @@ def test_early_closing_krylov_spaces(name, monkeypatch):
         warnings.simplefilter("error")  # a division by beta_j = 0 would raise here
         oracle, _ = lanczos_every_step(kern)
         res = power_iteration(kern)
-        assert res == oracle
+        assert (res.value, res.iterations) == (oracle.value, oracle.iterations)
+        assert res.residual < 1e-14
         assert res.value == pytest.approx(delta, rel=1e-12)
         # a cap of 1000 products keeps the N = 4096 cell under a second
         monkeypatch.setattr(sieve, "ITERATION_CAP_BASE", 1000 - 10 * kern.N)
         with pytest.raises(EigensolverError) as info:
             power_iteration(kern, 1e-300)
     assert 0 < info.value.iterations <= 1000
+
+
+# Synthetic PSD kernels whose two top eigenvalues lie within 1e-5 relative
+# (3.3e-6 and 3.7e-7 here): cos(2 pi f t) with f near 1/4 carries the pair
+# (N +- |sum_n e(2 f n)|) / 2.  A weaker second frequency splits the pair
+# further in the rank-4 kernel; 0.1 * 0.9^t, itself PSD and of full rank,
+# keeps the Krylov space from closing after a few steps.
+CLUSTERED_TOP = {
+    "rank-4": lambda t: np.cos(2 * np.pi * (0.25 + 1e-9) * t)
+    + 0.3 * np.cos(2 * np.pi * 3.5 * t / 1024),
+    "full-rank": lambda t: np.cos(2 * np.pi * (0.25 + 1e-9) * t) + 0.1 * 0.9 ** t,
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLUSTERED_TOP))
+def test_clustered_top_pair(name):
+    kern = ToeplitzKernel(CLUSTERED_TOP[name](np.arange(1024)))
+    second, top = np.linalg.eigvalsh(kern.dense())[-2:]
+    assert (top - second) / top < 1e-5
+    res = power_iteration(kern, 1e-8)
+    assert res.residual < 1e-8
+    assert res.value == pytest.approx(top, rel=1e-8)
 
 
 def test_cap_between_scheduled_tests(monkeypatch):
