@@ -14,11 +14,11 @@ fills them with SCHEMA and the command name.
 COMMANDS is the one table from each command to its function, its help line
 and the options it reads with their defaults.  Each command takes only those
 options, plus --format, --out and --config; any other flag is a usage error
-(exit 2).  Three caps are checked before anything runs, each with exit 2: a
-range "a..b" of more than RANGE_CAP values, a k above K_CAP, and a run size
-above RUN_CAP, the run size being the product of the value counts of the Q, N
-and k ranges the command reads and of the vectors, samples and points options
-it reads.  A negative seed, and an --out that is neither '-' nor a file in an
+(exit 2).  Two caps are checked before anything runs, each with exit 2: a k
+above K_CAP, and a run size above RUN_CAP, the product of the value counts of
+the Q, N and k ranges the command reads and of the vectors, samples and points
+options it reads; a range "a..b" of more values is refused before it is built.
+A negative seed, and an --out that is neither '-' nor a file in an
 existing directory, are invalid too (exit 2).
 Config precedence: command-line flags override the --config file, which
 overrides the file named by SIEVE_LAB_CONFIG, which overrides the command's
@@ -51,8 +51,8 @@ from .bounds import BoundParams, SHAPE_NAMES, crossover_analysis, fit_exponent
 from .errors import (EXIT_CAPACITY, EXIT_EIGENSOLVER, EXIT_INVALID_CONFIG,
                      EXIT_OK, EXIT_VERIFICATION, CapacityError, EigensolverError)
 from .expsums import fourier_majorant
-from .farey import (budgeted_size, count_near, counting_rhs, enumerate_system, system_bases,
-                    system_point, system_size)
+from .farey import (budgeted_size, check_pair_budget, count_near, counting_rhs,
+                    enumerate_system, system_bases, system_point, system_size)
 # sigma_exact is unused here but stays importable from cli, where
 # perfbench/tracing.py wraps it.
 from .sieve import (dense_lambda_max, measure_constant, power_iteration,  # noqa: F401
@@ -61,13 +61,11 @@ from .sieve import (dense_lambda_max, measure_constant, power_iteration,  # noqa
 SCHEMA = "sieve-lab-1"
 DEFAULT_SEED = 0xC0FFEE
 ORACLE_N_CAP = 512
-# Most values one "a..b" range may hold; checked before the range is built.
-RANGE_CAP = 1 << 16
 # Largest k any command takes: above it Q^k is past the float range for every
 # Q >= 2, and exact powers such as 2^(k-1) or q^k would grow without bound.
 K_CAP = 1024
-# Largest run size: the product of the value counts of the ranges a command
-# reads (Q, N, k) and of the count options it reads (vectors, samples, points).
+# Largest run size, the product of the value counts of the ranges (Q, N, k) and
+# count options (vectors, samples, points) a command reads; it bounds each range.
 RUN_CAP = 1 << 14
 REL_SLACK = 1e-9
 
@@ -86,7 +84,7 @@ class RunConfig(SimpleNamespace):
 
 def parse_int_values(text: str, name: str) -> tuple[int, ...]:
     """Parse "a..b", "a", or comma lists of either into sorted distinct ints;
-    a range of more than RANGE_CAP values is invalid."""
+    a range of more than RUN_CAP values is invalid."""
     values: set[int] = set()
     for part in str(text).split(","):
         part = part.strip()
@@ -98,9 +96,9 @@ def parse_int_values(text: str, name: str) -> tuple[int, ...]:
                 lo, hi = int(lo_s), int(hi_s)
                 if hi < lo:
                     raise ConfigError(f"--{name}: empty range {part!r}")
-                if hi - lo >= RANGE_CAP:
+                if hi - lo >= RUN_CAP:
                     raise ConfigError(f"--{name}: range {part!r} has more than "
-                                      f"{RANGE_CAP} values")
+                                      f"{RUN_CAP} values")
                 values.update(range(lo, hi + 1))
             else:
                 values.add(int(part))
@@ -342,11 +340,12 @@ def cmd_lemma1(cfg: RunConfig) -> tuple[list[dict], list[str], int, list[str]]:
         k, Q, N = cell
         with _guarded({"Q": Q, "N": N, "k": k, "mode": cfg.mode, "seed": cfg.seed,
                       "vectors": cfg.vectors, "violations": 0}) as row:
-            system = enumerate_system(Q, k, cfg.mode)
-            row["size"] = system.size
-            if system.size == 0:
+            row["size"] = budgeted_size(Q, k, cfg.mode)
+            if row["size"] == 0:
                 row.update(max_ratio=0.0, detail="empty system: 0 <= 0")
                 return row
+            check_pair_budget(row["size"])  # before the points are built
+            system = enumerate_system(Q, k, cfg.mode)
             rhs_unit = counting_rhs(system, N)
             rng = np.random.default_rng([cfg.seed, k, Q, N, mode_idx])
             max_ratio = 0.0

@@ -15,10 +15,10 @@ np.remainder for floats, added left to right along each row, so each is the
 double a plain loop gives.
 
 The exact paths (Weyl sums and minimum sums) take rational denominators below
-2^31 only and raise CapacityError above.  Every Weyl and minimum sum raises
-CapacityError, before allocating, when it has more than TERM_BUDGET = 2^22
-terms.  A batch checks all its rows before its first pass, and
-check_weyl_row runs the checks of one Weyl-table row alone.
+2^31 only; _split alone raises CapacityError above.  Every Weyl and minimum sum
+raises CapacityError, before allocating, when it has more than TERM_BUDGET =
+2^22 terms.  A batch checks all its rows before its first pass, and
+check_weyl_table checks a whole Weyl table once per (k, Q) before any sum.
 """
 
 from __future__ import annotations
@@ -92,39 +92,32 @@ def _is_exact(alpha: Coeff) -> bool:
 
 
 def _check_q(Q: int) -> None:
+    """Q >= 1, and the Q terms of a Weyl sum and of its minimum sum in budget."""
     if Q < 1:
         raise ValueError(f"Q must be >= 1, got {Q}")
-
-
-def _check_weyl_sum(alpha: Coeff, k: int, Q: int) -> None:
-    """What weyl_sum raises for (alpha, k, Q), before any term is summed."""
-    _check_q(Q)
     _check_terms(Q)
-    if _is_exact(alpha):
-        _reduced(alpha)
-    elif (2 * Q) ** k >= _FLOAT_POWER_CAP:
+
+
+def _check_float_width(k: int, Q: int) -> None:
+    if (2 * Q) ** k >= _FLOAT_POWER_CAP:
         raise CapacityError(
             f"(2Q)^k = {(2 * Q) ** k} exceeds the float-path width (< 2^53)")
 
 
-def _check_min_terms(alpha: Coeff, count: int) -> None:
-    """What a minimum sum of count terms raises for alpha."""
-    _check_terms(count)
-    if _is_exact(alpha):
-        _reduced(alpha)
-
-
-def check_weyl_row(phase: MonomialPhase, Q: int, eps: float) -> None:
-    """Raise what weyl_sum(phase, Q) and then weyl_min_sum_bound(phase, Q, eps)
-    raise, without summing a term: the term budget, the denominator width, the
-    float-path width and the float range of Q^k and Q^(1+eps).
-
-    weyl_sums and weyl_min_sum_bounds sum one (k, Q) for all coefficients at
-    once, so a table checks every row with this first, in row order: its
-    first error is then the one a row-by-row table meets first."""
-    _check_weyl_sum(phase.alpha, phase.k, Q)
-    float_power(Q, phase.k)
-    float_power(Q, 1.0 + eps)
+def check_weyl_table(alphas: Sequence[Coeff], k_values: Sequence[int],
+                     q_values: Sequence[int], eps: float) -> None:
+    """Raise what weyl_sums and weyl_min_sum_bounds raise on the table's
+    cells, without summing.  By kind, each over every (k, Q) k-major: first Q,
+    the term budget and the float range of Q^k and Q^(1+eps); then the
+    denominators (one _split); then, with a float alpha, the float-path width."""
+    cells = [(k, Q) for k in k_values for Q in q_values]
+    for k, Q in cells:
+        _check_q(Q)
+        float_power(Q, k)
+        float_power(Q, 1.0 + eps)
+    if _split(alphas)[3]:
+        for k, Q in cells:
+            _check_float_width(k, Q)
 
 
 def _split(alphas: Sequence[Coeff]):
@@ -141,9 +134,10 @@ def weyl_sums(alphas: Sequence[Coeff], k: int, Q: int) -> np.ndarray:
     """weyl_sum of every coefficient at degree k, as a complex array: the
     rational ones through kernels.weyl_rational_batch, the float ones (reduced
     mod 1) through kernels.weyl_float_batch."""
-    for alpha in alphas:
-        _check_weyl_sum(alpha, k, Q)
+    _check_q(Q)
     exact, nums, dens, floats, values = _split(alphas)
+    if floats:
+        _check_float_width(k, Q)
     out = np.empty(len(alphas), dtype=np.complex128)
     out[exact] = kernels.weyl_rational_batch(nums, dens, k, Q, 2 * Q)
     out[floats] = kernels.weyl_float_batch([a % 1.0 for a in values.tolist()], k, Q, 2 * Q)
@@ -173,7 +167,7 @@ def _min_terms_sum(alphas: Sequence[Coeff], counts: Sequence[int],
                    xys: Sequence[float]) -> np.ndarray:
     """Per row j, sum_{1 <= v <= counts[j]} min(xys[j]/v, 1/||v*alphas[j]||),
     as a float array; a vanishing ||v*alpha|| picks the xy/v branch.  The
-    caller checks each row first (_check_min_terms).
+    caller checks each row's term count first, and _split the denominators.
 
     Rational alpha uses the exact int64 residues v*num mod den (den < 2^31, so
     v*num cannot overflow for count < 2^32); float alpha reduces v*alpha mod 1.
@@ -209,10 +203,10 @@ def min_sums(alphas: Sequence[Coeff], xs: Sequence[float],
              ys: Sequence[float]) -> np.ndarray:
     """min_sum of every row (alphas[j], xs[j], ys[j]), as a float array, each
     row checked in order before the first pass."""
-    for alpha, X, Y in zip(alphas, xs, ys):
+    for X, Y in zip(xs, ys):
         if X < 1 or Y < 1:
             raise ValueError("X and Y must be >= 1")
-        _check_min_terms(alpha, math.floor(X))
+        _check_terms(math.floor(X))
     return _min_terms_sum(alphas, [math.floor(X) for X in xs],
                           [float(X) * float(Y) for X, Y in zip(xs, ys)])
 
@@ -239,8 +233,6 @@ def weyl_min_sum_bounds(alphas: Sequence[Coeff], k: int, Q: int, eps: float) -> 
     delta = float(delta_exponent(k))
     qk = float_power(Q, k)
     scale = float_power(Q, 1.0 + eps)
-    for alpha in alphas:
-        _check_min_terms(alpha, Q)
     inner = _min_terms_sum(alphas, [Q] * len(alphas), [qk] * len(alphas))
     return [scale * (1.0 / Q + s / qk) ** delta for s in inner.tolist()]
 

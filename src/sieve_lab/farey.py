@@ -206,6 +206,13 @@ def count_near(Q: int, k: int, mode: Mode, center: Fraction, x) -> int:
     return count
 
 
+def check_pair_budget(size: int) -> None:
+    """Reject a counting scan over more than PAIR_BUDGET point pairs (CapacityError)."""
+    if size ** 2 > PAIR_BUDGET:
+        raise CapacityError(f"counting scan has {size ** 2} point pairs, "
+                            f"above the budget of {PAIR_BUDGET}")
+
+
 def counting_rhs(system: PowerFareySystem, N: int) -> float:
     """Right side of the well-spaced counting inequality per unit |v|^2:
     4 * sum of moduli + max over centers of the counting integral.
@@ -219,9 +226,7 @@ def counting_rhs(system: PowerFareySystem, N: int) -> float:
         raise ValueError(f"N must be >= 2, got {N}")
     if system.size == 0:
         return 0.0
-    if system.size ** 2 > PAIR_BUDGET:
-        raise CapacityError(f"counting scan has {system.size ** 2} point pairs, "
-                            f"above the budget of {PAIR_BUDGET}")
+    check_pair_budget(system.size)
     bases = system_bases(system.Q, system.k, system.mode)
     modulus_sum = 4.0 * float(sum(q ** system.k for q in bases))
     integral_max = kernels.pairwise_integral_max(system.numerators, system.moduli, N)

@@ -19,8 +19,8 @@ import numpy as np
 
 from .arith import dirichlet_approx
 from .bounds import BoundParams, evaluate_bounds
-from .expsums import (MonomialPhase, check_weyl_row, min_sum_bound, min_sums,
-                      weyl_min_sum_bounds, weyl_sums)
+from .expsums import (check_weyl_table, min_sum_bound, min_sums, weyl_min_sum_bounds,
+                      weyl_sums)
 # min_sum, weyl_min_sum_bound and weyl_sum are unused here (the tables call
 # their batch forms) but stay importable from regression, where
 # perfbench/tracing.py wraps them.
@@ -72,15 +72,11 @@ def weyl_ratio_rows(alphas: Sequence[tuple[str, Alpha]],
                     k_values: Sequence[int] = WEYL_K_VALUES,
                     eps: float = WEYL_EPS) -> list[dict]:
     """The `weyl` command's "weyl" table: one record per (alpha, k, Q) under
-    the cli.WEYL_COLUMNS names, |S| against weyl_min_sum_bound.  Every row is
-    checked first, alpha-major; then each (k, Q) is summed for all alphas at
-    once."""
-    for _, alpha in alphas:
-        for k in k_values:
-            phase = MonomialPhase(alpha, k)
-            for Q in q_values:
-                check_weyl_row(phase, Q, eps)
+    the cli.WEYL_COLUMNS names, |S| against weyl_min_sum_bound.  The whole
+    table is checked first (expsums.check_weyl_table); then each (k, Q) is
+    summed for all alphas at once."""
     coeffs = [alpha for _, alpha in alphas]
+    check_weyl_table(coeffs, k_values, q_values, eps)
     tables = {(k, Q): (weyl_sums(coeffs, k, Q).tolist(),
                        weyl_min_sum_bounds(coeffs, k, Q, eps))
               for k in k_values for Q in q_values}

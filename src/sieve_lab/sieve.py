@@ -166,7 +166,11 @@ def power_iteration(kernel: ToeplitzKernel, rel_tol: float = 1e-8) -> PowerResul
     Rayleigh quotient, never above lambda_max) and residual =
     ||Tx - value x|| / value.  The result is returned only when
     residual < rel_tol; otherwise the next cycle restarts from x, reusing Tx
-    as its first product.  The first cycle starts from a fixed-seed Gaussian
+    as its first product.  The residual bounds the distance from value to
+    *an* eigenvalue, not to lambda_max: when the top two eigenvalues are
+    closer than rel_tol, value can sit up to their gap below lambda_max (a
+    kernel with a 2.5e-8 relative top gap gives value 2.1e-8 below it, with
+    residual 9.2e-9 < 1e-8).  The first cycle starts from a fixed-seed Gaussian
     vector, so the result is deterministic.  `iterations` counts every
     product applied with T.  Raises EigensolverError with the last value and
     residual when the cap of 10N + 1000 products is reached.  rel_tol must

@@ -361,31 +361,39 @@ def test_range_cap_exit_code(tmp_path):
                                        "--k", "2"], tmp_path)
     assert code == EXIT_INVALID_CONFIG, text
     assert elapsed < 5.0
-    assert "more than 65536 values" in text
+    assert f"more than {cli.RUN_CAP} values" in text
 
 
 def test_range_cap_boundary():
-    assert cli.parse_int_values(f"1..{cli.RANGE_CAP}", "Q") == tuple(range(1, cli.RANGE_CAP + 1))
-    with pytest.raises(cli.ConfigError, match="more than"):
-        cli.parse_int_values(f"0..{cli.RANGE_CAP}", "Q")
+    # a range of more than RUN_CAP values could never pass the run-size cap
+    assert cli.parse_int_values(f"1..{cli.RUN_CAP}", "Q") == tuple(range(1, cli.RUN_CAP + 1))
+    with pytest.raises(cli.ConfigError, match=f"more than {cli.RUN_CAP} values"):
+        cli.parse_int_values(f"0..{cli.RUN_CAP}", "Q")
 
 
 def config_of(argv):
     return cli.build_config(cli.build_parser().parse_args(argv))
 
 
-@pytest.mark.parametrize("args", [
-    "constant --Q 1..65536 --N 1..65536 --k 2",     # 4.3e9 cells
-    "crossover --Q 4 --k 3 --points 1000000000",
-    "weyl --Q 4 --k 2 --samples 100000000",
-    "majorant --Q 2 --k 2 --samples 100000000",
-    "lemma1 --Q 2 --N 4 --k 2 --vectors 1000000000",
-])
-def test_run_cap_exit_code(args, tmp_path):
+RUN_SIZE_MESSAGE = f"is above {cli.RUN_CAP}"
+RUN_CAP_CASES = [
+    # 4.3e9 cells, but each range alone is already longer than the cap
+    ("constant --Q 1..65536 --N 1..65536 --k 2", f"has more than {cli.RUN_CAP} values"),
+    ("constant --Q 1..200 --N 1..200 --k 2", RUN_SIZE_MESSAGE),  # 40000 cells
+    ("crossover --Q 4 --k 3 --points 1000000000", RUN_SIZE_MESSAGE),
+    ("weyl --Q 4 --k 2 --samples 100000000", RUN_SIZE_MESSAGE),
+    ("majorant --Q 2 --k 2 --samples 100000000", RUN_SIZE_MESSAGE),
+    ("lemma1 --Q 2 --N 4 --k 2 --vectors 1000000000", RUN_SIZE_MESSAGE),
+]
+
+
+@pytest.mark.parametrize("args, message", [pytest.param(*case, id=case[0])
+                                           for case in RUN_CAP_CASES])
+def test_run_cap_exit_code(args, message, tmp_path):
     code, text, elapsed = run_limited(args.split(), tmp_path)
     assert code == EXIT_INVALID_CONFIG, text
     assert elapsed < 5.0
-    assert f"is above {cli.RUN_CAP}" in text
+    assert message in text
 
 
 def test_run_cap_boundary():
@@ -413,6 +421,24 @@ def test_k_cap_boundary():
     assert config_of(["constant", "--k", "2,1024"]).k == (2, 1024)
     with pytest.raises(cli.ConfigError, match="k values must be <= 1024"):
         config_of(["constant", "--k", "2,1025"])
+
+
+def test_lemma1_refuses_the_pair_budget_before_building_points(tmp_path):
+    # 15,244,946 points (244 MB of int64), far above the pair budget: the
+    # refusal needs only the size counted from the bases
+    out = tmp_path / "a.json"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "sieve_lab.cli", "lemma1", "--Q", "100", "--N", "4", "--k", "3",
+         "--format", "json", "--out", str(out)],
+        env=child_env(), stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == EXIT_CAPACITY
+    assert usage.ru_maxrss / 1024 < 128  # KiB on Linux
+    (rec,) = json.loads(out.read_text())
+    assert rec["status"] == "capacity-error" and rec["size"] == 15244946
+    assert rec["detail"] == (f"counting scan has {15244946 ** 2} point pairs, "
+                             f"above the budget of {farey.PAIR_BUDGET}")
 
 
 def test_pair_budget_exit_code(tmp_path):
@@ -531,7 +557,7 @@ def test_readme_exit_codes_list_each_cap():
     parts = re.split(r"^- `(\d)`", block, flags=re.M)
     assert parts[0] == "" and parts[1::2] == ["0", "2", "3", "4", "5"]
     bullets = dict(zip(parts[1::2], parts[2::2]))
-    caps = {"2": [(cli, "RANGE_CAP"), (cli, "K_CAP"), (cli, "RUN_CAP")],
+    caps = {"2": [(cli, "K_CAP"), (cli, "RUN_CAP")],
             "4": [(farey, "MODULUS_CAP"), (farey, "POINT_BUDGET"), (farey, "PAIR_BUDGET"),
                   (sieve, "EIGEN_BUDGET_BYTES"), (expsums, "TERM_BUDGET")]}
     for code, names in caps.items():

@@ -7,11 +7,11 @@ import pytest
 from sieve_lab import expsums, kernels
 from sieve_lab.arith import ApproxPair
 from sieve_lab.errors import CapacityError
-from sieve_lab.expsums import (MonomialPhase, check_weyl_row, fourier_majorant, min_sum,
+from sieve_lab.expsums import (MonomialPhase, check_weyl_table, fourier_majorant, min_sum,
                                min_sum_bound, min_sums, weyl_min_sum_bound,
                                weyl_min_sum_bounds, weyl_pair_bound, weyl_sum, weyl_sums)
 from sieve_lab.farey import count_near, enumerate_system, system_point
-from sieve_lab.regression import sample_alphas
+from sieve_lab.regression import sample_alphas, weyl_ratio_rows
 
 from helpers import brute_count_near, brute_min_sum, int_points, valid_pairs
 
@@ -157,7 +157,7 @@ def test_batches_equal_their_rows(monkeypatch):
                 assert bound == weyl_min_sum_bound(MonomialPhase(a, k), Q, 0.05), (a, k, Q)
 
 
-def test_check_weyl_row_raises_what_the_row_raises():
+def test_check_weyl_table_raises_what_the_row_raises():
     cases = [(Fraction(1, 2 ** 31), 2, 4, 0.05, "exact-path width"),
              (0.123, 4, 5000, 0.05, "float-path width"),
              (Fraction(1, 3), 200, 256, 0.05, "above the float range"),
@@ -166,11 +166,49 @@ def test_check_weyl_row_raises_what_the_row_raises():
     for alpha, k, Q, eps, message in cases:
         phase = MonomialPhase(alpha, k)
         with pytest.raises(CapacityError, match=message):
-            check_weyl_row(phase, Q, eps)
+            check_weyl_table([alpha], [k], [Q], eps)
         with pytest.raises(CapacityError, match=message):  # the row itself
             weyl_sum(phase, Q)
             weyl_min_sum_bound(phase, Q, eps)
-    check_weyl_row(MonomialPhase(0.123, 4), 4000, 0.05)
+    check_weyl_table([0.123], [4], [4000], 0.05)
+
+
+def _no_sums(*args):
+    raise AssertionError("a Weyl sum ran before the table was checked")
+
+
+def test_weyl_table_checks_the_last_denominator_before_summing(monkeypatch):
+    # every other alpha and (k, Q) fits, so only the last alpha's denominator
+    # can stop the table, and it must do so before the first sum
+    monkeypatch.setattr(kernels, "weyl_rational_batch", _no_sums)
+    monkeypatch.setattr(kernels, "weyl_float_batch", _no_sums)
+    alphas = sample_alphas() + [("1/2^31", Fraction(1, 2 ** 31))]
+    with pytest.raises(CapacityError, match="exact-path width"):
+        weyl_ratio_rows(alphas)
+
+
+# The documented kind order of check_weyl_table: Q, term budget and float
+# range over every (k, Q), then denominators, then the float-path width.
+@pytest.mark.parametrize("alphas, k_values, q_values, eps, message", [
+    pytest.param([0.5, Fraction(1, 2 ** 31)], [3], [262144], 0.05, "exact-path width",
+                 id="denominator-before-float-width"),
+    pytest.param([Fraction(1, 2 ** 31)], [2, 200], [256], 0.05, "above the float range",
+                 id="float-range-before-denominator"),
+    pytest.param([0.5], [3, 2], [262144, expsums.TERM_BUDGET + 1], 0.05, "above the budget",
+                 id="term-budget-before-float-width"),
+    pytest.param([0.5], [3, 2], [262144, 4], 1000.0, "above the float range",
+                 id="eps-power-before-float-width"),
+    pytest.param([Fraction(1, 3), 0.5], [2, 3, 4], [2 ** 20], 0.05,
+                 f"= {2 ** 63} exceeds the float-path width", id="first-float-width"),
+])
+def test_weyl_table_checks_by_kind(monkeypatch, alphas, k_values, q_values, eps, message):
+    monkeypatch.setattr(kernels, "weyl_rational_batch", _no_sums)
+    monkeypatch.setattr(kernels, "weyl_float_batch", _no_sums)
+    with pytest.raises(CapacityError, match=message):
+        check_weyl_table(alphas, k_values, q_values, eps)
+    labelled = [(str(a), a) for a in alphas]
+    with pytest.raises(CapacityError, match=message):
+        weyl_ratio_rows(labelled, q_values, k_values, eps)
 
 
 def test_min_sums_reject_wide_denominators():
