@@ -14,7 +14,6 @@ from .bounds import (
 from .errors import CapacityError, EigensolverError
 from .expsums import (
     MajorantResult,
-    MonomialPhase,
     fourier_majorant,
     min_sum,
     min_sum_bound,

@@ -23,7 +23,9 @@ exponent-level comparison the crossover claims are about.
 
 delta_exponent is the one definition of the paper's delta, the exponent that
 Wooley's efficient congruencing supplies; BoundParams, crossover_analysis and
-the two Weyl bound shapes in expsums all read it.
+the two Weyl bound shapes in expsums all read it.  It refuses a degree k < 2
+through check_degree, which BoundParams, crossover_analysis, the Weyl sums
+and their table check share.
 
 crossover_analysis is the one home of the crossover grid rule (N log-spaced
 over [Q^k, Q^(2k)], rounded to distinct integers): it builds the grid from
@@ -47,8 +49,15 @@ from .errors import CapacityError
 OVERFLOW_FLAG = 1e300
 
 
+def check_degree(k: int) -> None:
+    """Raise ValueError unless the degree k of the moduli q^k is >= 2."""
+    if k < 2:
+        raise ValueError(f"degree k must be >= 2, got {k}")
+
+
 def delta_exponent(k: int) -> Fraction:
-    """The paper's exponent delta = 1/(2k(k-1)) for the moduli q^k."""
+    """The paper's exponent delta = 1/(2k(k-1)) for the moduli q^k, k >= 2."""
+    check_degree(k)
     return Fraction(1, 2 * k * (k - 1))
 
 
@@ -66,8 +75,7 @@ class BoundParams:
             raise ValueError(f"Q must be >= 1, got {self.Q}")
         if self.N < 1:
             raise ValueError(f"N must be >= 1, got {self.N}")
-        if self.k < 2:
-            raise ValueError(f"k must be >= 2, got {self.k}")
+        check_degree(self.k)
         if self.eps < 0:
             raise ValueError(f"eps must be >= 0, got {self.eps}")
 
@@ -175,8 +183,7 @@ def crossover_analysis(k: int, q_values: Sequence[int], points: int,
     Q-column; for k = 2 no winning region is asserted and the report only
     records what happened.
     """
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
+    check_degree(k)
     if not q_values:
         raise ValueError("q_values must be nonempty")
     exponent = 2 * k - 2 + 2 * float(delta_exponent(k))

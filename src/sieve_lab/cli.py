@@ -358,7 +358,7 @@ def cmd_lemma1(cfg: RunConfig) -> tuple[list[dict], list[str], int, list[str]]:
                 for b in range(nb):
                     m_offs[b] = rng.integers(-64, 65)
                     vs[b] = rng.standard_normal(N) + 1j * rng.standard_normal(N)
-                lhs = kernels.quadform_batch(system.numerators, system.moduli, m_offs, vs)
+                lhs = kernels.quadform(system.numerators, system.moduli, m_offs, vs)
                 rhs = rhs_unit * np.sum(vs.real ** 2 + vs.imag ** 2, axis=1)
                 max_ratio = max(max_ratio, float(np.max(lhs / rhs)))
                 violations += int(np.count_nonzero(lhs > rhs * (1.0 + REL_SLACK)))

@@ -5,14 +5,14 @@ Rational phase coefficients are evaluated with exact modular arithmetic
 q^k gets; float coefficients go through a split reduction that keeps the
 mod-1 phase accurate to ~1e-13 at desk scale.
 
-Each sum has a batch form over many coefficients: weyl_sums,
-weyl_min_sum_bounds and min_sums compute one value per row in 2-D numpy
-passes of at most kernels.ROW_BLOCK_TERMS terms, and weyl_sum,
-weyl_min_sum_bound and min_sum are their batches of one, so a row's value is
-the same double in either form.  The minimum sums sum_v min(XY/v,
+Each sum has one function, over many coefficients at once: weyl_sum,
+weyl_min_sum_bound and min_sum compute one value per coefficient in 2-D numpy
+passes of at most kernels.ROW_BLOCK_TERMS terms, and a row's value is the same
+double whatever else is in the batch.  The minimum sums sum_v min(XY/v,
 1/||v alpha||) use exact int64 residues v * num mod den for rational alpha and
 np.remainder for floats, added left to right along each row, so each is the
-double a plain loop gives.
+double a plain loop gives.  The Weyl sums and bounds take degrees k >= 2
+only (bounds.check_degree).
 
 The exact paths (Weyl sums and minimum sums) take rational denominators below
 2^31 only; _split alone raises CapacityError above.  Every Weyl and minimum sum
@@ -32,7 +32,7 @@ import numpy as np
 
 from . import kernels
 from .arith import ApproxPair, float_power
-from .bounds import delta_exponent
+from .bounds import check_degree, delta_exponent
 from .errors import CapacityError
 from .farey import (MODULUS_CAP, Mode, _radius_as_fraction, is_member, system_bases,
                     system_size)
@@ -43,18 +43,6 @@ _FLOAT_POWER_CAP = 1 << 53  # q**k must stay exactly representable on the float 
 # Most terms one Weyl sum (q in (Q, 2Q]) or minimum sum (v <= X) takes; its
 # numpy temporaries need about 64 bytes a term, about 300 MB at the budget.
 TERM_BUDGET = 1 << 22
-
-
-@dataclass(frozen=True)
-class MonomialPhase:
-    """The phase q -> alpha * q**k of degree k >= 2."""
-
-    alpha: Coeff
-    k: int
-
-    def __post_init__(self):
-        if self.k < 2:
-            raise ValueError(f"degree k must be >= 2, got {self.k}")
 
 
 @dataclass(frozen=True)
@@ -91,8 +79,10 @@ def _is_exact(alpha: Coeff) -> bool:
     return isinstance(alpha, (int, Fraction))
 
 
-def _check_q(Q: int) -> None:
-    """Q >= 1, and the Q terms of a Weyl sum and of its minimum sum in budget."""
+def _check_cell(k: int, Q: int) -> None:
+    """k >= 2, Q >= 1, and the Q terms of a Weyl sum and of its minimum sum in
+    budget."""
+    check_degree(k)
     if Q < 1:
         raise ValueError(f"Q must be >= 1, got {Q}")
     _check_terms(Q)
@@ -106,13 +96,14 @@ def _check_float_width(k: int, Q: int) -> None:
 
 def check_weyl_table(alphas: Sequence[Coeff], k_values: Sequence[int],
                      q_values: Sequence[int], eps: float) -> None:
-    """Raise what weyl_sums and weyl_min_sum_bounds raise on the table's
-    cells, without summing.  By kind, each over every (k, Q) k-major: first Q,
-    the term budget and the float range of Q^k and Q^(1+eps); then the
-    denominators (one _split); then, with a float alpha, the float-path width."""
+    """Raise what weyl_sum and weyl_min_sum_bound raise on the table's cells,
+    without summing.  By kind, each over every (k, Q) k-major: first the
+    degree, Q, the term budget and the float range of Q^k and Q^(1+eps); then
+    the denominators (one _split); then, with a float alpha, the float-path
+    width."""
     cells = [(k, Q) for k in k_values for Q in q_values]
     for k, Q in cells:
-        _check_q(Q)
+        _check_cell(k, Q)
         float_power(Q, k)
         float_power(Q, 1.0 + eps)
     if _split(alphas)[3]:
@@ -130,11 +121,12 @@ def _split(alphas: Sequence[Coeff]):
     return exact, reduced[:, 0], reduced[:, 1], floats, values
 
 
-def weyl_sums(alphas: Sequence[Coeff], k: int, Q: int) -> np.ndarray:
-    """weyl_sum of every coefficient at degree k, as a complex array: the
-    rational ones through kernels.weyl_rational_batch, the float ones (reduced
-    mod 1) through kernels.weyl_float_batch."""
-    _check_q(Q)
+def weyl_sum(alphas: Sequence[Coeff], Q: int, k: int) -> np.ndarray:
+    """Per coefficient alpha, sum_{Q < q <= 2Q} e(alpha * q**k), phase-reduced
+    mod 1 before exponentiating, as a complex array: the rational ones through
+    kernels.weyl_rational_batch, the float ones through
+    kernels.weyl_float_batch.  Raises CapacityError above TERM_BUDGET terms."""
+    _check_cell(k, Q)
     exact, nums, dens, floats, values = _split(alphas)
     if floats:
         _check_float_width(k, Q)
@@ -144,20 +136,12 @@ def weyl_sums(alphas: Sequence[Coeff], k: int, Q: int) -> np.ndarray:
     return out
 
 
-def weyl_sum(phase: MonomialPhase, Q: int) -> complex:
-    """sum_{Q < q <= 2Q} e(alpha * q**k), phase-reduced mod 1 before exponentiating;
-    raises CapacityError above TERM_BUDGET terms."""
-    return complex(weyl_sums([phase.alpha], phase.k, Q)[0])
-
-
 def weyl_pair_bound(approx: ApproxPair, Q: int, k: int, eps: float) -> float:
     """Weyl-sum bound shape from an approximation pair:
     Q^(1+eps) * (1/v + 1/Q + v/Q^k)^delta, delta = 1/(2k(k-1)); raises
     CapacityError when Q^(1+eps) or Q^k is above the float range."""
     if Q < 1:
         raise ValueError(f"Q must be >= 1, got {Q}")
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
     delta = float(delta_exponent(k))
     v = approx.v
     return float_power(Q, 1.0 + eps) * (1.0 / v + 1.0 / Q + v / float_power(Q, k)) ** delta
@@ -199,22 +183,18 @@ def _min_terms_sum(alphas: Sequence[Coeff], counts: Sequence[int],
     return out
 
 
-def min_sums(alphas: Sequence[Coeff], xs: Sequence[float],
-             ys: Sequence[float]) -> np.ndarray:
-    """min_sum of every row (alphas[j], xs[j], ys[j]), as a float array, each
-    row checked in order before the first pass."""
+def min_sum(alphas: Sequence[Coeff], xs: Sequence[float],
+            ys: Sequence[float]) -> np.ndarray:
+    """Per row j, sum_{1 <= v <= X} min(X*Y/v, 1/||alpha*v||) with (alpha, X,
+    Y) = (alphas[j], xs[j], ys[j]), as a float array; a vanishing
+    ||alpha*v|| picks the X*Y/v branch.  Each row is checked in order before
+    the first pass."""
     for X, Y in zip(xs, ys):
         if X < 1 or Y < 1:
             raise ValueError("X and Y must be >= 1")
         _check_terms(math.floor(X))
     return _min_terms_sum(alphas, [math.floor(X) for X in xs],
                           [float(X) * float(Y) for X, Y in zip(xs, ys)])
-
-
-def min_sum(alpha: Coeff, X: float, Y: float) -> float:
-    """sum_{1 <= v <= X} min(X*Y/v, 1/||alpha*v||) with the convention that a
-    vanishing ||alpha*v|| picks the X*Y/v branch."""
-    return float(min_sums([alpha], [X], [Y])[0])
 
 
 def min_sum_bound(X: float, Y: float, approx: ApproxPair) -> float:
@@ -226,22 +206,17 @@ def min_sum_bound(X: float, Y: float, approx: ApproxPair) -> float:
     return xy * (1.0 / v + 1.0 / Y + v / xy) * math.log(2.0 * X * v)
 
 
-def weyl_min_sum_bounds(alphas: Sequence[Coeff], k: int, Q: int, eps: float) -> list[float]:
-    """weyl_min_sum_bound of every coefficient at degree k, the minimum sums
-    in passes over all coefficients at once."""
-    _check_q(Q)
+def weyl_min_sum_bound(alphas: Sequence[Coeff], Q: int, k: int, eps: float) -> list[float]:
+    """Per coefficient alpha, the Weyl-sum bound via the minimum sum:
+    Q^(1+eps) * (1/Q + Q^-k * sum_{v<=Q} min(Q^k/v, 1/||v*alpha||))^delta,
+    the minimum sums in passes over all coefficients at once; raises
+    CapacityError when Q^k or Q^(1+eps) is above the float range."""
+    _check_cell(k, Q)
     delta = float(delta_exponent(k))
     qk = float_power(Q, k)
     scale = float_power(Q, 1.0 + eps)
     inner = _min_terms_sum(alphas, [Q] * len(alphas), [qk] * len(alphas))
     return [scale * (1.0 / Q + s / qk) ** delta for s in inner.tolist()]
-
-
-def weyl_min_sum_bound(phase: MonomialPhase, Q: int, eps: float) -> float:
-    """Weyl-sum bound via the minimum sum:
-    Q^(1+eps) * (1/Q + Q^-k * sum_{v<=Q} min(Q^k/v, 1/||v*alpha||))^delta;
-    raises CapacityError when Q^k or Q^(1+eps) is above the float range."""
-    return weyl_min_sum_bounds([phase.alpha], phase.k, Q, eps)[0]
 
 
 def fourier_majorant(Q: int, k: int, mode: Mode, center_base: tuple[int, int],

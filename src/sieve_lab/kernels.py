@@ -1,11 +1,12 @@
 """Hot numeric kernels in numpy: quadratic forms, autocorrelation, Weyl phase
 sums, the majorant transform sum and the pairwise counting integral.
 
-The quadratic form and the Weyl sums are batched: quadform_batch, the one
-batch entry of the sieve quadratic form, evaluates a (B, N) array of
-coefficient vectors in one pass, weyl_rational_batch and
-weyl_float_batch one Weyl sum per phase coefficient over a shared range of q,
-and quadform, weyl_rational and weyl_float are their batches of one.
+The quadratic form and the Weyl sums are batched: quadform, the one entry of
+the sieve quadratic form, evaluates a (B, N) array of coefficient vectors in
+one pass (a 1-D vector with a scalar offset is a batch of one), and
+weyl_rational_batch and weyl_float_batch one Weyl sum per phase coefficient
+over a shared range of q; weyl_rational and weyl_float are their batches of
+one, which only the benchmark's kernel probe calls.
 
 All integer phase arithmetic stays inside int64: callers keep every modulus
 < 2**31 (see farey.MODULUS_CAP), so products of two reduced residues, and the
@@ -36,9 +37,10 @@ ROW_BLOCK_TERMS = 1 << 16
 ACTIVE_LANE = "numpy"
 
 
-def quadform_batch(nums, mods, m_offs, vs):
+def quadform(nums, mods, m_offs, vs):
     """Per row b of vs (shape (B, N)) with offset m_offs[b], the quadratic form
-    sum_j |sum_i vs[b, i] e(a_j * (m_offs[b]+1+i) / qk_j)|^2, as an array of B.
+    sum_j |sum_i vs[b, i] e(a_j * (m_offs[b]+1+i) / qk_j)|^2, as an array of B;
+    a 1-D vs with a scalar m_offs is a batch of one and gives its float.
 
     The phase of n depends only on n mod q^k, so per modulus each row folds
     into its residue sums w_r = sum_{n = r mod q^k} v_n and
@@ -51,8 +53,9 @@ def quadform_batch(nums, mods, m_offs, vs):
     the product, plus B x min(q^k, span) for the folded or placed rows.  A
     batch of no rows gives an empty array.
     """
-    vs = np.asarray(vs, dtype=np.complex128)
-    m_offs = np.asarray(m_offs, dtype=np.int64)
+    single = np.ndim(vs) == 1
+    vs = np.atleast_2d(np.asarray(vs, dtype=np.complex128))
+    m_offs = np.atleast_1d(np.asarray(m_offs, dtype=np.int64))
     nb, n = vs.shape
     totals = np.zeros(nb)
     if nb == 0:
@@ -84,12 +87,7 @@ def quadform_batch(nums, mods, m_offs, vs):
             e = np.exp((2j * np.pi / qk) * ((rows[:, None] * cols[None, :]) % qk))
             s = w @ e.T
             totals += np.sum(s.real * s.real + s.imag * s.imag, axis=1)
-    return totals
-
-
-def quadform(nums, mods, m_off, v):
-    """One vector v with offset m_off through quadform_batch, as a float."""
-    return float(quadform_batch(nums, mods, [m_off], np.asarray(v)[None])[0])
+    return float(totals[0]) if single else totals
 
 
 def autocorr(nums, mods, n_len):

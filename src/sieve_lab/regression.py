@@ -19,12 +19,7 @@ import numpy as np
 
 from .arith import dirichlet_approx
 from .bounds import BoundParams, evaluate_bounds
-from .expsums import (check_weyl_table, min_sum_bound, min_sums, weyl_min_sum_bounds,
-                      weyl_sums)
-# min_sum, weyl_min_sum_bound and weyl_sum are unused here (the tables call
-# their batch forms) but stay importable from regression, where
-# perfbench/tracing.py wraps them.
-from .expsums import min_sum, weyl_min_sum_bound, weyl_sum  # noqa: F401
+from .expsums import check_weyl_table, min_sum, min_sum_bound, weyl_min_sum_bound, weyl_sum
 from .sieve import measure_constant
 
 FROZEN_SEED = 0xC0FFEE
@@ -77,8 +72,8 @@ def weyl_ratio_rows(alphas: Sequence[tuple[str, Alpha]],
     summed for all alphas at once."""
     coeffs = [alpha for _, alpha in alphas]
     check_weyl_table(coeffs, k_values, q_values, eps)
-    tables = {(k, Q): (weyl_sums(coeffs, k, Q).tolist(),
-                       weyl_min_sum_bounds(coeffs, k, Q, eps))
+    tables = {(k, Q): (weyl_sum(coeffs, Q, k).tolist(),
+                       weyl_min_sum_bound(coeffs, Q, k, eps))
               for k in k_values for Q in q_values}
     rows = []
     for i, (label, _) in enumerate(alphas):
@@ -105,7 +100,7 @@ def min_sum_ratio_rows(alphas: Sequence[tuple[str, Alpha]],
     for _ in drawn:
         xs.append(float(rng.uniform(1.0, MIN_SUM_LIMIT)))
         ys.append(float(rng.uniform(1.0, MIN_SUM_LIMIT)))
-    values = min_sums([alpha for _, alpha in drawn], xs, ys).tolist()
+    values = min_sum([alpha for _, alpha in drawn], xs, ys).tolist()
     rows = []
     for (label, alpha), X, Y, value in zip(drawn, xs, ys, values):
         approx = dirichlet_approx(alpha, math.floor(X))

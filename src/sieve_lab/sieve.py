@@ -14,9 +14,9 @@ c(t) is a real integer, so T is real symmetric: its products use real FFTs
 and its top eigenvalue comes from a restarted Lanczos iteration.  The O(|F| N)
 brute-force sum over the enumerated points, kernels.autocorr, is the oracle.
 
-The quadratic form itself has one batch entry, kernels.quadform_batch, which
-the lemma1 command calls with one (B, N) coefficient array per chunk;
-sigma_exact is its batch of one for a CoefficientVector.
+The quadratic form itself has one entry, kernels.quadform, which the lemma1
+command calls with one (B, N) coefficient array per chunk and sigma_exact
+with the one vector of a CoefficientVector.
 
 Note on the enumerated range: the zero frequency (base q = 1, value 1, whose
 aligned term would add |sum v_n|^2) is never part of the system, so the
@@ -243,8 +243,8 @@ def dense_lambda_max(kernel: ToeplitzKernel) -> float:
 
 def sigma_exact(system: PowerFareySystem, vec: CoefficientVector) -> float:
     """The sieve quadratic form of one vector, sum over points of
-    |sum_n v_n e((a/q^k) n)|^2 for n = M+1..M+N: kernels.quadform.  Batches go
-    to kernels.quadform_batch directly."""
+    |sum_n v_n e((a/q^k) n)|^2 for n = M+1..M+N: kernels.quadform's batch of
+    one."""
     return kernels.quadform(system.numerators, system.moduli, vec.M, vec.values)
 
 

@@ -587,19 +587,19 @@ def test_lemma1_runs_clean(tmp_path, capsys):
 
 @pytest.mark.parametrize("block", [None, 448])
 def test_lemma1_matches_per_vector_reference(tmp_path, monkeypatch, block):
-    """The lemma1 cells hand kernels.quadform_batch the same draws, in order
+    """The lemma1 cells hand kernels.quadform the same draws, in order
     and in chunks of at most max(1, BLOCK_ELEMENTS // N) vectors, and give the
     same max_ratio and violations as a loop of single sigma_exact calls;
     block 448 splits the N=64 cells into chunks of 7 vectors."""
     if block is not None:
         monkeypatch.setattr(kernels, "BLOCK_ELEMENTS", block)
-    quadform_batch = kernels.quadform_batch
+    quadform = kernels.quadform
     calls = []
 
     def recording(nums, mods, m_offs, vs):
         assert vs.shape[0] <= max(1, kernels.BLOCK_ELEMENTS // vs.shape[1])
         calls.append((nums, mods, m_offs.copy(), vs.copy()))
-        return quadform_batch(nums, mods, m_offs, vs)
+        return quadform(nums, mods, m_offs, vs)
 
     seed, vectors = 5, 25
     for mode_idx, mode in enumerate(("full", "dyadic")):
@@ -607,7 +607,7 @@ def test_lemma1_matches_per_vector_reference(tmp_path, monkeypatch, block):
         args = ["lemma1", "--Q", "1..3", "--N", "16,64", "--k", "2,3", "--mode", mode,
                 "--vectors", str(vectors), "--seed", str(seed), "--format", "json"]
         with monkeypatch.context() as patch:
-            patch.setattr(kernels, "quadform_batch", recording)
+            patch.setattr(kernels, "quadform", recording)
             code, raw = run_cli(args, tmp_path, f"{mode}.json")
         assert code == EXIT_OK
         # each cell's draws, keyed by its system's points and N

@@ -7,9 +7,9 @@ import pytest
 from sieve_lab import expsums, kernels
 from sieve_lab.arith import ApproxPair
 from sieve_lab.errors import CapacityError
-from sieve_lab.expsums import (MonomialPhase, check_weyl_table, fourier_majorant, min_sum,
-                               min_sum_bound, min_sums, weyl_min_sum_bound,
-                               weyl_min_sum_bounds, weyl_pair_bound, weyl_sum, weyl_sums)
+from sieve_lab.bounds import BoundParams, delta_exponent
+from sieve_lab.expsums import (check_weyl_table, fourier_majorant, min_sum, min_sum_bound,
+                               weyl_min_sum_bound, weyl_pair_bound, weyl_sum)
 from sieve_lab.farey import count_near, enumerate_system, system_point
 from sieve_lab.regression import sample_alphas, weyl_ratio_rows
 
@@ -17,9 +17,9 @@ from helpers import brute_count_near, brute_min_sum, int_points, valid_pairs
 
 
 def test_weyl_sum_examples():
-    assert weyl_sum(MonomialPhase(0, 2), 5) == pytest.approx(5 + 0j, abs=1e-12)
-    assert weyl_sum(MonomialPhase(Fraction(1, 2), 2), 4) == pytest.approx(0j, abs=1e-12)
-    assert weyl_sum(MonomialPhase(Fraction(1, 4), 2), 2) == pytest.approx(1 + 1j, abs=1e-12)
+    assert weyl_sum([0], 5, 2)[0] == pytest.approx(5 + 0j, abs=1e-12)
+    assert weyl_sum([Fraction(1, 2)], 4, 2)[0] == pytest.approx(0j, abs=1e-12)
+    assert weyl_sum([Fraction(1, 4)], 2, 2)[0] == pytest.approx(1 + 1j, abs=1e-12)
 
 
 def test_weyl_sum_triangle_inequality():
@@ -31,32 +31,46 @@ def test_weyl_sum_triangle_inequality():
             alpha = Fraction(int(rng.integers(0, 100)), int(rng.integers(1, 100)))
         else:
             alpha = float(rng.uniform(0, 2))
-        assert abs(weyl_sum(MonomialPhase(alpha, k), Q)) <= Q * (1 + 1e-12)
+        assert abs(weyl_sum([alpha], Q, k)[0]) <= Q * (1 + 1e-12)
 
 
 def test_weyl_sum_alpha_periodicity():
     # rational path: identical reduced numerator, so exactly equal
-    a = weyl_sum(MonomialPhase(Fraction(3, 7), 2), 30)
-    b = weyl_sum(MonomialPhase(Fraction(3, 7) + 1, 2), 30)
+    a = weyl_sum([Fraction(3, 7)], 30, 2)[0]
+    b = weyl_sum([Fraction(3, 7) + 1], 30, 2)[0]
     assert a == b
     # float path: reduced mod 1 first
-    x = weyl_sum(MonomialPhase(0.3183098861837907, 3), 20)
-    y = weyl_sum(MonomialPhase(1.3183098861837907, 3), 20)
+    x = weyl_sum([0.3183098861837907], 20, 3)[0]
+    y = weyl_sum([1.3183098861837907], 20, 3)[0]
     assert x == pytest.approx(y, abs=1e-10)
 
 
 def test_weyl_sum_rational_vs_float_path():
     for num, den, k, Q in [(1, 7, 2, 16), (5, 13, 3, 9), (2, 9, 4, 5)]:
-        exact = weyl_sum(MonomialPhase(Fraction(num, den), k), Q)
-        floated = weyl_sum(MonomialPhase(num / den, k), Q)
+        exact = weyl_sum([Fraction(num, den)], Q, k)[0]
+        floated = weyl_sum([num / den], Q, k)[0]
         assert exact == pytest.approx(floated, abs=1e-8)
 
 
 def test_weyl_sum_capacity():
     with pytest.raises(CapacityError):
-        weyl_sum(MonomialPhase(Fraction(1, (1 << 31) + 1), 2), 4)
+        weyl_sum([Fraction(1, (1 << 31) + 1)], 4, 2)
     with pytest.raises(CapacityError):
-        weyl_sum(MonomialPhase(0.123, 4), 5000)  # (2Q)^4 tops 2^53
+        weyl_sum([0.123], 5000, 4)  # (2Q)^4 tops 2^53
+
+
+@pytest.mark.parametrize("k", [-1, 0, 1])
+def test_degrees_below_two_are_refused(k):
+    # k = -1 used to give delta = 1/4 and sum e(alpha) per row; k = 0 and 1
+    # divided by zero in delta_exponent
+    message = f"degree k must be >= 2, got {k}"
+    for call in (lambda: delta_exponent(k), lambda: BoundParams(4, 4, k),
+                 lambda: weyl_sum([Fraction(1, 3), 0.5], 4, k),
+                 lambda: weyl_min_sum_bound([Fraction(1, 3), 0.5], 4, k, 0.05),
+                 lambda: weyl_pair_bound(ApproxPair(0, 1, 0.0), 4, k, 0.05),
+                 lambda: check_weyl_table([Fraction(1, 3), 0.5], [2, k], [4], 0.05)):
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 def test_weyl_pair_bound_examples():
@@ -71,38 +85,36 @@ def test_weyl_pair_bound_examples():
 
 def test_weyl_bounds_reject_powers_above_the_float_range():
     # 256^200 = 2^1600; 256^128 = 2^1024 is the first power of 256 past the range
-    phase = MonomialPhase(Fraction(1, 3), 200)
     for Q, k in [(256, 200), (256, 128)]:
         with pytest.raises(CapacityError, match="above the float range"):
             weyl_pair_bound(ApproxPair(0, 1, 0.0), Q, k, 0.05)
         with pytest.raises(CapacityError, match="above the float range"):
-            weyl_min_sum_bound(MonomialPhase(phase.alpha, k), Q, 0.05)
+            weyl_min_sum_bound([Fraction(1, 3)], Q, k, 0.05)
     assert weyl_pair_bound(ApproxPair(0, 1, 0.0), 256, 127, 0.0) > 0
     # Q^(1+eps) = 4^1001 with Q^k = 16
     with pytest.raises(CapacityError, match=r"4\^1001.0 is above the float range"):
         weyl_pair_bound(ApproxPair(0, 1, 0.0), 4, 2, 1000.0)
     with pytest.raises(CapacityError, match=r"4\^1001.0 is above the float range"):
-        weyl_min_sum_bound(MonomialPhase(Fraction(1, 3), 2), 4, 1000.0)
+        weyl_min_sum_bound([Fraction(1, 3)], 4, 2, 1000.0)
 
 
 def test_weyl_min_sum_bound_examples():
-    assert weyl_min_sum_bound(MonomialPhase(0, 2), 2, 0.0) == pytest.approx(
+    assert weyl_min_sum_bound([0], 2, 2, 0.0)[0] == pytest.approx(
         2 * 2 ** 0.25, rel=1e-12)
-    assert weyl_min_sum_bound(MonomialPhase(Fraction(1, 2), 2), 1, 0.0) == pytest.approx(
+    assert weyl_min_sum_bound([Fraction(1, 2)], 1, 2, 0.0)[0] == pytest.approx(
         2 ** 0.25, rel=1e-12)
     rng = np.random.default_rng(5)
     for _ in range(20):
         alpha = float(rng.uniform(0, 1))
         k = int(rng.integers(2, 5))
-        assert weyl_min_sum_bound(MonomialPhase(alpha, k), 1, 0.0) >= 1.0 - 1e-12
+        assert weyl_min_sum_bound([alpha], 1, k, 0.0)[0] >= 1.0 - 1e-12
 
 
 def test_min_sum_examples():
-    assert min_sum(0, 2, 3) == pytest.approx(9.0, rel=1e-15)
-    assert min_sum(Fraction(1, 2), 2, 2) == pytest.approx(4.0, rel=1e-15)
-    assert min_sum(Fraction(1, 3), 3, 1) == pytest.approx(5.5, rel=1e-15)
+    assert min_sum([0, Fraction(1, 2), Fraction(1, 3)], [2, 2, 3], [3, 2, 1]).tolist() == \
+        pytest.approx([9.0, 4.0, 5.5], rel=1e-15)
     with pytest.raises(ValueError):
-        min_sum(0.5, 0.5, 2)
+        min_sum([0.5], [0.5], [2])
 
 
 # alphas past the sampled ones: integers, negatives, exact zero distances on
@@ -122,8 +134,8 @@ def test_min_sum_equals_the_term_by_term_loop():
     # terms in the loop's order
     for alpha in _oracle_alphas():
         for X, Y in MIN_SUM_XY:
-            assert min_sum(alpha, X, Y) == brute_min_sum(alpha, math.floor(X), X * Y), (
-                alpha, X, Y)
+            assert min_sum([alpha], [X], [Y])[0] == brute_min_sum(
+                alpha, math.floor(X), X * Y), (alpha, X, Y)
 
 
 def test_weyl_min_sum_bound_equals_the_term_by_term_loop():
@@ -134,27 +146,28 @@ def test_weyl_min_sum_bound_equals_the_term_by_term_loop():
             for Q in (1, 4, 64, 1024):
                 qk = float(Q) ** k
                 want = Q ** (1.0 + eps) * (1.0 / Q + brute_min_sum(alpha, Q, qk) / qk) ** delta
-                assert weyl_min_sum_bound(MonomialPhase(alpha, k), Q, eps) == want, (
+                assert weyl_min_sum_bound([alpha], Q, k, eps)[0] == want, (
                     alpha, k, Q)
 
 
 def test_batches_equal_their_rows(monkeypatch):
     # row-blocked passes over mixed rational and float rows give each row the
-    # double its batch of one gives, whatever the pass size
+    # double its batch of one gives, whatever the pass size and whatever else
+    # is in the batch
     alphas = _oracle_alphas()[::7]
     rng = np.random.default_rng(9)
     xs = rng.uniform(1.0, 300.0, len(alphas)).tolist()
     ys = rng.uniform(1.0, 300.0, len(alphas)).tolist()
     for terms in (kernels.ROW_BLOCK_TERMS, 97, 1):
         monkeypatch.setattr(kernels, "ROW_BLOCK_TERMS", terms)
-        assert min_sums(alphas, xs, ys).tolist() == [
+        assert min_sum(alphas, xs, ys).tolist() == [
             brute_min_sum(a, math.floor(X), X * Y) for a, X, Y in zip(alphas, xs, ys)]
         for k, Q in [(2, 1), (3, 64), (4, 200)]:
-            sums = weyl_sums(alphas, k, Q).tolist()
-            bounds = weyl_min_sum_bounds(alphas, k, Q, 0.05)
+            sums = weyl_sum(alphas, Q, k).tolist()
+            bounds = weyl_min_sum_bound(alphas, Q, k, 0.05)
             for a, s, bound in zip(alphas, sums, bounds):
-                assert s == weyl_sum(MonomialPhase(a, k), Q), (a, k, Q)
-                assert bound == weyl_min_sum_bound(MonomialPhase(a, k), Q, 0.05), (a, k, Q)
+                assert s == weyl_sum([a], Q, k)[0], (a, k, Q)
+                assert bound == weyl_min_sum_bound([a], Q, k, 0.05)[0], (a, k, Q)
 
 
 def test_check_weyl_table_raises_what_the_row_raises():
@@ -164,12 +177,11 @@ def test_check_weyl_table_raises_what_the_row_raises():
              (Fraction(1, 3), 2, expsums.TERM_BUDGET + 1, 0.05, "above the budget"),
              (Fraction(1, 3), 2, 4, 1000.0, r"4\^1001.0 is above the float range")]
     for alpha, k, Q, eps, message in cases:
-        phase = MonomialPhase(alpha, k)
         with pytest.raises(CapacityError, match=message):
             check_weyl_table([alpha], [k], [Q], eps)
         with pytest.raises(CapacityError, match=message):  # the row itself
-            weyl_sum(phase, Q)
-            weyl_min_sum_bound(phase, Q, eps)
+            weyl_sum([alpha], Q, k)
+            weyl_min_sum_bound([alpha], Q, k, eps)
     check_weyl_table([0.123], [4], [4000], 0.05)
 
 
@@ -214,20 +226,19 @@ def test_weyl_table_checks_by_kind(monkeypatch, alphas, k_values, q_values, eps,
 def test_min_sums_reject_wide_denominators():
     alpha = Fraction(1, 2 ** 31)
     with pytest.raises(CapacityError, match="exact-path width"):
-        min_sum(alpha, 3, 3)
+        min_sum([alpha], [3], [3])
     with pytest.raises(CapacityError, match="exact-path width"):
-        weyl_min_sum_bound(MonomialPhase(alpha, 2), 4, 0.0)
+        weyl_min_sum_bound([alpha], 4, 2, 0.0)
 
 
 @pytest.mark.parametrize("alpha", [Fraction(3, 7), 0.3819660112501051])
 def test_term_budget_boundary(monkeypatch, alpha):
     monkeypatch.setattr(expsums, "TERM_BUDGET", 8)
-    phase = MonomialPhase(alpha, 2)
-    weyl_sum(phase, 8)
-    weyl_min_sum_bound(phase, 8, 0.05)
-    min_sum(alpha, 8.5, 2.0)
-    for call in (lambda: weyl_sum(phase, 9), lambda: weyl_min_sum_bound(phase, 9, 0.05),
-                 lambda: min_sum(alpha, 9.0, 2.0)):
+    weyl_sum([alpha], 8, 2)
+    weyl_min_sum_bound([alpha], 8, 2, 0.05)
+    min_sum([alpha], [8.5], [2.0])
+    for call in (lambda: weyl_sum([alpha], 9, 2), lambda: weyl_min_sum_bound([alpha], 9, 2, 0.05),
+                 lambda: min_sum([alpha], [9.0], [2.0])):
         with pytest.raises(CapacityError, match="9 terms, above the budget of 8"):
             call()
 

@@ -25,7 +25,9 @@ def vec():
 
 
 def test_quadform_matches_brute_force(system, vec):
+    # a scalar offset with a 1-D vector is a batch of one, returned as a float
     got = kernels.quadform(system.numerators, system.moduli, 5, vec)
+    assert type(got) is float
     want = brute_sigma(int_points(system), 5, vec)
     assert got == pytest.approx(want, rel=1e-9)
 
@@ -47,7 +49,7 @@ def test_quadform_batch_matches_brute_force_per_row(Q, k, mode, n, offsets):
     s = enumerate_system(Q, k, mode)
     rng = np.random.default_rng([Q, k, n])
     vs = rng.standard_normal((len(offsets), n)) + 1j * rng.standard_normal((len(offsets), n))
-    got = kernels.quadform_batch(s.numerators, s.moduli, offsets, vs)
+    got = kernels.quadform(s.numerators, s.moduli, offsets, vs)
     assert got.shape == (len(offsets),)
     for b, m_off in enumerate(offsets):
         assert got[b] == pytest.approx(brute_sigma(int_points(s), m_off, vs[b]), rel=1e-12)
@@ -57,10 +59,10 @@ def test_quadform_batch_over_several_blocks(system, monkeypatch):
     rng = np.random.default_rng(5)
     offsets = rng.integers(-64, 65, 9)
     vs = rng.standard_normal((9, 20)) + 1j * rng.standard_normal((9, 20))
-    whole = kernels.quadform_batch(system.numerators, system.moduli, offsets, vs)
+    whole = kernels.quadform(system.numerators, system.moduli, offsets, vs)
     # at most 64 elements per phase matrix or product: 1 to 4 points per block
     monkeypatch.setattr(kernels, "BLOCK_ELEMENTS", 64)
-    blocked = kernels.quadform_batch(system.numerators, system.moduli, offsets, vs)
+    blocked = kernels.quadform(system.numerators, system.moduli, offsets, vs)
     for b, m_off in enumerate(offsets.tolist()):
         want = brute_sigma(int_points(system), m_off, vs[b])
         assert blocked[b] == pytest.approx(want, rel=1e-12)
@@ -69,14 +71,14 @@ def test_quadform_batch_over_several_blocks(system, monkeypatch):
 
 def test_quadform_batch_shapes():
     s = enumerate_system(2, 2, "dyadic")
-    none = kernels.quadform_batch(s.numerators, s.moduli, np.zeros(0, dtype=np.int64),
-                                  np.zeros((0, 4), dtype=np.complex128))
+    none = kernels.quadform(s.numerators, s.moduli, np.zeros(0, dtype=np.int64),
+                            np.zeros((0, 4), dtype=np.complex128))
     assert none.shape == (0,)
     empty = enumerate_system(1, 2, "full")
     assert empty.size == 0
     rng = np.random.default_rng(1)
     vs = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
-    assert kernels.quadform_batch(empty.numerators, empty.moduli, [0, 0], vs).tolist() == [0.0, 0.0]
+    assert kernels.quadform(empty.numerators, empty.moduli, [0, 0], vs).tolist() == [0.0, 0.0]
 
 
 def test_weyl_float_matches_naive_at_small_sizes():

@@ -2,8 +2,9 @@
 into the package by.  The tracer patches functions by module and attribute,
 and the kernel probe calls the kernels directly on an enumerated system's
 arrays, so a rename in the package breaks the traced run; these tests read
-perfbench/ without importing or changing it.  The last test keeps heavy
-imports out of the commands the benchmark times."""
+perfbench/ without importing or changing it, and check that the traced names
+are the ones the commands call.  The last test keeps heavy imports out of the
+commands the benchmark times."""
 
 import ast
 import importlib
@@ -16,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sieve_lab import kernels
+from sieve_lab import cli, kernels
 from sieve_lab.farey import enumerate_system
 
 TRACING_PY = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -51,6 +52,39 @@ def test_every_traced_name_resolves():
     for layer, module_name, attr in spans:
         module = importlib.import_module(module_name)
         assert callable(getattr(module, attr, None)), (layer, module_name, attr)
+
+
+def test_commands_call_the_traced_names(monkeypatch, tmp_path):
+    # a span that wraps a name no command calls reads 0 in the traced run
+    calls = {}
+
+    def counting(layer, func):
+        def wrapper(*args, **kwargs):
+            calls.setdefault(layer, []).append(args)
+            return func(*args, **kwargs)
+        return wrapper
+
+    for layer, module_name, attr in _spans():
+        module = importlib.import_module(module_name)
+        monkeypatch.setattr(module, attr, counting(layer, getattr(module, attr)))
+    for args in ("weyl --Q 4 --k 2 --samples 2", "lemma1 --Q 2 --N 4 --k 2 --vectors 2"):
+        assert cli.main([*args.split(), "--out", str(tmp_path / "out")]) == 0
+    for layer in ("expsums.weyl_sum", "expsums.weyl_min_sum_bound", "expsums.min_sum",
+                  "kernels.quadform"):
+        assert calls.get(layer), layer
+    # tracing.COUNTERS reads a weyl_sum span's terms from args[1]
+    assert [args[1] for args in calls["expsums.weyl_sum"]] == [4]
+    assert type(calls["expsums.weyl_sum"][0][1]) is int
+
+
+def test_probe_quadform_is_a_batch_of_one():
+    # the call perfbench/run.py's probe_kernels makes: scalar offset, 1-D vector
+    system = enumerate_system(8, 3, "dyadic")
+    v = np.random.default_rng(1).standard_normal(2048) * (1 + 1j)
+    one = kernels.quadform(system.numerators, system.moduli, 0, v)
+    rows = kernels.quadform(system.numerators, system.moduli, np.zeros(1, dtype=np.int64),
+                            v[None])
+    assert type(one) is float and one == rows[0]
 
 
 def test_probe_scalar_kernels_return_complex():
