@@ -232,8 +232,8 @@ def fourier_majorant(Q: int, k: int, mode: Mode, center_base: tuple[int, int],
     Each B_q is rounded one step toward zero so majorant_value >=
     count_near(Q, k, mode, b/r^k, x) holds exactly (up to the trig roundoff of
     the finite sum).  If the shortest truncation is < 1 the trivial majorant
-    |points| is reported instead; one of 2^31 or more raises CapacityError: it
-    keeps each floor(B_q) < 2^31 * max_modulus / q^k < 2^62 for kernels.majorant_sum.
+    |points| is reported instead; one of 2^31 or more raises CapacityError: it keeps
+    n = floor(B_q) < 2^62, so kernels.majorant_sum's 2n+1 and ((2n+1) mod 2r^k) * s0 < 2^63.
     """
     b, r = center_base
     if x <= 0:

@@ -9,8 +9,8 @@ over a shared range of q; weyl_rational and weyl_float are their batches of
 one, which only the benchmark's kernel probe calls.
 
 All integer phase arithmetic stays inside int64: callers keep every modulus
-< 2**31 (see farey.MODULUS_CAP), so products of two reduced residues, and the
-majorant's term counts (see expsums.fourier_majorant), stay below 2**62.
+< 2**31 (see farey.MODULUS_CAP), so products of two reduced residues stay below
+2**62, and the majorant's ((2n+1) mod 2r^k) * s0 below 2**63 (see _sin_pi).
 """
 
 from __future__ import annotations
@@ -19,13 +19,11 @@ import math
 
 import numpy as np
 
-TWO_PI = 2.0 * math.pi
 _SPLIT_BITS = 26
 _SPLIT = 1 << _SPLIT_BITS  # high/low split of a float phase for exact mod-1 reduction
 PI_SQ_OVER_4 = math.pi * math.pi / 4.0
-# Element budget of one dense numpy block: phase matrices, their products, the
-# majorant's residue classes and the coefficient batches the lemma1 command
-# evaluates at once.
+# Element budget of one dense numpy block: phase matrices, their products and
+# the coefficient batches the lemma1 command evaluates at once.
 BLOCK_ELEMENTS = 1 << 21
 # Most terms one row-blocked pass takes (row_blocks).  The Weyl tables are
 # hundreds to thousands of short rows, one per phase coefficient; passes of
@@ -165,33 +163,34 @@ def weyl_float(alpha_frac, k, q_lo, q_hi):
     return complex(weyl_float_batch([alpha_frac], k, q_lo, q_hi)[0])
 
 
+def _sin_pi(j, s, rk):
+    """sin(pi*j*s/rk) from the exact int64 residue (j mod 2rk)*s mod 2rk, folded into [0, pi/2]."""
+    m = j % (2 * rk) * s % (2 * rk)
+    r = m % rk
+    return np.where(m < rk, 1.0, -1.0) * np.sin(np.pi * (np.minimum(r, rk - r) / rk))
+
+
 def majorant_sum(b_red, rk, mods, bqs):
     """Poisson-transformed majorant sum over the given moduli; returns (value, a0_term).
 
-    bqs[j] is the truncation length for modulus mods[j] (1/(2*qk*x), rounded
-    down by the caller so the transform provably dominates the exact count).
-    Term a in 1..n = floor(B_q) has the weight (pi^2/4) * (1 - a/B_q) and the
-    cosine of the exact residue a*s0 mod rk, s0 = b*qk mod rk, which depends
-    only on a mod P, P = rk / gcd(s0, rk).  So each class j in 1..min(P, n)
-    of c_j = (n - j) // P + 1 terms takes one cosine and the weight sum
-    c_j - c_j*(j + P*(c_j - 1)/2) / B_q: min(P, n) <= rk cosines per modulus,
-    in blocks of at most BLOCK_ELEMENTS classes.  j*s0 < 2**62 as j <= P <= rk.
+    bqs[j] is the truncation length for modulus mods[j], 1/(2*qk*x) rounded down
+    by the caller.  Terms a in 1..n = floor(B_q), weight (pi^2/4) * (1 - a/B_q)
+    times cos(2*pi*a*s0/rk), s0 = b*qk mod rk, sum by the Dirichlet and Fejer
+    kernels, with S(j) = sin(pi*j*s0/rk), to ((1 - (n+1)/B_q) (S(2n+1)/S(1) - 1)
+    + ((S(n+1)/S(1))^2 - (n+1))/B_q) / 2, or n - n(n+1)/(2 B_q) if s0 = 0: one
+    pass over the moduli whatever B_q, adding them left to right.  The sines'
+    int64 residues need ((2n+1) mod 2rk) * s0 < 2**63, which rk < 2**31 gives.
     """
-    total = main = 0.0
-    for qk, bq in zip(mods.tolist(), bqs.tolist()):
-        s0 = (b_red * (qk % rk)) % rk
-        period = rk // math.gcd(s0, rk)
-        n_a = int(bq)
-        tail = 0.0
-        for start in range(1, min(period, n_a) + 1, BLOCK_ELEMENTS):
-            j = np.arange(start, min(start + BLOCK_ELEMENTS, period + 1, n_a + 1), dtype=np.int64)
-            cnt = ((n_a - j) // period + 1).astype(np.float64)
-            w = cnt - cnt * (j + period * (cnt - 1.0) / 2.0) / bq
-            tail += float(np.sum(w * np.cos(TWO_PI * (((j * s0) % rk) / rk))))
-        acc = 1.0 + 2.0 * tail
-        total += PI_SQ_OVER_4 / bq * acc
-        main += PI_SQ_OVER_4 / bq
-    return total, main
+    s0 = (b_red * (mods % rk)) % rk
+    s = np.where(s0 == 0, 1, s0)  # any nonzero residue: s0 = 0 takes the plain weight sum
+    n, n_int = np.floor(bqs), bqs.astype(np.int64)
+    s1 = _sin_pi(1, s, rk)
+    dirichlet = _sin_pi(2 * n_int + 1, s, rk) / s1
+    fejer = (_sin_pi(n_int + 1, s, rk) / s1) ** 2
+    tail = np.where(s0 == 0, n - n * (n + 1) / (2 * bqs),
+                    ((1 - (n + 1) / bqs) * (dirichlet - 1) + (fejer - (n + 1)) / bqs) / 2)
+    terms = PI_SQ_OVER_4 / bqs
+    return float(np.cumsum(terms * (1 + 2 * tail))[-1]), float(np.cumsum(terms)[-1])
 
 
 def pairwise_integral_max(nums, mods, n_len):

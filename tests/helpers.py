@@ -18,6 +18,8 @@ from sieve_lab.errors import EigensolverError
 from sieve_lab.sieve import (INVARIANT_TOL, ITERATION_CAP_BASE, RESTART_LENGTH, START_SEED,
                              PowerResult)
 
+TWO_PI = 2.0 * math.pi
+
 
 def brute_dirichlet(alpha: float, bound: int) -> tuple[int, int, float]:
     """Scan all 1 <= v <= bound with u = round(v*alpha); minimal residual wins,
@@ -150,8 +152,39 @@ def per_term_majorant(b: int, rk: int, mods, bqs) -> tuple[float, float]:
             a = np.arange(start, min(start + kernels.BLOCK_ELEMENTS, int(bq) + 1),
                           dtype=np.int64)
             w = np.maximum(1.0 - a * (1.0 / bq), 0.0)
-            tail += float(np.sum(w * np.cos(kernels.TWO_PI * (((a * s0) % rk) / rk))))
+            tail += float(np.sum(w * np.cos(TWO_PI * (((a * s0) % rk) / rk))))
         total += kernels.PI_SQ_OVER_4 / bq * (1.0 + 2.0 * tail)
+        main += kernels.PI_SQ_OVER_4 / bq
+    return total, main
+
+
+def class_majorant(b_red, rk, mods, bqs):
+    """The residue-class majorant sum that kernels.majorant_sum's closed form
+    replaced; returns (value, a0_term).
+
+    bqs[j] is the truncation length for modulus mods[j] (1/(2*qk*x), rounded
+    down by the caller so the transform provably dominates the exact count).
+    Term a in 1..n = floor(B_q) has the weight (pi^2/4) * (1 - a/B_q) and the
+    cosine of the exact residue a*s0 mod rk, s0 = b*qk mod rk, which depends
+    only on a mod P, P = rk / gcd(s0, rk).  So each class j in 1..min(P, n)
+    of c_j = (n - j) // P + 1 terms takes one cosine and the weight sum
+    c_j - c_j*(j + P*(c_j - 1)/2) / B_q: min(P, n) <= rk cosines per modulus,
+    in blocks of at most BLOCK_ELEMENTS classes.  j*s0 < 2**62 as j <= P <= rk.
+    """
+    total = main = 0.0
+    for qk, bq in zip(mods.tolist(), bqs.tolist()):
+        s0 = (b_red * (qk % rk)) % rk
+        period = rk // math.gcd(s0, rk)
+        n_a = int(bq)
+        tail = 0.0
+        for start in range(1, min(period, n_a) + 1, kernels.BLOCK_ELEMENTS):
+            j = np.arange(start, min(start + kernels.BLOCK_ELEMENTS, period + 1, n_a + 1),
+                          dtype=np.int64)
+            cnt = ((n_a - j) // period + 1).astype(np.float64)
+            w = cnt - cnt * (j + period * (cnt - 1.0) / 2.0) / bq
+            tail += float(np.sum(w * np.cos(TWO_PI * (((j * s0) % rk) / rk))))
+        acc = 1.0 + 2.0 * tail
+        total += kernels.PI_SQ_OVER_4 / bq * acc
         main += kernels.PI_SQ_OVER_4 / bq
     return total, main
 

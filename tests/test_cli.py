@@ -182,13 +182,14 @@ def test_majorant_builds_no_point(tmp_path):
 
 
 def test_majorant_at_the_point_budget_in_time_and_memory(tmp_path):
-    # up to 1.2e8 transform terms a sample; summed by residue class, at most
-    # r^k <= 430^2 cosines per modulus, the run takes about 3.7 s on a 2-core
-    # VM, against 9.7 to 10.5 s with one cosine per term
+    # up to 1.2e8 transform terms a sample; in closed form, three sines per
+    # modulus whatever the term count, the run takes about 0.35 s on a 2-core
+    # VM, against 3.0 to 3.7 s with one cosine per residue class (at most
+    # r^k <= 430^2 per modulus) and 9.7 to 10.5 s with one cosine per term
     code, text, elapsed = run_limited(["majorant", "--Q", "430", "--k", "2", "--samples", "42"],
                                 tmp_path)
     assert code == EXIT_OK, text
-    assert elapsed < 7.0
+    assert elapsed < 2.0
     rows = list(csv.DictReader(io.StringIO(text)))
     assert len(rows) == 42
     assert all(row["ok"] == "true" and row["status"] == "ok" for row in rows)

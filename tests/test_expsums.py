@@ -171,17 +171,28 @@ def test_batches_equal_their_rows(monkeypatch):
 
 
 def test_check_weyl_table_raises_what_the_row_raises():
-    cases = [(Fraction(1, 2 ** 31), 2, 4, 0.05, "exact-path width"),
-             (0.123, 4, 5000, 0.05, "float-path width"),
-             (Fraction(1, 3), 200, 256, 0.05, "above the float range"),
-             (Fraction(1, 3), 2, expsums.TERM_BUDGET + 1, 0.05, "above the budget"),
-             (Fraction(1, 3), 2, 4, 1000.0, r"4\^1001.0 is above the float range")]
-    for alpha, k, Q, eps, message in cases:
+    # per case, whether the row's sum and its bound raise: the float-path width
+    # binds only the float Weyl sum, and Q^k and Q^(1+eps) only the bound
+    cases = [(Fraction(1, 2 ** 31), 2, 4, 0.05, "exact-path width", True, True),
+             (0.123, 4, 5000, 0.05, "float-path width", True, False),
+             (Fraction(1, 3), 200, 256, 0.05, "above the float range", False, True),
+             (Fraction(1, 3), 2, expsums.TERM_BUDGET + 1, 0.05, "above the budget", True, True),
+             (Fraction(1, 3), 2, 4, 1000.0, r"4\^1001.0 is above the float range", False, True)]
+    for alpha, k, Q, eps, message, sum_raises, bound_raises in cases:
         with pytest.raises(CapacityError, match=message):
             check_weyl_table([alpha], [k], [Q], eps)
-        with pytest.raises(CapacityError, match=message):  # the row itself
-            weyl_sum([alpha], Q, k)
-            weyl_min_sum_bound([alpha], Q, k, eps)
+        if sum_raises:
+            with pytest.raises(CapacityError, match=message):
+                weyl_sum([alpha], Q, k)
+        else:
+            assert np.isfinite(weyl_sum([alpha], Q, k)).all()
+        if bound_raises:
+            with pytest.raises(CapacityError, match=message):
+                weyl_min_sum_bound([alpha], Q, k, eps)
+        else:
+            assert np.isfinite(weyl_min_sum_bound([alpha], Q, k, eps)).all()
+    # the eps = 1000 row's sum: e(q^2/3) for q = 1..4 is 3 e(1/3) + 1
+    assert weyl_sum([Fraction(1, 3)], 4, 2)[0] == pytest.approx(-0.5 + 1.5 * 3 ** 0.5 * 1j)
     check_weyl_table([0.123], [4], [4000], 0.05)
 
 

@@ -9,8 +9,8 @@ import pytest
 from sieve_lab import kernels
 from sieve_lab.farey import enumerate_system
 
-from helpers import (brute_majorant, brute_sigma, brute_weyl_rational, int_points,
-                     per_term_majorant)
+from helpers import (brute_majorant, brute_sigma, brute_weyl_rational, class_majorant,
+                     int_points, per_term_majorant)
 
 
 @pytest.fixture(scope="module")
@@ -112,16 +112,23 @@ def majorant_roundoff(bqs):
     """8u times the absolute mass sum_q (pi^2/4)(1 + 2 floor(B_q))/B_q of a
     majorant sum, every |weight * cosine| being at most 1.
 
-    The bound is fixed from u alone, before any run.  The class sums and the
-    per-term sum (helpers.per_term_majorant) take the same cosine doubles, one
-    expression of the same integer residue, so they differ only in rounding
-    the weights, the products and the additions.  To first order each rounds
-    every term or class a few times (at most 6 roundings of a value <= its
-    share of the mass) and adds them in numpy's pairwise order, whose error
-    grows like u*sqrt(log m) for m addends in practice (u*log m in the worst
-    case).  That puts each sum within 4u of the mass of the exact sum of the
-    same cosines, and the two within 8u.  On 3,300 random cases, s0 = 0 and
-    floor(B_q) up to 3e6 among them, the largest difference was 0.21 of it.
+    The bound is fixed from u alone, before any run.  The class sums
+    (helpers.class_majorant) and the per-term sum (helpers.per_term_majorant)
+    take the same cosine doubles, one expression of the same integer residue,
+    so they differ only in rounding the weights, the products and the
+    additions.  To first order each rounds every term or class a few times (at
+    most 6 roundings of a value <= its share of the mass) and adds them in
+    numpy's pairwise order, whose error grows like u*sqrt(log m) for m addends
+    in practice (u*log m in the worst case).  That puts each sum within 4u of
+    the mass of the exact sum of the same cosines.  The closed form
+    (kernels.majorant_sum) takes three sines per modulus instead, each of an
+    argument reduced exactly into [0, pi/2] and so within a few u of its own
+    size; the quotients S(2n+1)/S(1) <= 2n+1 and (S(n+1)/S(1))^2 <= (n+1)^2
+    keep that relative error, and the factors |1 - (n+1)/B_q| <= 1/n and 1/B_q
+    scale it back to the modulus's share of the mass.  On 3,300 random cases,
+    s0 = 0 and floor(B_q) up to 3e6 (2^61 for r^k <= 5000) among them, the
+    closed form's largest difference was 0.16 of the bound from the class sums
+    and 0.20 of it from the per-term sum.
     """
     return 8 * U * sum(kernels.PI_SQ_OVER_4 * (1 + 2 * math.floor(bq)) / bq for bq in bqs)
 
@@ -132,41 +139,57 @@ def majorant_roundoff(bqs):
     (2**31 - 4, 2**31 - 1, [2**31 - 2, 46337**2], [300.5, 97.0]),  # a*b*q^k beyond int64
     (3, 8, [4, 6], [50.5, 20.0]),                   # periods P = 2 and 4, far below n_a
     (1, 9, [9, 27, 18], [30.25, 3.0, 12.5]),        # q^k = 0 mod r^k: s0 = 0, P = 1
-    (2, 9, [16], [40.5]),                           # P = 9, between patched block sizes
+    (2, 9, [16], [40.5]),                           # P = 9 < floor(B_q) = 40
     (2, 9, [16], [5.5]),                            # P = 9 > floor(B_q) = 5: one term a class
     (2, 9, [16], [9.25]),                           # P = floor(B_q) = 9
     (2, 9, [16, 25], [27.5, 18.0]),                 # P = 9 divides floor(B_q) = 27 and 18
     (5, 2**31 - 1, [2**31 - 1, 3], [1000.5, 60.5]),  # r^k = 2^31 - 1: P = 1, then P = r^k
 ])
-def test_majorant_sum_matches_direct_sum(b, rk, mods, bqs, monkeypatch):
+def test_majorant_sum_matches_direct_sum(b, rk, mods, bqs):
     want_value, want_main = brute_majorant(b, rk, mods, bqs)
-    # one block per modulus, then blocks of 7, 3 and 1 residue classes (below
-    # and above every period P here) with a shorter last one
-    for block in (kernels.BLOCK_ELEMENTS, 7, 3, 1):
-        monkeypatch.setattr(kernels, "BLOCK_ELEMENTS", block)
-        value, main = kernels.majorant_sum(b, rk, np.array(mods, dtype=np.int64),
-                                           np.array(bqs, dtype=np.float64))
-        assert main == pytest.approx(want_main, rel=1e-13)
-        assert value == pytest.approx(want_value, rel=1e-12, abs=1e-12 * want_main)
-        # the class sums add the per-term sum's cosine doubles in another order
-        term_value, term_main = per_term_majorant(b, rk, mods, bqs)
-        assert main == term_main
-        assert abs(value - term_value) <= majorant_roundoff(bqs)
+    value, main = kernels.majorant_sum(b, rk, np.array(mods, dtype=np.int64),
+                                       np.array(bqs, dtype=np.float64))
+    assert main == pytest.approx(want_main, rel=1e-13)
+    assert value == pytest.approx(want_value, rel=1e-12, abs=1e-12 * want_main)
+    # the closed form against one cosine per term, within rounding
+    term_value, term_main = per_term_majorant(b, rk, mods, bqs)
+    assert main == term_main
+    assert abs(value - term_value) <= majorant_roundoff(bqs)
 
 
 # floor(B) near 2^40, and at 2^61, inside the int64 range that fourier_majorant's
 # cap on the shortest truncation leaves every floor(B_q)
 @pytest.mark.parametrize("bq", [2.0 ** 40 + 0.75, 2.0 ** 40 - 0.5, 3.0e12, 2.0 ** 61])
-def test_majorant_sum_one_class_matches_fractions(bq, monkeypatch):
-    # q^k = 0 mod r^k, so s0 = 0, P = 1 and every cosine is 1: the tail is the
-    # weight sum n - n(n+1)/(2B) over n = floor(B) terms, far beyond a per-term
-    # sum, taken here as one class and checked in exact rationals
+def test_majorant_sum_one_class_matches_fractions(bq):
+    # q^k = 0 mod r^k, so s0 = 0 and every cosine is 1: the tail is the weight
+    # sum n - n(n+1)/(2B) over n = floor(B) terms, far beyond a per-term sum,
+    # checked here in exact rationals
     n, exact_b = math.floor(bq), Fraction(bq)
     tail = n - Fraction(n * (n + 1), 2) / exact_b
     want = Fraction(kernels.PI_SQ_OVER_4) / exact_b * (1 + 2 * tail)
-    for block in (kernels.BLOCK_ELEMENTS, 1):
-        monkeypatch.setattr(kernels, "BLOCK_ELEMENTS", block)
-        value, main = kernels.majorant_sum(3, 49, np.array([49, 98], dtype=np.int64),
-                                           np.array([bq, bq], dtype=np.float64))
-        assert main == 2 * (kernels.PI_SQ_OVER_4 / bq)
-        assert abs(Fraction(value) - 2 * want) <= Fraction(majorant_roundoff([bq, bq]))
+    value, main = kernels.majorant_sum(3, 49, np.array([49, 98], dtype=np.int64),
+                                       np.array([bq, bq], dtype=np.float64))
+    assert main == 2 * (kernels.PI_SQ_OVER_4 / bq)
+    assert abs(Fraction(value) - 2 * want) <= Fraction(majorant_roundoff([bq, bq]))
+
+
+# Cases no per-term sum reaches, against the residue-class sums the closed form
+# replaced: at most r^k cosines per modulus there, whatever floor(B_q).
+@pytest.mark.parametrize("b,rk,mods,bqs", [
+    # s0 = 12, 27, 26 != 0 at r^k = 49, floor(B_q) up to 2^61
+    (3, 49, [4, 9, 25], [2.0 ** 61, 2.0 ** 40 + 0.75, 3.0e12]),
+    # the smallest sine S(1): s0 = 1 and s0 = r^k - 1 at r^k = 2^31 - 1
+    (1, 2**31 - 1, [1, 2**31 - 2], [123456.25, 1000.5]),
+    (2**31 - 2, 2**31 - 1, [1, 2], [3.0e5, 77.75]),
+    # (n+1)*s0 = 0 mod r^k (s0 = 7, n = 6; s0 = 1, n = 48), then
+    # (2n+1)*s0 = 0 mod r^k (s0 = 7, n = 3; s0 = 1, n = 24 and 73)
+    (1, 49, [7, 50, 7, 1, 99], [6.5, 48.0, 3.25, 24.75, 73.5]),
+    # a B_q < 1 modulus (only a = 0) between two others
+    (2, 27, [8, 64, 125], [30.5, 0.75, 12.25]),
+])
+def test_majorant_sum_matches_class_sums(b, rk, mods, bqs):
+    mods, bqs = np.array(mods, dtype=np.int64), np.array(bqs, dtype=np.float64)
+    value, main = kernels.majorant_sum(b, rk, mods, bqs)
+    class_value, class_main = class_majorant(b, rk, mods, bqs)
+    assert main == class_main
+    assert abs(value - class_value) <= majorant_roundoff(bqs.tolist())
