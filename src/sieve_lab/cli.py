@@ -353,12 +353,13 @@ def cmd_lemma1(cfg: RunConfig) -> tuple[list[dict], list[str], int, list[str]]:
             chunk = max(1, kernels.BLOCK_ELEMENTS // N)
             for start in range(0, cfg.vectors, chunk):
                 nb = min(chunk, cfg.vectors - start)
-                m_offs = np.empty(nb, dtype=np.int64)
                 vs = np.empty((nb, N), dtype=np.complex128)
                 for b in range(nb):
-                    m_offs[b] = rng.integers(-64, 65)
+                    # each vector's shift M: still drawn, so the draws stay the
+                    # same, but it cannot change the form (see kernels.quadform)
+                    rng.integers(-64, 65)
                     vs[b] = rng.standard_normal(N) + 1j * rng.standard_normal(N)
-                lhs = kernels.quadform(system.numerators, system.moduli, m_offs, vs)
+                lhs = kernels.quadform(system.numerators, system.moduli, 0, vs)
                 rhs = rhs_unit * np.sum(vs.real ** 2 + vs.imag ** 2, axis=1)
                 max_ratio = max(max_ratio, float(np.max(lhs / rhs)))
                 violations += int(np.count_nonzero(lhs > rhs * (1.0 + REL_SLACK)))

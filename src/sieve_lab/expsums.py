@@ -124,15 +124,15 @@ def _split(alphas: Sequence[Coeff]):
 def weyl_sum(alphas: Sequence[Coeff], Q: int, k: int) -> np.ndarray:
     """Per coefficient alpha, sum_{Q < q <= 2Q} e(alpha * q**k), phase-reduced
     mod 1 before exponentiating, as a complex array: the rational ones through
-    kernels.weyl_rational_batch, the float ones through
-    kernels.weyl_float_batch.  Raises CapacityError above TERM_BUDGET terms."""
+    kernels.weyl_rational, the float ones through kernels.weyl_float.  Raises
+    CapacityError above TERM_BUDGET terms."""
     _check_cell(k, Q)
     exact, nums, dens, floats, values = _split(alphas)
     if floats:
         _check_float_width(k, Q)
     out = np.empty(len(alphas), dtype=np.complex128)
-    out[exact] = kernels.weyl_rational_batch(nums, dens, k, Q, 2 * Q)
-    out[floats] = kernels.weyl_float_batch([a % 1.0 for a in values.tolist()], k, Q, 2 * Q)
+    out[exact] = kernels.weyl_rational(nums, dens, k, Q, 2 * Q)
+    out[floats] = kernels.weyl_float([a % 1.0 for a in values.tolist()], k, Q, 2 * Q)
     return out
 
 

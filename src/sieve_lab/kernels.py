@@ -1,12 +1,11 @@
 """Hot numeric kernels in numpy: quadratic forms, autocorrelation, Weyl phase
 sums, the majorant transform sum and the pairwise counting integral.
 
-The quadratic form and the Weyl sums are batched: quadform, the one entry of
-the sieve quadratic form, evaluates a (B, N) array of coefficient vectors in
-one pass (a 1-D vector with a scalar offset is a batch of one), and
-weyl_rational_batch and weyl_float_batch one Weyl sum per phase coefficient
-over a shared range of q; weyl_rational and weyl_float are their batches of
-one, which only the benchmark's kernel probe calls.
+Each kernel has one form.  The quadratic form and the Weyl sums are batched:
+quadform, the one entry of the sieve quadratic form, evaluates a (B, N) array
+of coefficient vectors in one pass, and weyl_rational and weyl_float one Weyl
+sum per phase coefficient over a shared range of q.  A 1-D vector, or a
+scalar coefficient, is a batch of one that returns its float or complex.
 
 All integer phase arithmetic stays inside int64: callers keep every modulus
 < 2**31 (see farey.MODULUS_CAP), so products of two reduced residues stay below
@@ -36,50 +35,35 @@ ACTIVE_LANE = "numpy"
 
 
 def quadform(nums, mods, m_offs, vs):
-    """Per row b of vs (shape (B, N)) with offset m_offs[b], the quadratic form
-    sum_j |sum_i vs[b, i] e(a_j * (m_offs[b]+1+i) / qk_j)|^2, as an array of B;
-    a 1-D vs with a scalar m_offs is a batch of one and gives its float.
+    """Per row b of vs (shape (B, N)), the quadratic form
+    sum_j |sum_i vs[b, i] e(a_j * (M+1+i) / qk_j)|^2, as an array of B; a 1-D
+    vs is a batch of one and gives its float.
 
-    The phase of n depends only on n mod q^k, so per modulus each row folds
-    into its residue sums w_r = sum_{n = r mod q^k} v_n and
-    sum_n v_n e(a n / q^k) = sum_r w_r e(a r / q^k).  When q^k exceeds the
-    span of the batch (N plus the spread of the offsets) the rows are instead
-    placed at their offsets in the covered interval, one column per n.  Either
-    way one phase matrix, built from the exact integer residues a*r mod q^k,
-    serves the whole batch through one matrix product per block of points.
-    Memory per block is at most BLOCK_ELEMENTS for the phase matrix and for
-    the product, plus B x min(q^k, span) for the folded or placed rows.  A
-    batch of no rows gives an empty array.
+    The shift M (m_offs, one per row or one for all) cannot change the value:
+    it multiplies each inner sum by e(a_j (M+1) / qk_j), of modulus 1.  So the
+    rows are summed from n = 0, and m_offs is not read.  The phase of n
+    depends only on n mod q^k, so per modulus each row folds into
+    width = min(q^k, N) residue sums w_r = sum_{n = r mod q^k} v_n, and
+    sum_n v_n e(a n / q^k) = sum_r w_r e(a r / q^k).  One phase matrix, built
+    from the exact integer residues a*r mod q^k, serves the whole batch
+    through one matrix product per block of points.  Memory per block is at
+    most BLOCK_ELEMENTS for the phase matrix and for the product, plus
+    B x width for the folded rows.  A batch of no rows gives an empty array.
     """
     single = np.ndim(vs) == 1
     vs = np.atleast_2d(np.asarray(vs, dtype=np.complex128))
-    m_offs = np.atleast_1d(np.asarray(m_offs, dtype=np.int64))
     nb, n = vs.shape
     totals = np.zeros(nb)
     if nb == 0:
         return totals
-    lo = int(m_offs.min())
-    span = n + int(m_offs.max()) - lo
-    placed = None
     for qk in sorted(set(mods.tolist())):
         sel = nums[mods == qk]
-        if qk <= span:
-            full = n - n % qk
-            w = vs[:, :full].reshape(nb, full // qk, qk).sum(axis=1)
-            w[:, :n - full] += vs[:, full:]
-            # w[b, i mod qk] sums v_n for n = m_b+1+i: rotate by (m_b+1) mod qk
-            shift = (m_offs + 1) % qk
-            w = np.take_along_axis(w, (np.arange(qk) - shift[:, None]) % qk, axis=1)
-            cols = np.arange(qk, dtype=np.int64)
-        else:
-            if placed is None:
-                placed = np.zeros((nb, span), dtype=np.complex128)
-                for m in set(m_offs.tolist()):
-                    same = m_offs == m
-                    placed[same, m - lo:m - lo + n] = vs[same]
-            w = placed
-            cols = np.arange(lo + 1, lo + span + 1, dtype=np.int64) % qk
-        block = max(1, BLOCK_ELEMENTS // max(cols.shape[0], nb))
+        width = min(qk, n)
+        full = n - n % width
+        w = vs[:, :full].reshape(nb, full // width, width).sum(axis=1)
+        w[:, :n - full] += vs[:, full:]
+        cols = np.arange(width, dtype=np.int64)
+        block = max(1, BLOCK_ELEMENTS // max(width, nb))
         for start in range(0, sel.shape[0], block):
             rows = sel[start:start + block]
             e = np.exp((2j * np.pi / qk) * ((rows[:, None] * cols[None, :]) % qk))
@@ -111,11 +95,13 @@ def row_blocks(n_rows, width):
     return [slice(start, start + step) for start in range(0, n_rows, step)]
 
 
-def weyl_rational_batch(num_reds, dens, k, q_lo, q_hi):
+def weyl_rational(num_reds, dens, k, q_lo, q_hi):
     """Per row j, sum_{q_lo < q <= q_hi} e(num_reds[j] * q**k / dens[j]) via
-    exact modular residues, as a complex array, in passes of row_blocks."""
-    num_reds = np.asarray(num_reds, dtype=np.int64)
-    dens = np.asarray(dens, dtype=np.int64)
+    exact modular residues, as a complex array, in passes of row_blocks; a
+    scalar num_red and den are a batch of one and give its complex."""
+    single = np.ndim(dens) == 0
+    num_reds = np.atleast_1d(np.asarray(num_reds, dtype=np.int64))
+    dens = np.atleast_1d(np.asarray(dens, dtype=np.int64))
     qs = np.arange(q_lo + 1, q_hi + 1, dtype=np.int64)
     # each row's scale is the Python complex 2j*pi/den: numpy's complex
     # division rounds differently
@@ -129,19 +115,17 @@ def weyl_rational_batch(num_reds, dens, k, q_lo, q_hi):
             pw = (pw * p) % den
         r = (num_reds[rows, None] * pw) % den
         out[rows] = np.sum(np.exp(scales[rows, None] * r), axis=1)
-    return out
+    return complex(out[0]) if single else out
 
 
-def weyl_rational(num_red, den, k, q_lo, q_hi):
-    """sum_{q_lo < q <= q_hi} e(num_red * q**k / den) via exact modular residues."""
-    return complex(weyl_rational_batch([num_red], [den], k, q_lo, q_hi)[0])
-
-
-def weyl_float_batch(alpha_fracs, k, q_lo, q_hi):
+def weyl_float(alpha_fracs, k, q_lo, q_hi):
     """Per row j, sum_{q_lo < q <= q_hi} e(alpha_fracs[j] * q**k) with the phase
     split into an exact 2**-26 grid part plus a small float remainder, so the
     mod-1 reduction never loses the phase; a complex array, in passes of
-    row_blocks."""
+    row_blocks, or for a scalar alpha_frac a batch of one that gives its
+    complex."""
+    single = np.ndim(alpha_fracs) == 0
+    alpha_fracs = np.atleast_1d(np.asarray(alpha_fracs, dtype=np.float64)).tolist()
     qs = np.arange(q_lo + 1, q_hi + 1, dtype=np.int64)
     p = np.ones_like(qs)
     for _ in range(k):
@@ -155,12 +139,7 @@ def weyl_float_batch(alpha_fracs, k, q_lo, q_hi):
         hi = ((grid[rows, None] * p_grid) % _SPLIT).astype(np.float64) / _SPLIT
         ph = (hi + rest[rows, None] * p_float) % 1.0
         out[rows] = np.sum(np.exp(2j * np.pi * ph), axis=1)
-    return out
-
-
-def weyl_float(alpha_frac, k, q_lo, q_hi):
-    """sum_{q_lo < q <= q_hi} e(alpha_frac * q**k), split-phase as in weyl_float_batch."""
-    return complex(weyl_float_batch([alpha_frac], k, q_lo, q_hi)[0])
+    return complex(out[0]) if single else out
 
 
 def _sin_pi(j, s, rk):

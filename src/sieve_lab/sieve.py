@@ -59,7 +59,8 @@ BLOCK_SIZE = 1
 
 @dataclass(frozen=True)
 class CoefficientVector:
-    """Complex coefficients v_n for M < n <= M + N; values[j] is v_{M+1+j}."""
+    """Complex coefficients v_n for M < n <= M + N; values[j] is v_{M+1+j}.
+    The shift M does not change the quadratic form (see sigma_exact)."""
 
     M: int
     values: np.ndarray
@@ -244,7 +245,8 @@ def dense_lambda_max(kernel: ToeplitzKernel) -> float:
 def sigma_exact(system: PowerFareySystem, vec: CoefficientVector) -> float:
     """The sieve quadratic form of one vector, sum over points of
     |sum_n v_n e((a/q^k) n)|^2 for n = M+1..M+N: kernels.quadform's batch of
-    one."""
+    one.  M does not change the value, since shifting n by M multiplies each
+    inner sum by e(a M / q^k), of modulus 1."""
     return kernels.quadform(system.numerators, system.moduli, vec.M, vec.values)
 
 

@@ -9,6 +9,9 @@ from __future__ import annotations
 
 import cmath
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +22,31 @@ from sieve_lab.sieve import (INVARIANT_TOL, ITERATION_CAP_BASE, RESTART_LENGTH, 
                              PowerResult)
 
 TWO_PI = 2.0 * math.pi
+# Runs the command in argv, then prints its exit code and the peak RSS that
+# os.wait4 reports for it (KiB on Linux).
+_PEAK_RSS_LAUNCHER = """
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+proc.returncode = os.waitstatus_to_exitcode(status)
+print(proc.returncode, usage.ru_maxrss)
+"""
+
+
+def cli_peak_rss(args, env, timeout: float = 60.0) -> tuple[int, float]:
+    """Run `python -m sieve_lab.cli` with args as the child of a small
+    `python -c` launcher: (its exit code, its peak RSS in MB).
+
+    The launcher, not the test process, spawns the CLI because at exec Linux
+    folds the peak RSS of the spawning process into the new program's
+    ru_maxrss: on a Linux 6.x VM, a trivial child of a process that had
+    touched 300 MB read 327 MB through os.wait4, and 14 MB when started from
+    the launcher."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS_LAUNCHER, sys.executable, "-m", "sieve_lab.cli",
+         *args], env=env, capture_output=True, text=True, timeout=timeout, check=True)
+    code, kib = proc.stdout.split()
+    return int(code), int(kib) / 1024
 
 
 def brute_dirichlet(alpha: float, bound: int) -> tuple[int, int, float]:

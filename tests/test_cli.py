@@ -19,7 +19,7 @@ from sieve_lab.sieve import CoefficientVector, sigma_exact
 from sieve_lab.errors import (EXIT_CAPACITY, EXIT_EIGENSOLVER, EXIT_INVALID_CONFIG, EXIT_OK,
                               EXIT_VERIFICATION, CapacityError, EigensolverError)
 
-from helpers import totient
+from helpers import cli_peak_rss, totient
 
 
 # the directory that holds the sieve_lab package under test
@@ -161,17 +161,24 @@ def test_point_budget_exit_code(tmp_path):
     assert "above the budget" in text
 
 
+def test_cli_peak_rss_reads_the_child_alone(tmp_path):
+    # the test process touches 300 MB first: a child it spawned itself would
+    # read at least that much through os.wait4
+    touched = np.ones(300 << 20, dtype=np.uint8)
+    code, peak_mb = cli_peak_rss(["crossover", "--Q", "4..6", "--k", "3", "--points", "4",
+                                  "--out", str(tmp_path / "a.csv")], child_env())
+    del touched
+    assert code == EXIT_OK
+    assert peak_mb < 128
+
+
 def test_majorant_builds_no_point(tmp_path):
     # 16.1 million points, just under the point budget: building them took
     # about 390 MB, while the centres need only the per-base counts
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "sieve_lab.cli", "majorant", "--Q", "430", "--k", "2",
-         "--samples", "2", "--out", str(tmp_path / "a.csv")],
-        env=child_env(), stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-    _, status, usage = os.wait4(proc.pid, 0)
-    proc.returncode = os.waitstatus_to_exitcode(status)
-    assert proc.returncode == EXIT_OK
-    assert usage.ru_maxrss / 1024 < 256  # KiB on Linux
+    code, peak_mb = cli_peak_rss(["majorant", "--Q", "430", "--k", "2", "--samples", "2",
+                                  "--out", str(tmp_path / "a.csv")], child_env())
+    assert code == EXIT_OK
+    assert peak_mb < 256
     assert len((tmp_path / "a.csv").read_text().splitlines()) == 3
 
     # one base more is above the budget, counted without building a point
@@ -317,8 +324,8 @@ def test_weyl_checks_every_row_before_summing(tmp_path, capsys, monkeypatch):
     def no_sums(*args):
         raise AssertionError("a Weyl sum ran before the rows were checked")
 
-    monkeypatch.setattr(kernels, "weyl_rational_batch", no_sums)
-    monkeypatch.setattr(kernels, "weyl_float_batch", no_sums)
+    monkeypatch.setattr(kernels, "weyl_rational", no_sums)
+    monkeypatch.setattr(kernels, "weyl_float", no_sums)
     code, raw = run_cli("weyl --Q 262144 --k 3 --samples 1".split(), tmp_path)
     assert code == EXIT_CAPACITY and raw == b""
     err = capsys.readouterr().err
@@ -428,14 +435,10 @@ def test_lemma1_refuses_the_pair_budget_before_building_points(tmp_path):
     # 15,244,946 points (244 MB of int64), far above the pair budget: the
     # refusal needs only the size counted from the bases
     out = tmp_path / "a.json"
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "sieve_lab.cli", "lemma1", "--Q", "100", "--N", "4", "--k", "3",
-         "--format", "json", "--out", str(out)],
-        env=child_env(), stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-    _, status, usage = os.wait4(proc.pid, 0)
-    proc.returncode = os.waitstatus_to_exitcode(status)
-    assert proc.returncode == EXIT_CAPACITY
-    assert usage.ru_maxrss / 1024 < 128  # KiB on Linux
+    code, peak_mb = cli_peak_rss(["lemma1", "--Q", "100", "--N", "4", "--k", "3",
+                                  "--format", "json", "--out", str(out)], child_env())
+    assert code == EXIT_CAPACITY
+    assert peak_mb < 128
     (rec,) = json.loads(out.read_text())
     assert rec["status"] == "capacity-error" and rec["size"] == 15244946
     assert rec["detail"] == (f"counting scan has {15244946 ** 2} point pairs, "
@@ -590,7 +593,8 @@ def test_lemma1_runs_clean(tmp_path, capsys):
 def test_lemma1_matches_per_vector_reference(tmp_path, monkeypatch, block):
     """The lemma1 cells hand kernels.quadform the same draws, in order
     and in chunks of at most max(1, BLOCK_ELEMENTS // N) vectors, and give the
-    same max_ratio and violations as a loop of single sigma_exact calls;
+    same max_ratio and violations as a loop of single sigma_exact calls, each
+    at the shift M drawn before its vector (which the cells draw but drop);
     block 448 splits the N=64 cells into chunks of 7 vectors."""
     if block is not None:
         monkeypatch.setattr(kernels, "BLOCK_ELEMENTS", block)
@@ -599,7 +603,7 @@ def test_lemma1_matches_per_vector_reference(tmp_path, monkeypatch, block):
 
     def recording(nums, mods, m_offs, vs):
         assert vs.shape[0] <= max(1, kernels.BLOCK_ELEMENTS // vs.shape[1])
-        calls.append((nums, mods, m_offs.copy(), vs.copy()))
+        calls.append((nums, mods, vs.copy()))
         return quadform(nums, mods, m_offs, vs)
 
     seed, vectors = 5, 25
@@ -613,9 +617,9 @@ def test_lemma1_matches_per_vector_reference(tmp_path, monkeypatch, block):
         assert code == EXIT_OK
         # each cell's draws, keyed by its system's points and N
         seen = {}
-        for nums, mods, m_offs, vs in calls:
+        for nums, mods, vs in calls:
             key = (nums.tobytes(), mods.tobytes(), vs.shape[1])
-            seen.setdefault(key, []).extend(zip(m_offs.tolist(), vs))
+            seen.setdefault(key, []).extend(vs)
         rows = json.loads(raw)
         assert len(rows) == 12
         for row in rows:
@@ -629,10 +633,10 @@ def test_lemma1_matches_per_vector_reference(tmp_path, monkeypatch, block):
             batched = seen.pop((system.numerators.tobytes(), system.moduli.tobytes(), N))
             assert len(batched) == vectors
             max_ratio, violations = 0.0, 0
-            for got_m, got_v in batched:
+            for got_v in batched:
                 m_off = int(rng.integers(-64, 65))
                 v = rng.standard_normal(N) + 1j * rng.standard_normal(N)
-                assert got_m == m_off and np.array_equal(got_v, v)
+                assert np.array_equal(got_v, v)
                 vec = CoefficientVector(m_off, v)
                 lhs = sigma_exact(system, vec)
                 rhs = rhs_unit * vec.norm_sq

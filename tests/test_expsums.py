@@ -203,8 +203,8 @@ def _no_sums(*args):
 def test_weyl_table_checks_the_last_denominator_before_summing(monkeypatch):
     # every other alpha and (k, Q) fits, so only the last alpha's denominator
     # can stop the table, and it must do so before the first sum
-    monkeypatch.setattr(kernels, "weyl_rational_batch", _no_sums)
-    monkeypatch.setattr(kernels, "weyl_float_batch", _no_sums)
+    monkeypatch.setattr(kernels, "weyl_rational", _no_sums)
+    monkeypatch.setattr(kernels, "weyl_float", _no_sums)
     alphas = sample_alphas() + [("1/2^31", Fraction(1, 2 ** 31))]
     with pytest.raises(CapacityError, match="exact-path width"):
         weyl_ratio_rows(alphas)
@@ -225,8 +225,8 @@ def test_weyl_table_checks_the_last_denominator_before_summing(monkeypatch):
                  f"= {2 ** 63} exceeds the float-path width", id="first-float-width"),
 ])
 def test_weyl_table_checks_by_kind(monkeypatch, alphas, k_values, q_values, eps, message):
-    monkeypatch.setattr(kernels, "weyl_rational_batch", _no_sums)
-    monkeypatch.setattr(kernels, "weyl_float_batch", _no_sums)
+    monkeypatch.setattr(kernels, "weyl_rational", _no_sums)
+    monkeypatch.setattr(kernels, "weyl_float", _no_sums)
     with pytest.raises(CapacityError, match=message):
         check_weyl_table(alphas, k_values, q_values, eps)
     labelled = [(str(a), a) for a in alphas]

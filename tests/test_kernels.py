@@ -33,11 +33,12 @@ def test_quadform_matches_brute_force(system, vec):
 
 
 BATCH_CASES = [
-    # (Q, k, mode, N, offsets): every q^k folds
+    # (Q, k, mode, N, offsets): each row against brute_sigma at its own
+    # offset, which quadform does not read.  Every q^k folds
     (3, 2, "dyadic", 48, [-7, 5, 0, 64, -64]),
-    # q^k = 8 folds; 27 and 64 exceed the span 16 and are placed unfolded
+    # q^k = 8 folds; 27 and 64 exceed N = 16, so a row keeps its N columns
     (4, 3, "full", 16, [0, 0, 0]),
-    # all offsets negative: span 16 + 17
+    # all offsets negative
     (4, 3, "full", 16, [-3, -20]),
     (3, 2, "full", 1, [-5, 0, 7]),
     (3, 3, "dyadic", 20, [-9]),
@@ -53,6 +54,21 @@ def test_quadform_batch_matches_brute_force_per_row(Q, k, mode, n, offsets):
     assert got.shape == (len(offsets),)
     for b, m_off in enumerate(offsets):
         assert got[b] == pytest.approx(brute_sigma(int_points(s), m_off, vs[b]), rel=1e-12)
+
+
+def test_quadform_does_not_depend_on_the_offset():
+    # |e(a M / q^k)| = 1, so the shift M leaves the form as it is: q^k = 8 and
+    # 27 fold, 64 exceeds N = 40
+    s = enumerate_system(4, 3, "full")
+    rng = np.random.default_rng(11)
+    v = rng.standard_normal(40) + 1j * rng.standard_normal(40)
+    offsets = [-64, 0, 64]
+    rows = kernels.quadform(s.numerators, s.moduli, offsets, np.stack([v] * 3)).tolist()
+    singles = [kernels.quadform(s.numerators, s.moduli, m_off, v) for m_off in offsets]
+    assert rows == [rows[0]] * 3 and singles == [singles[0]] * 3
+    assert rows[0] == pytest.approx(singles[0], rel=1e-14)
+    for m_off in offsets:
+        assert singles[0] == pytest.approx(brute_sigma(int_points(s), m_off, v), rel=1e-12)
 
 
 def test_quadform_batch_over_several_blocks(system, monkeypatch):

@@ -70,7 +70,7 @@ def test_commands_call_the_traced_names(monkeypatch, tmp_path):
     for args in ("weyl --Q 4 --k 2 --samples 2", "lemma1 --Q 2 --N 4 --k 2 --vectors 2"):
         assert cli.main([*args.split(), "--out", str(tmp_path / "out")]) == 0
     for layer in ("expsums.weyl_sum", "expsums.weyl_min_sum_bound", "expsums.min_sum",
-                  "kernels.quadform"):
+                  "kernels.quadform", "kernels.weyl_rational", "kernels.weyl_float"):
         assert calls.get(layer), layer
     # tracing.COUNTERS reads a weyl_sum span's terms from args[1]
     assert [args[1] for args in calls["expsums.weyl_sum"]] == [4]
