@@ -247,7 +247,7 @@ def write_records(records: list[dict], columns: list[str], cfg: RunConfig) -> No
 
 
 def map_cells(func, cells, threads: int) -> list:
-    # Serial: BLAS already spreads a cell over the cores; perfbench's tracer passes `threads`.
+    # Cells run serially, one after another; perfbench's tracer passes `threads`.
     return [func(cell) for cell in cells]
 
 

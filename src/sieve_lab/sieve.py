@@ -10,9 +10,14 @@ The autocorrelation c(t) has an exact closed form over the bases alone: per
 base q and squarefree divisor d | q, the full geometric sum over a residue
 class vanishes unless (q^k / d) | t, where it contributes mu(d) * q^k / d.  So
 the constant is computed from (Q, N, k, mode) without building any point.
-c(t) is a real integer, so T is real symmetric: its products use real FFTs
-and its top eigenvalue comes from a restarted Lanczos iteration.  The O(|F| N)
-brute-force sum over the enumerated points, kernels.autocorr, is the oracle.
+c(t) is a real integer, so T is real symmetric.  T also commutes with the
+reversal J, so its top eigenvalue is the larger of the top eigenvalues of its
+two parity sectors, the vectors with J v = v and with J v = -v (Cantoni and
+Butler 1976).  power_iteration solves each sector, about N/2 entries, by a
+restarted Lanczos iteration whose products are real FFTs of length N
+(ParitySector); T's own product, ToeplitzKernel.matvec, and its dense matrix
+stay as the oracle.  The O(|F| N) brute-force sum over the enumerated points,
+kernels.autocorr, is the oracle for c(t).
 
 The quadratic form itself has one entry, kernels.quadform, which the lemma1
 command calls with one (B, N) coefficient array per chunk and sigma_exact
@@ -27,6 +32,7 @@ q^k >= 2^k only.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -38,22 +44,28 @@ from .farey import Mode, PowerFareySystem, squarefree_divisors_with_mu, system_b
 # Fixed seed of the Lanczos start vector; results are deterministic.
 START_SEED = 0xC0FFEE
 ITERATION_CAP_BASE = 1000
-# Krylov basis size per Lanczos cycle (capped at N): the basis holds
-# RESTART_LENGTH * N floats, about 34 MB at N = 2^16.
+# Krylov basis size per Lanczos cycle (capped at the sector's size): one
+# sector is solved at a time, so the basis holds about RESTART_LENGTH * N / 2
+# floats, about 17 MB at N = 2^16.
 RESTART_LENGTH = 64
-# Lanczos steps between scheduled convergence tests (see power_iteration).
+# Lanczos steps between scheduled convergence tests (see sector_top).
 RITZ_CHECK_EVERY = 4
+# A scheduled test whose Ritz estimate is within this factor of rel_tol
+# schedules a test at every later step of its cycle (see sector_top).
+RITZ_NEAR = 1024
 # Largest estimated eigensolve footprint toeplitz_kernel accepts, in bytes:
-# the basis plus 16 more float64 N-vectors (c, the 2N embedding and its rfft,
-# the FFT temporaries of one product and the iteration vectors).  2 GiB admits
-# N up to about 3.3e6; N = 2^16 needs about 42 MB.
+# a basis of RESTART_LENGTH full-length vectors plus 16 more float64
+# N-vectors (c, the 2N embedding and its rfft, the FFT temporaries of one
+# product and the iteration vectors).  A sector's basis is half that long, so
+# the estimate over-counts, which is safe.  2 GiB admits N up to about 3.3e6;
+# N = 2^16 needs about 42 MB.
 EIGEN_BUDGET_BYTES = 1 << 31
 # beta_j below this fraction of the top Ritz value: the basis spans an
 # invariant subspace to working precision.
 INVARIANT_TOL = 1e-12
-# Vectors T is applied to per step.  Each Lanczos step applies T to one
-# vector, so the trace in perfbench/tracing.py, which counts products as
-# iterations * BLOCK_SIZE, stays true.
+# Vectors a sector is applied to per step.  Each Lanczos step applies one
+# sector to one vector, so the trace in perfbench/tracing.py, which counts
+# products as iterations * BLOCK_SIZE, stays true.
 BLOCK_SIZE = 1
 
 
@@ -84,9 +96,12 @@ class ToeplitzKernel:
     """Real symmetric Toeplitz operator T[m,n] = c(|m-n|) given real c(t) for
     0 <= t < N.
 
-    The circulant embedding (length 2N) is transformed once by a real FFT, so
-    a product costs two real FFTs; a complex vector v is applied as
-    T Re v + i T Im v.  A complex c is rejected.  Immutable after construction.
+    matvec and dense are the oracle for the parity sectors that power_iteration
+    solves (see ParitySector).  matvec applies T through its circulant
+    embedding (length 2N), transformed by a real FFT on the first product, so a
+    product costs two real FFTs; a complex vector v is applied as
+    T Re v + i T Im v.  A complex c is rejected.  c and N are fixed at
+    construction.
     """
 
     def __init__(self, c: np.ndarray):
@@ -98,10 +113,13 @@ class ToeplitzKernel:
             raise ValueError("c must be a nonempty 1-d array")
         self.c = c
         self.N = int(c.shape[0])
+
+    @cached_property
+    def _circ_fft(self) -> np.ndarray:
         emb = np.zeros(2 * self.N)
-        emb[:self.N] = c
-        emb[self.N + 1:] = c[1:][::-1]
-        self._circ_fft = np.fft.rfft(emb)
+        emb[:self.N] = self.c
+        emb[self.N + 1:] = self.c[1:][::-1]
+        return np.fft.rfft(emb)
 
     def _real_matvec(self, v: np.ndarray) -> np.ndarray:
         n2 = 2 * self.N
@@ -118,6 +136,62 @@ class ToeplitzKernel:
         """Materialized N x N matrix (oracle/cross-check use)."""
         idx = np.arange(self.N)
         return self.c[np.abs(idx[:, None] - idx[None, :])]
+
+
+class ParitySector:
+    """The sector of a ToeplitzKernel T (N >= 2) on the vectors v with
+    J v = sign * v, J the reversal, in coordinates over an orthonormal basis
+    of the sector, so norms and Rayleigh quotients are those of v.
+
+    T commutes with J, so its spectrum is the union of the two sectors'
+    (Cantoni and Butler 1976).  With h = N // 2, A the Toeplitz matrix of
+    c(0..h-1) and H the Hankel matrix H[i,j] = c(N-1-i-j), both h x h: for
+    even N, v = (u, sign J u) and the sector is A + sign H; for odd N the
+    antisymmetric sector is A - H with middle entry 0, and the symmetric one
+    acts on (sqrt(2) u, m) as [[A + H, sqrt(2) b], [sqrt(2) b^T, c(0)]],
+    b_i = c(h - i).  A product is irfft(C^ U + sign G^ conj(U), 2h)[:h] with
+    U = rfft(u, 2h), C^ the spectrum of the length-2h circulant embedding of
+    c(0..h-1) and G^ that of g(t) = c(N-1-t), t <= 2h-2.  `trace` is exact
+    for an integer c; `bound` = N c(0) bounds every eigenvalue of T.
+    """
+
+    def __init__(self, kernel: ToeplitzKernel, sign: int):
+        c, n = kernel.c, kernel.N
+        h = n // 2
+        self.sign = sign
+        self._h = h
+        self._middle = n % 2 == 1 and sign == 1
+        self.N = h + self._middle
+        self.bound = n * float(c[0])
+        emb = np.zeros(2 * h)
+        emb[:h] = c[:h]
+        emb[h + 1:] = c[1:h][::-1]
+        self._c_fft = np.fft.rfft(emb)
+        self._g_fft = sign * np.fft.rfft(c[n - 1:n - 2 * h:-1], 2 * h)
+        diag = c[n - 1::-2][:h]  # H's diagonal, c(N-1-2i)
+        self.trace = float(h * c[0] + sign * np.sum(diag) + self._middle * c[0])
+        if self._middle:
+            self._c0 = float(c[0])
+            self._b = np.sqrt(2.0) * c[h:0:-1]
+
+    def matvec(self, u: np.ndarray) -> np.ndarray:
+        """The sector applied to real sector coordinates u."""
+        h = self._h
+        w = u[:h]
+        fw = np.fft.rfft(w, 2 * h)
+        out = np.fft.irfft(self._c_fft * fw + self._g_fft * fw.conj(), 2 * h)[:h]
+        if not self._middle:
+            return out
+        m = u[h]
+        return np.append(out + m * self._b, self._b @ w + self._c0 * m)
+
+    def project(self, x: np.ndarray) -> np.ndarray:
+        """Sector coordinates of the projection of the length-N vector x onto
+        the sector: (x_i + sign x_(N-1-i)) / sqrt(2), then x_h if the sector
+        holds the middle entry.  They are iid Gaussian when x is."""
+        h = self._h
+        u = (x[:h] + self.sign * x[::-1][:h]) * np.sqrt(0.5)
+        return np.append(u, x[h]) if self._middle else u
 
 
 def toeplitz_kernel(Q: int, N: int, k: int, mode: Mode = "full") -> ToeplitzKernel:
@@ -151,52 +225,85 @@ class PowerResult(NamedTuple):
 
 
 def power_iteration(kernel: ToeplitzKernel, rel_tol: float = 1e-8) -> PowerResult:
-    """Largest eigenvalue of the PSD kernel by explicitly restarted Lanczos.
+    """Largest eigenvalue of the PSD kernel: the larger sector_top of its two
+    ParitySectors, each started from the projection of one fixed-seed
+    Gaussian vector of length N, so the result is deterministic.
 
-    Each cycle runs the plain three-term recurrence for at most RESTART_LENGTH
-    steps, with no reorthogonalisation: only the top eigenvalue is wanted, and
-    a Lanczos basis loses orthogonality only along Ritz vectors that have
-    already converged (Paige 1980).  The convergence test, a dense eigh of the
-    growing tridiagonal matrix, costs more than a product at small N, so it is
-    scheduled only every RITZ_CHECK_EVERY steps, at the cycle's last step, at
-    the product cap and whenever beta_j is small enough for the
-    invariant-subspace stop.  The cycle stops at the first scheduled test that
-    passes: the Ritz estimate beta_j |y_j| / theta of the top Ritz pair is
-    below rel_tol, or beta_j marks an invariant subspace.  The normalised top
-    Ritz vector x is certified by one explicit product: value = x*Tx (a
-    Rayleigh quotient, never above lambda_max) and residual =
-    ||Tx - value x|| / value.  The result is returned only when
-    residual < rel_tol; otherwise the next cycle restarts from x, reusing Tx
-    as its first product.  The residual bounds the distance from value to
-    *an* eigenvalue, not to lambda_max: when the top two eigenvalues are
-    closer than rel_tol, value can sit up to their gap below lambda_max (a
-    kernel with a 2.5e-8 relative top gap gives value 2.1e-8 below it, with
-    residual 9.2e-9 < 1e-8).  The first cycle starts from a fixed-seed Gaussian
-    vector, so the result is deterministic.  `iterations` counts every
-    product applied with T.  Raises EigensolverError with the last value and
-    residual when the cap of 10N + 1000 products is reached.  rel_tol must
-    lie in (0, 1).
+    The winning sector's value and residual are those of the length-N vector
+    its certified Ritz vector stands for.  A sector whose trace is at most
+    INVARIANT_TOL N c(0), the rounding level of its products, is null and
+    takes no product.  `iterations` is the sum of both sectors' products.
+    The cap of 10 n + 1000 products applies to each sector on its size n;
+    the other sector still runs, and EigensolverError carries the larger last
+    value of the failed sectors, its residual and both sectors' products.
+    rel_tol must lie in (0, 1).
     """
     if not 0 < rel_tol < 1:
         raise ValueError(f"rel_tol must be in (0, 1), got {rel_tol!r}")
-    n = kernel.N
     c0 = float(kernel.c[0])
     if c0 <= 0.0:
         return PowerResult(0.0, 0.0, 0)  # empty system: T = 0
-    if n == 1:
+    if kernel.N == 1:
         return PowerResult(c0, 0.0, 0)  # 1x1 matrix
+    x = np.random.default_rng(START_SEED).standard_normal(kernel.N)
+    best, failed, products = PowerResult(0.0, 0.0, 0), None, 0
+    for sign in (1, -1):
+        sector = ParitySector(kernel, sign)
+        if sector.trace <= INVARIANT_TOL * sector.bound:
+            continue  # null sector
+        try:
+            res = sector_top(sector, sector.project(x), rel_tol)
+        except EigensolverError as exc:
+            products += exc.iterations
+            if failed is None or exc.last_value > failed.last_value:
+                failed = exc
+            continue
+        products += res.iterations
+        if res.value > best.value:
+            best = res
+    if failed is not None:
+        raise EigensolverError(f"{failed} ({products} products in both sectors)",
+                               last_value=failed.last_value,
+                               last_residual=failed.last_residual, iterations=products)
+    return best._replace(iterations=products)
+
+
+def sector_top(sector: ParitySector, start: np.ndarray, rel_tol: float) -> PowerResult:
+    """Top eigenvalue of one ParitySector by explicitly restarted Lanczos
+    from `start`, a nonzero vector of sector coordinates.
+
+    Each cycle runs the plain three-term recurrence for at most RESTART_LENGTH
+    steps, with no reorthogonalisation: a Lanczos basis loses orthogonality
+    only along Ritz vectors that have already converged (Paige 1980).  The
+    convergence test, a dense eigh of the tridiagonal matrix, costs more than
+    a product at small N, so it runs every RITZ_CHECK_EVERY steps, at the
+    cycle's last step, at the product cap and whenever beta_j is small
+    enough for the invariant-subspace stop (judged against T's bound N c(0),
+    which a sector's top can reach).  The Ritz estimate is not monotone, so
+    once a test's estimate is within RITZ_NEAR of rel_tol every later step
+    of the cycle is tested (without this one sector of (7, 4096, 4) dyadic
+    stopped 11 steps late).  The cycle stops at the first test where
+    beta_j |y_j| < rel_tol theta or beta_j marks an invariant subspace.  The
+    normalised top Ritz vector x is certified by one explicit product:
+    value = x*Sx, a Rayleigh quotient, and residual = ||Sx - value x|| /
+    value.  It is returned when residual < rel_tol; otherwise the next cycle
+    restarts from x, reusing Sx.  The residual bounds the distance to *an*
+    eigenvalue, so when the sector's top two eigenvalues are closer than
+    rel_tol, value can sit up to their gap below its top.  `iterations`
+    counts every product; EigensolverError, with the last value and
+    residual, is raised at 10 n + 1000 products, n the sector's size.
+    """
+    n = sector.N
     m = min(RESTART_LENGTH, n)
     cap = 10 * n + ITERATION_CAP_BASE
-    # T is PSD, so |c(t)| <= c0 and every Ritz value is at most n * c0: above
-    # this, beta_j cannot pass the invariant-subspace test.
-    near_invariant = 2 * INVARIANT_TOL * n * c0
-    rng = np.random.default_rng(START_SEED)
-    x = rng.standard_normal(n)
-    x /= np.linalg.norm(x)
+    # every Ritz value is at most sector.bound: above this, beta_j cannot pass
+    # the invariant-subspace test
+    near_invariant = 2 * INVARIANT_TOL * sector.bound
+    x = start / np.linalg.norm(start)
     V = np.empty((m, n))
     alpha = np.zeros(m)
     beta = np.zeros(m)
-    tx = kernel.matvec(x)
+    tx = sector.matvec(x)
     matvecs = 1
     while True:
         value = float(np.vdot(x, tx))
@@ -212,9 +319,10 @@ def power_iteration(kernel: ToeplitzKernel, rel_tol: float = 1e-8) -> PowerResul
                 last_value=value, last_residual=residual, iterations=matvecs)
         V[0] = x
         w = tx
+        near = False
         for j in range(m):
             if j > 0:
-                w = kernel.matvec(V[j])
+                w = sector.matvec(V[j])
                 matvecs += 1
             alpha[j] = V[j] @ w
             w = w - alpha[j] * V[j]
@@ -222,18 +330,21 @@ def power_iteration(kernel: ToeplitzKernel, rel_tol: float = 1e-8) -> PowerResul
                 w -= beta[j - 1] * V[j - 1]
             beta[j] = float(np.linalg.norm(w))
             last = j == m - 1 or matvecs >= cap - 1
-            if last or (j + 1) % RITZ_CHECK_EVERY == 0 or beta[j] <= near_invariant:
+            if (last or near or (j + 1) % RITZ_CHECK_EVERY == 0
+                    or beta[j] <= near_invariant):
                 # top Ritz pair (theta[-1], y) of the (j+1) x (j+1) tridiagonal
                 theta, Y = np.linalg.eigh(np.diag(alpha[:j + 1]) + np.diag(beta[:j], 1)
                                           + np.diag(beta[:j], -1))
                 y = Y[:, -1]
-                if (last or beta[j] * abs(y[j]) < rel_tol * theta[-1]
+                estimate = beta[j] * abs(y[j])
+                if (last or estimate < rel_tol * theta[-1]
                         or beta[j] <= INVARIANT_TOL * theta[-1]):
                     break
+                near = estimate < RITZ_NEAR * rel_tol * theta[-1]
             V[j + 1] = w / beta[j]
         x = y @ V[:j + 1]
         x /= np.linalg.norm(x)
-        tx = kernel.matvec(x)
+        tx = sector.matvec(x)
         matvecs += 1
 
 

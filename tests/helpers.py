@@ -19,7 +19,7 @@ import numpy as np
 from sieve_lab import kernels
 from sieve_lab.errors import EigensolverError
 from sieve_lab.sieve import (INVARIANT_TOL, ITERATION_CAP_BASE, RESTART_LENGTH, START_SEED,
-                             PowerResult)
+                             ParitySector, PowerResult)
 
 TWO_PI = 2.0 * math.pi
 # Runs the command in argv, then prints its exit code and the peak RSS that
@@ -310,28 +310,43 @@ def totient(n: int) -> int:
     return result
 
 
-def lanczos_every_step(kernel, rel_tol: float = 1e-8):
-    """Independent reference for sieve.power_iteration: restarted Lanczos with
-    full two-pass reorthogonalisation and the convergence test (a dense eigh
-    of the tridiagonal matrix) after every step, from the same start, restart
-    and certificate: (PowerResult, number of Lanczos cycles run)."""
+def sector_lift(sector, n: int, u) -> np.ndarray:
+    """The length-n vector (u_lo / sqrt(2), middle, sign * reversed(u_lo) / sqrt(2))
+    whose coordinates in the parity sector `sector` of an n x n kernel are u:
+    u_lo is u's first n // 2 entries, and the middle entry, for odd n, is u's
+    last entry in the symmetric sector and 0 in the antisymmetric one."""
+    h = n // 2
+    u = np.asarray(u)
+    half = u[:h] / math.sqrt(2.0)
+    middle = u[h:] if n % 2 and sector.sign > 0 else np.zeros(n % 2, dtype=u.dtype)
+    return np.concatenate([half, middle, sector.sign * half[::-1]])
+
+
+def sector_starts(kernel) -> list:
+    """(sector, start) for each parity sector that sieve.power_iteration
+    solves, start being the projection of its fixed-seed length-N draw; a
+    sector whose trace is at most INVARIANT_TOL N c(0) is null and left out."""
+    x = np.random.default_rng(START_SEED).standard_normal(kernel.N)
+    sectors = (ParitySector(kernel, 1), ParitySector(kernel, -1))
+    return [(s, s.project(x)) for s in sectors if s.trace > INVARIANT_TOL * s.bound]
+
+
+def lanczos_every_step(op, start, rel_tol: float = 1e-8):
+    """Independent reference for sieve.sector_top: restarted Lanczos on any
+    operator with `N` and `matvec`, with full two-pass reorthogonalisation and
+    the convergence test (a dense eigh of the tridiagonal matrix) after every
+    step, from the same start, restart and certificate: (PowerResult, number
+    of Lanczos cycles run)."""
     if rel_tol <= 0:
         raise ValueError("rel_tol must be > 0")
-    n = kernel.N
-    c0 = float(kernel.c[0])
-    if c0 <= 0.0:
-        return PowerResult(0.0, 0.0, 0), 0  # empty system: T = 0
-    if n == 1:
-        return PowerResult(c0, 0.0, 0), 0  # 1x1 matrix
+    n = op.N
     m = min(RESTART_LENGTH, n)
     cap = 10 * n + ITERATION_CAP_BASE
-    rng = np.random.default_rng(START_SEED)
-    x = rng.standard_normal(n)
-    x /= np.linalg.norm(x)
+    x = start / np.linalg.norm(start)
     V = np.empty((m, n))
     alpha = np.zeros(m)
     beta = np.zeros(m)
-    tx = kernel.matvec(x)
+    tx = op.matvec(x)
     matvecs = 1
     cycles = 0
     while True:
@@ -351,7 +366,7 @@ def lanczos_every_step(kernel, rel_tol: float = 1e-8):
         w = tx
         for j in range(m):
             if j > 0:
-                w = kernel.matvec(V[j])
+                w = op.matvec(V[j])
                 matvecs += 1
             alpha[j] = 0.0
             for _ in range(2):  # full reorthogonalisation, two passes
@@ -369,5 +384,5 @@ def lanczos_every_step(kernel, rel_tol: float = 1e-8):
             V[j + 1] = w / beta[j]
         x = y @ V[:j + 1]
         x /= np.linalg.norm(x)
-        tx = kernel.matvec(x)
+        tx = op.matvec(x)
         matvecs += 1

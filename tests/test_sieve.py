@@ -7,11 +7,11 @@ import pytest
 from sieve_lab import kernels, sieve
 from sieve_lab.errors import CapacityError, EigensolverError
 from sieve_lab.farey import enumerate_system, system_size
-from sieve_lab.sieve import (CoefficientVector, ToeplitzKernel, dense_lambda_max,
+from sieve_lab.sieve import (CoefficientVector, ParitySector, ToeplitzKernel, dense_lambda_max,
                              measure_constant, power_iteration, sigma_exact, toeplitz_kernel)
 
 from helpers import (brute_sigma, int_points, lanczos_every_step, quadform_of,
-                     rayleigh_quotient)
+                     rayleigh_quotient, sector_lift, sector_starts)
 from test_farey import make_singleton
 
 GRID = [(Q, k, mode) for Q in (1, 2, 3, 4) for k in (2, 3)
@@ -170,18 +170,27 @@ def test_power_iteration_rejects_rel_tol_outside_unit_interval(rel_tol):
 @pytest.mark.parametrize("mode", ["full", "dyadic"])
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_sparse_ritz_checks_match_every_step_loop(k, mode):
-    # (2, 256, 4) dyadic is on this grid: its Ritz estimate passes at a skipped
-    # step and fails again at the next scheduled test, so its cycle runs on to
-    # a later stop than the reference's and takes the most extra products
+    # per parity sector, from the projection of the same start; a Ritz
+    # estimate can pass at a skipped step and fail again at the next scheduled
+    # test, so a cycle may run on to a later stop than the reference's
     for Q in range(1, 9):
         for n in (2, 3, 4, 5, 16, 63, 64, 65, 256, 1000, 4096):
             kern = toeplitz_kernel(Q, n, k, mode)
-            oracle, cycles = lanczos_every_step(kern)
             res = power_iteration(kern)
-            assert abs(res.value - oracle.value) <= 1e-12 * oracle.value, (Q, n)
-            assert res.residual < 1e-8, (Q, n)
-            extra = res.iterations - oracle.iterations
-            assert 0 <= extra <= (sieve.RITZ_CHECK_EVERY - 1) * cycles, (Q, n)
+            if kern.c[0] <= 0:
+                assert res == (0.0, 0.0, 0), (Q, n)
+                continue
+            tops = []
+            for sector, start in sector_starts(kern):
+                oracle, cycles = lanczos_every_step(sector, start)
+                top = sieve.sector_top(sector, start, 1e-8)
+                assert abs(top.value - oracle.value) <= 1e-12 * oracle.value, (Q, n)
+                assert top.residual < 1e-8, (Q, n)
+                extra = top.iterations - oracle.iterations
+                assert 0 <= extra <= (sieve.RITZ_CHECK_EVERY - 1) * cycles, (Q, n)
+                tops.append(top)
+            assert res.value == max(top.value for top in tops), (Q, n)
+            assert res.iterations == sum(top.iterations for top in tops), (Q, n)
 
 
 # Krylov spaces that close after a step or two: beta_j falls to rounding level,
@@ -199,13 +208,22 @@ def test_early_closing_krylov_spaces(name, monkeypatch):
     kern = make()
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a division by beta_j = 0 would raise here
-        oracle, _ = lanczos_every_step(kern)
+        # the reference for the whole kernel: the larger sector top, the
+        # products of both sectors
+        oracles = []
+        for sector, start in sector_starts(kern):
+            oracle, _ = lanczos_every_step(sector, start)
+            top = sieve.sector_top(sector, start, 1e-8)
+            assert abs(top.value - oracle.value) <= 1e-12 * oracle.value
+            assert top.iterations == oracle.iterations
+            oracles.append(oracle)
         res = power_iteration(kern)
-        assert (res.value, res.iterations) == (oracle.value, oracle.iterations)
+        assert (res.value, res.iterations) == (max(oracle.value for oracle in oracles),
+                                               sum(oracle.iterations for oracle in oracles))
         assert res.residual < 1e-14
         assert res.value == pytest.approx(delta, rel=1e-12)
-        # a cap of 1000 products keeps the N = 4096 cell under a second
-        monkeypatch.setattr(sieve, "ITERATION_CAP_BASE", 1000 - 10 * kern.N)
+        # a cap of 500 products per sector keeps the N = 4096 cell under a second
+        monkeypatch.setattr(sieve, "ITERATION_CAP_BASE", 500 - 10 * (kern.N // 2))
         with pytest.raises(EigensolverError) as info:
             power_iteration(kern, 1e-300)
     assert 0 < info.value.iterations <= 1000
@@ -233,15 +251,98 @@ def test_clustered_top_pair(name):
     assert res.value == pytest.approx(top, rel=1e-8)
 
 
+def test_top_pair_across_the_sectors():
+    # a top pair 2.5e-8 apart with one eigenvalue in each sector: each sector's
+    # gap is wide, so the value is the top one (the whole-kernel solve stopped
+    # 2.1e-8 below it with residual 9.2e-9)
+    t = np.arange(1024)
+    kern = ToeplitzKernel(np.cos(2 * np.pi * (0.25 + 1e-9) * t) + 0.01 * 0.9 ** t)
+    second, top = np.linalg.eigvalsh(kern.dense())[-2:]
+    assert (top - second) / top < 3e-8
+    assert abs(power_iteration(kern, 1e-8).value - top) <= 1e-12 * top
+
+
 def test_cap_between_scheduled_tests(monkeypatch):
-    # full-length cycles with no early stop: the cap falls at every position
-    # between two scheduled tests, and no look-ahead product may pass it
+    # full-length cycles with no early stop in either sector: the cap falls at
+    # every position between two scheduled tests, no look-ahead product may
+    # pass it, and power_iteration's error counts both sectors' products
     kern = toeplitz_kernel(2, 256, 4, "dyadic")
+    starts = sector_starts(kern)
+    assert [sector.N for sector, _ in starts] == [128, 128]
     for cap in range(200, 200 + 2 * sieve.RITZ_CHECK_EVERY):
-        monkeypatch.setattr(sieve, "ITERATION_CAP_BASE", cap - 10 * kern.N)
+        monkeypatch.setattr(sieve, "ITERATION_CAP_BASE", cap - 10 * 128)
+        for sector, start in starts:
+            with pytest.raises(EigensolverError) as info:
+                sieve.sector_top(sector, start, 1e-300)
+            assert info.value.iterations == cap
         with pytest.raises(EigensolverError) as info:
             power_iteration(kern, 1e-300)
-        assert info.value.iterations == cap
+        assert info.value.iterations == 2 * cap
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 17, 64, 4097])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_sector_products_match_matvec(n, sign):
+    # the closed-form kernel and a random c with no zero entry, so a dropped
+    # or sign-swapped Hankel term shows
+    rng = np.random.default_rng([n, sign + 1])
+    for kern in (toeplitz_kernel(5, n, 2), ToeplitzKernel(rng.standard_normal(n))):
+        sector = ParitySector(kern, sign)
+        assert sector.N == n // 2 + (n % 2 == 1 and sign == 1)
+        if n <= 64:  # the trace of the sector in an orthonormal basis of lifts
+            basis = np.stack([sector_lift(sector, n, e) for e in np.eye(sector.N)], axis=1)
+            assert sector.trace == pytest.approx(np.trace(basis.T @ kern.dense() @ basis),
+                                                 rel=1e-12, abs=1e-12)
+        for _ in range(3):
+            u = rng.standard_normal(sector.N)
+            v = sector_lift(sector, n, u)
+            assert np.allclose(sector.project(v), u, rtol=1e-15, atol=1e-15)
+            ref = kern.matvec(v)
+            got = sector_lift(sector, n, sector.matvec(u))
+            assert float(np.linalg.norm(got - ref)) <= 1e-14 * float(np.linalg.norm(ref))
+
+
+def test_sector_maximum_matches_dense():
+    for Q, k, mode in itertools.product(range(1, 9), (2, 3, 4), ("full", "dyadic")):
+        for n in (2, 3, 4, 5, 16, 17, 64, 65, 256):
+            kern = toeplitz_kernel(Q, n, k, mode)
+            dense = dense_lambda_max(kern)
+            res = power_iteration(kern)
+            assert abs(res.value - dense) <= 1e-12 * dense, (Q, n, k, mode)
+
+
+# (Q, k) full at N = 4096 and the sector tops (symmetric, antisymmetric):
+# Delta lies in the antisymmetric sector at Q = 6, in the symmetric one at Q = 8
+SECTOR_TOPS = {(6, 2): (4378.248376, 4380.148108), (8, 3): (11020.359290, 11012.814902)}
+
+
+@pytest.mark.parametrize("Q, k", sorted(SECTOR_TOPS))
+def test_delta_lies_in_either_sector(Q, k):
+    kern = toeplitz_kernel(Q, 4096, k)
+    tops = {sector.sign: sieve.sector_top(sector, start, 1e-8)
+            for sector, start in sector_starts(kern)}
+    assert (tops[1].value, tops[-1].value) == pytest.approx(SECTOR_TOPS[Q, k], abs=1e-6)
+    res = power_iteration(kern)
+    assert res == max(tops.values())._replace(iterations=tops[1].iterations
+                                              + tops[-1].iterations)
+
+
+def test_one_by_one_and_null_sectors():
+    # N = 2: sectors c(0) + c(1) and c(0) - c(1); N = 3: the antisymmetric
+    # sector is c(0) - c(2), here 8 above c(0) = 5 and the symmetric top 5.56
+    for c, top in (([5.0, 2.0], 7.0), ([5.0, -2.0], 7.0), ([5.0, 1.0, -3.0], 8.0)):
+        kern = ToeplitzKernel(np.array(c))
+        assert dense_lambda_max(kern) == pytest.approx(top, rel=1e-15)
+        assert power_iteration(kern).value == pytest.approx(top, rel=1e-15)
+    anti = ParitySector(ToeplitzKernel(np.array([5.0, 1.0, -3.0])), -1)
+    assert anti.N == 1
+    assert sieve.sector_top(anti, np.array([-0.5]), 1e-8) == (8.0, 0.0, 1)
+    # the antisymmetric sector of a rank-1 kernel is null: no product
+    kern = ToeplitzKernel(np.full(64, 3.0))
+    assert ParitySector(kern, -1).trace == 0.0
+    ((sym, start),) = sector_starts(kern)
+    assert sym.sign == 1
+    assert power_iteration(kern) == sieve.sector_top(sym, start, 1e-8)
 
 
 def test_rayleigh_bounds():
