@@ -18,7 +18,6 @@ from .expsums import (
     min_sum,
     min_sum_bound,
     weyl_min_sum_bound,
-    weyl_pair_bound,
     weyl_sum,
 )
 from .farey import (

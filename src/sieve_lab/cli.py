@@ -162,6 +162,16 @@ _OPTIONS = {
 }
 
 
+def convert_config(command: str, values: dict) -> RunConfig:
+    """The RunConfig of `command` holding each option value, as flag or
+    config-file text or as a default, converted by its _OPTIONS converter."""
+    try:
+        return RunConfig(command=command,
+                         **{key: _OPTIONS[key][1](value) for key, value in values.items()})
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid configuration value: {exc}") from exc
+
+
 def build_config(args: argparse.Namespace) -> RunConfig:
     """The command's options: its defaults, overridden by the SIEVE_LAB_CONFIG
     file, then the --config file, then the flags.  A config file may set any
@@ -176,12 +186,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         if flag is not None:
             merged[key] = flag
 
-    try:
-        cfg = RunConfig(command=args.command,
-                        **{key: _OPTIONS[key][1](value) for key, value in merged.items()})
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid configuration value: {exc}") from exc
-
+    cfg = convert_config(args.command, merged)
     for key in merged:
         choices = _OPTIONS[key][0].get("choices")
         if choices and getattr(cfg, key) not in choices:

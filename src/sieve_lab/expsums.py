@@ -136,17 +136,6 @@ def weyl_sum(alphas: Sequence[Coeff], Q: int, k: int) -> np.ndarray:
     return out
 
 
-def weyl_pair_bound(approx: ApproxPair, Q: int, k: int, eps: float) -> float:
-    """Weyl-sum bound shape from an approximation pair:
-    Q^(1+eps) * (1/v + 1/Q + v/Q^k)^delta, delta = 1/(2k(k-1)); raises
-    CapacityError when Q^(1+eps) or Q^k is above the float range."""
-    if Q < 1:
-        raise ValueError(f"Q must be >= 1, got {Q}")
-    delta = float(delta_exponent(k))
-    v = approx.v
-    return float_power(Q, 1.0 + eps) * (1.0 / v + 1.0 / Q + v / float_power(Q, k)) ** delta
-
-
 def _min_terms_sum(alphas: Sequence[Coeff], counts: Sequence[int],
                    xys: Sequence[float]) -> np.ndarray:
     """Per row j, sum_{1 <= v <= counts[j]} min(xys[j]/v, 1/||v*alphas[j]||),

@@ -1,9 +1,13 @@
 """Fixed-seed measured-ratio protocols and the regeneration of frozen guards.
 
 The measured ratios (Weyl sum / bound, min-sum / bound, constant / bound) carry
-the shapes' implicit constants, so no test asserts them <= 1.  Instead the
-grid maxima are computed once on the fixed seed, frozen into frozen.py, and
-guarded against regression ever after.  Regenerate with:
+the shapes' implicit constants, so no test asserts them <= 1.  Instead their
+maxima are computed once, frozen into frozen.py, and guarded against
+regression ever after.  The maxima are the commands' own: the `ratio` column
+of the `weyl` command's two tables ("weyl" and "min_sum"), and the
+ratio_kappa, ratio_loglog and ratio_delta columns of the `constant` command in
+both modes, every command at its cli.COMMANDS defaults (seed
+cli.DEFAULT_SEED).  Regeneration reads no config file.  Regenerate with:
 
     python -m sieve_lab.regression
 """
@@ -18,24 +22,9 @@ from typing import Sequence, Union
 import numpy as np
 
 from .arith import dirichlet_approx
-from .bounds import BoundParams, evaluate_bounds
 from .expsums import check_weyl_table, min_sum, min_sum_bound, weyl_min_sum_bound, weyl_sum
-from .sieve import measure_constant
 
-FROZEN_SEED = 0xC0FFEE
-
-WEYL_Q_VALUES = (4, 16, 64, 256)
-WEYL_K_VALUES = (2, 3, 4)
-WEYL_EPS = 0.05
 MIN_SUM_LIMIT = 512.0
-MIN_SUM_SAMPLES = 200
-
-GRID_Q = (1, 2, 3, 4)
-GRID_K = (2, 3)
-GRID_N = (4, 16, 64, 256)
-GRID_MODES = ("full", "dyadic")
-GRID_EPS = 0.05
-GRID_REL_TOL = 1e-8
 DELTA_SHAPES = ("kappa", "loglog", "delta")
 
 Alpha = Union[Fraction, float]
@@ -43,7 +32,7 @@ Alpha = Union[Fraction, float]
 _NONSQUARES = tuple(d for d in range(2, 60) if math.isqrt(d) ** 2 != d)
 
 
-def sample_alphas(seed: int = FROZEN_SEED) -> list[tuple[str, Alpha]]:
+def sample_alphas(seed: int) -> list[tuple[str, Alpha]]:
     """Labelled phase coefficients: 100 random reduced rationals (kept exact)
     and 100 quadratic irrationals (p + s*sqrt(d))/r evaluated as floats."""
     rng = np.random.default_rng(seed)
@@ -63,9 +52,8 @@ def sample_alphas(seed: int = FROZEN_SEED) -> list[tuple[str, Alpha]]:
 
 
 def weyl_ratio_rows(alphas: Sequence[tuple[str, Alpha]],
-                    q_values: Sequence[int] = WEYL_Q_VALUES,
-                    k_values: Sequence[int] = WEYL_K_VALUES,
-                    eps: float = WEYL_EPS) -> list[dict]:
+                    q_values: Sequence[int], k_values: Sequence[int],
+                    eps: float) -> list[dict]:
     """The `weyl` command's "weyl" table: one record per (alpha, k, Q) under
     the cli.WEYL_COLUMNS names, |S| against weyl_min_sum_bound.  The whole
     table is checked first (expsums.check_weyl_table); then each (k, Q) is
@@ -88,8 +76,7 @@ def weyl_ratio_rows(alphas: Sequence[tuple[str, Alpha]],
 
 
 def min_sum_ratio_rows(alphas: Sequence[tuple[str, Alpha]],
-                       seed: int = FROZEN_SEED,
-                       n_samples: int = MIN_SUM_SAMPLES) -> list[dict]:
+                       seed: int, n_samples: int) -> list[dict]:
     """The `weyl` command's "min_sum" table: one record per seeded (alpha, X,
     Y) sample under the cli.WEYL_COLUMNS names, min_sum against min_sum_bound.
     Every (X, Y) is drawn first, then the minimum sums run for all samples at
@@ -111,33 +98,33 @@ def min_sum_ratio_rows(alphas: Sequence[tuple[str, Alpha]],
     return rows
 
 
-def delta_ratio_maxima() -> dict[str, dict[str, float]]:
-    """Per-k maxima of measured/bound over the standard grid, for the three
-    nontrivial shapes."""
-    maxima: dict[str, dict[str, float]] = {
-        str(k): {name: 0.0 for name in DELTA_SHAPES} for k in GRID_K}
-    for k in GRID_K:
-        for mode in GRID_MODES:
-            for Q in GRID_Q:
-                for N in GRID_N:
-                    measured = measure_constant(Q, N, k, mode, GRID_REL_TOL).value
-                    values = evaluate_bounds(BoundParams(Q, N, k, GRID_EPS))
-                    for name in DELTA_SHAPES:
-                        ratio = measured / values[name]
-                        if ratio > maxima[str(k)][name]:
-                            maxima[str(k)][name] = ratio
-    return maxima
-
-
 def compute_frozen() -> dict:
-    alphas = sample_alphas()
-    weyl_rows = weyl_ratio_rows(alphas)
-    ms_rows = min_sum_ratio_rows(alphas)
+    """The frozen maxima: `weyl` run once and `constant` once per mode, each at
+    its COMMANDS defaults; raises if a run exits nonzero or has a failing row."""
+    # cli imports this module for the weyl command's tables, so it is imported
+    # here, at call time, not at the top.
+    from . import cli
+
+    def records(command: str, **overrides) -> list[dict]:
+        run, _, defaults = cli.COMMANDS[command]
+        rows, _, code, _ = run(cli.convert_config(command, {**defaults, **overrides}))
+        failed = [r for r in rows if r.get("status", "ok") != "ok"]
+        if code or failed:
+            raise RuntimeError(f"{command} {overrides} exited {code} with "
+                               f"{len(failed)} failing rows")
+        return rows
+
+    weyl_rows = records("weyl")
+    delta: dict[str, dict[str, float]] = {}
+    for row in records("constant", mode="full") + records("constant", mode="dyadic"):
+        maxima = delta.setdefault(str(row["k"]), dict.fromkeys(DELTA_SHAPES, 0.0))
+        for name in DELTA_SHAPES:
+            maxima[name] = max(maxima[name], row[f"ratio_{name}"])
     return {
-        "seed": FROZEN_SEED,
-        "weyl_bound_max": max(r["ratio"] for r in weyl_rows),
-        "min_sum_bound_max": max(r["ratio"] for r in ms_rows),
-        "delta_ratio_max": delta_ratio_maxima(),
+        "seed": cli.DEFAULT_SEED,
+        "weyl_bound_max": max(r["ratio"] for r in weyl_rows if r["table"] == "weyl"),
+        "min_sum_bound_max": max(r["ratio"] for r in weyl_rows if r["table"] == "min_sum"),
+        "delta_ratio_max": delta,
     }
 
 

@@ -216,15 +216,13 @@ def test_criterion_06_counting_integral_closed_form():
 
 def test_criterion_07_frozen_ratio_regressions():
     slack = 1 + 1e-9
-    alphas = regression.sample_alphas(SEED)
-    weyl_max = max(r["ratio"] for r in regression.weyl_ratio_rows(alphas))
-    ms_max = max(r["ratio"] for r in regression.min_sum_ratio_rows(alphas, SEED))
-    delta = regression.delta_ratio_maxima()
+    now = regression.compute_frozen()
+    weyl_max, ms_max = now["weyl_bound_max"], now["min_sum_bound_max"]
     ok = (weyl_max <= FROZEN_RATIOS["weyl_bound_max"] * slack
           and ms_max <= FROZEN_RATIOS["min_sum_bound_max"] * slack)
     detail = [f"weyl {weyl_max:.6f} (frozen {FROZEN_RATIOS['weyl_bound_max']:.6f})",
               f"min_sum {ms_max:.6f} (frozen {FROZEN_RATIOS['min_sum_bound_max']:.6f})"]
-    for k, shapes in delta.items():
+    for k, shapes in now["delta_ratio_max"].items():
         for name, value in shapes.items():
             frozen = FROZEN_RATIOS["delta_ratio_max"][k][name]
             ok = ok and value <= frozen * slack

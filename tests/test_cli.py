@@ -306,11 +306,12 @@ def test_constant_bound_above_the_float_range_is_a_row(tmp_path):
                         tmp_path)
     assert code == EXIT_CAPACITY
     (rec,) = json.loads(raw)
-    assert rec["status"] == "capacity-error" and rec["measured"] == 20.0
+    assert rec["status"] == "capacity-error"
+    assert rec["measured"] == pytest.approx(20.0, rel=1e-14)
     assert "above the float range" in rec["detail"]
     # the first shape that overflows names the error; the others still fit
     assert rec["detail"].startswith("bound conjecture at Q = 4, N = 4, k = 2, eps = 400.0 ")
-    assert rec["bound_ls_a"] == 260.0 and rec["ratio_ls_a"] == 20 / 260
+    assert rec["bound_ls_a"] == 260.0 and rec["ratio_ls_a"] == rec["measured"] / 260
     for name in SHAPE_NAMES:
         empty = name in ("conjecture", "delta")
         assert (rec[f"bound_{name}"] is None) == empty, name

@@ -9,7 +9,7 @@ from sieve_lab.arith import ApproxPair
 from sieve_lab.errors import CapacityError
 from sieve_lab.bounds import BoundParams, delta_exponent
 from sieve_lab.expsums import (check_weyl_table, fourier_majorant, min_sum, min_sum_bound,
-                               weyl_min_sum_bound, weyl_pair_bound, weyl_sum)
+                               weyl_min_sum_bound, weyl_sum)
 from sieve_lab.farey import count_near, enumerate_system, system_point
 from sieve_lab.regression import sample_alphas, weyl_ratio_rows
 
@@ -67,33 +67,18 @@ def test_degrees_below_two_are_refused(k):
     for call in (lambda: delta_exponent(k), lambda: BoundParams(4, 4, k),
                  lambda: weyl_sum([Fraction(1, 3), 0.5], 4, k),
                  lambda: weyl_min_sum_bound([Fraction(1, 3), 0.5], 4, k, 0.05),
-                 lambda: weyl_pair_bound(ApproxPair(0, 1, 0.0), 4, k, 0.05),
                  lambda: check_weyl_table([Fraction(1, 3), 0.5], [2, k], [4], 0.05)):
         with pytest.raises(ValueError, match=message):
             call()
-
-
-def test_weyl_pair_bound_examples():
-    assert weyl_pair_bound(ApproxPair(0, 1, 0.0), 1, 2, 0.1) == pytest.approx(
-        3 ** 0.25, rel=1e-12)
-    assert weyl_pair_bound(ApproxPair(0, 8, 0.0), 8, 2, 0.0) == pytest.approx(
-        8 * 0.375 ** 0.25, rel=1e-12)
-    want = 16 * (1 / 16 + 1 / 16 + 16 / 4096) ** (1 / 12)
-    assert weyl_pair_bound(ApproxPair(0, 16, 0.0), 16, 3, 0.0) == pytest.approx(
-        want, rel=1e-12)
 
 
 def test_weyl_bounds_reject_powers_above_the_float_range():
     # 256^200 = 2^1600; 256^128 = 2^1024 is the first power of 256 past the range
     for Q, k in [(256, 200), (256, 128)]:
         with pytest.raises(CapacityError, match="above the float range"):
-            weyl_pair_bound(ApproxPair(0, 1, 0.0), Q, k, 0.05)
-        with pytest.raises(CapacityError, match="above the float range"):
             weyl_min_sum_bound([Fraction(1, 3)], Q, k, 0.05)
-    assert weyl_pair_bound(ApproxPair(0, 1, 0.0), 256, 127, 0.0) > 0
+    assert weyl_min_sum_bound([Fraction(1, 3)], 256, 127, 0.0)[0] > 0
     # Q^(1+eps) = 4^1001 with Q^k = 16
-    with pytest.raises(CapacityError, match=r"4\^1001.0 is above the float range"):
-        weyl_pair_bound(ApproxPair(0, 1, 0.0), 4, 2, 1000.0)
     with pytest.raises(CapacityError, match=r"4\^1001.0 is above the float range"):
         weyl_min_sum_bound([Fraction(1, 3)], 4, 2, 1000.0)
 
@@ -205,9 +190,9 @@ def test_weyl_table_checks_the_last_denominator_before_summing(monkeypatch):
     # can stop the table, and it must do so before the first sum
     monkeypatch.setattr(kernels, "weyl_rational", _no_sums)
     monkeypatch.setattr(kernels, "weyl_float", _no_sums)
-    alphas = sample_alphas() + [("1/2^31", Fraction(1, 2 ** 31))]
+    alphas = sample_alphas(0xC0FFEE) + [("1/2^31", Fraction(1, 2 ** 31))]
     with pytest.raises(CapacityError, match="exact-path width"):
-        weyl_ratio_rows(alphas)
+        weyl_ratio_rows(alphas, (4, 16, 64, 256), (2, 3, 4), 0.05)
 
 
 # The documented kind order of check_weyl_table: Q, term budget and float
@@ -319,11 +304,9 @@ def test_pair_bounds_hold_for_any_valid_pair():
     for _ in range(40):
         alpha = float(rng.uniform(0, 1))
         Q = int(rng.integers(2, 40))
-        k = int(rng.integers(2, 4))
+        rng.integers(2, 4)  # a degree, still drawn so the pairs stay the same
         pairs = valid_pairs(alpha, Q)
         assert pairs, "round-based pairs always include v = 1"
         for u, v, res in pairs:
-            pb = weyl_pair_bound(ApproxPair(u, v, res), Q, k, 0.05)
             mb = min_sum_bound(Q, Q, ApproxPair(u, v, res))
-            assert math.isfinite(pb) and pb > 0
             assert math.isfinite(mb) and mb > 0
