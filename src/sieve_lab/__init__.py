@@ -28,7 +28,6 @@ from .farey import (
     enumerate_system,
 )
 from .sieve import (
-    CoefficientVector,
     ToeplitzKernel,
     dense_lambda_max,
     measure_constant,

@@ -15,7 +15,7 @@ exact up to one final float division per point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from typing import Literal
@@ -40,18 +40,14 @@ PAIR_BUDGET = 1 << 30
 
 @dataclass(frozen=True)
 class PowerFareySystem:
-    """All reduced fractions a/q^k with 0 < a < q^k, gcd(a, q) = 1 over a base range.
-
-    mode "full" takes 1 <= q <= Q (q = 1 contributes nothing), mode "dyadic"
-    takes Q < q <= 2Q.  Points are sorted by (q, a) and stored with
-    multiplicity one per (a, q) pair.
+    """Points a/q^k as two int64 arrays: numerators[i] is the a and moduli[i]
+    the q**k of point i.  enumerate_system fills them with every unit
+    0 < a < q^k of each base of a (Q, k, mode) range, sorted by (q, a); the
+    arrays are all the system holds.
     """
 
-    Q: int
-    k: int
-    mode: str
-    numerators: np.ndarray = field(repr=False)  # int64, the a of each point
-    moduli: np.ndarray = field(repr=False)      # int64, q**k of each point
+    numerators: np.ndarray
+    moduli: np.ndarray
 
     @property
     def size(self) -> int:
@@ -162,7 +158,7 @@ def enumerate_system(Q: int, k: int, mode: Mode) -> PowerFareySystem:
         nums[start:stop] = (offsets[:, None] + units[None, :]).ravel()
         mods[start:stop] = qk
         start = stop
-    return PowerFareySystem(Q=Q, k=k, mode=mode, numerators=nums, moduli=mods)
+    return PowerFareySystem(nums, mods)
 
 
 def _radius_as_fraction(x) -> Fraction:
@@ -217,7 +213,8 @@ def counting_rhs(system: PowerFareySystem, N: int) -> float:
     """Right side of the well-spaced counting inequality per unit |v|^2:
     4 * sum of moduli + max over centers of the counting integral.
 
-    The modulus sum runs over the q**k of the system's bases.
+    The modulus sum runs over the distinct q**k among the system's points;
+    every base has a unit, so these are the q**k of its bases.
     An empty system gives 0.0: both terms vanish and the inequality is 0 <= 0.
     The maximum scans every pair of points: a system of more than
     PAIR_BUDGET pairs raises CapacityError before the scan.
@@ -227,7 +224,6 @@ def counting_rhs(system: PowerFareySystem, N: int) -> float:
     if system.size == 0:
         return 0.0
     check_pair_budget(system.size)
-    bases = system_bases(system.Q, system.k, system.mode)
-    modulus_sum = 4.0 * float(sum(q ** system.k for q in bases))
+    modulus_sum = 4.0 * float(sum(set(system.moduli.tolist())))
     integral_max = kernels.pairwise_integral_max(system.numerators, system.moduli, N)
     return modulus_sum + integral_max

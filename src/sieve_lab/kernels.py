@@ -48,10 +48,14 @@ def quadform(nums, mods, m_offs, vs):
     from the exact integer residues a*r mod q^k, serves the whole batch
     through one matrix product per block of points.  Memory per block is at
     most BLOCK_ELEMENTS for the phase matrix and for the product, plus
-    B x width for the folded rows.  A batch of no rows gives an empty array.
+    B x width for the folded rows.  A batch of no rows gives an empty array;
+    vs of other than one or two dimensions, or with N < 1, raises ValueError.
     """
-    single = np.ndim(vs) == 1
-    vs = np.atleast_2d(np.asarray(vs, dtype=np.complex128))
+    vs = np.asarray(vs, dtype=np.complex128)
+    if vs.ndim not in (1, 2) or vs.shape[-1] < 1:
+        raise ValueError(f"vs must be a 1-D or (B, N) array with N >= 1, got shape {vs.shape}")
+    single = vs.ndim == 1
+    vs = np.atleast_2d(vs)
     nb, n = vs.shape
     totals = np.zeros(nb)
     if nb == 0:

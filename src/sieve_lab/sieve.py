@@ -20,8 +20,8 @@ stay as the oracle.  The O(|F| N) brute-force sum over the enumerated points,
 kernels.autocorr, is the oracle for c(t).
 
 The quadratic form itself has one entry, kernels.quadform, which the lemma1
-command calls with one (B, N) coefficient array per chunk and sigma_exact
-with the one vector of a CoefficientVector.
+command calls with one (B, N) coefficient array per chunk; sigma_exact
+forwards a system's points and a plain coefficient array to it.
 
 Note on the enumerated range: the zero frequency (base q = 1, value 1, whose
 aligned term would add |sum v_n|^2) is never part of the system, so the
@@ -31,7 +31,6 @@ q^k >= 2^k only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -67,29 +66,6 @@ INVARIANT_TOL = 1e-12
 # sector to one vector, so the trace in perfbench/tracing.py, which counts
 # products as iterations * BLOCK_SIZE, stays true.
 BLOCK_SIZE = 1
-
-
-@dataclass(frozen=True)
-class CoefficientVector:
-    """Complex coefficients v_n for M < n <= M + N; values[j] is v_{M+1+j}.
-    The shift M does not change the quadratic form (see sigma_exact)."""
-
-    M: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.ascontiguousarray(np.asarray(self.values, dtype=np.complex128))
-        if v.ndim != 1 or v.shape[0] < 1:
-            raise ValueError("values must be a nonempty 1-d complex array")
-        object.__setattr__(self, "values", v)
-
-    @property
-    def N(self) -> int:
-        return int(self.values.shape[0])
-
-    @property
-    def norm_sq(self) -> float:
-        return float(np.sum(self.values.real ** 2 + self.values.imag ** 2))
 
 
 class ToeplitzKernel:
@@ -353,12 +329,13 @@ def dense_lambda_max(kernel: ToeplitzKernel) -> float:
     return float(np.linalg.eigvalsh(kernel.dense())[-1])
 
 
-def sigma_exact(system: PowerFareySystem, vec: CoefficientVector) -> float:
-    """The sieve quadratic form of one vector, sum over points of
-    |sum_n v_n e((a/q^k) n)|^2 for n = M+1..M+N: kernels.quadform's batch of
-    one.  M does not change the value, since shifting n by M multiplies each
-    inner sum by e(a M / q^k), of modulus 1."""
-    return kernels.quadform(system.numerators, system.moduli, vec.M, vec.values)
+def sigma_exact(system: PowerFareySystem, values: np.ndarray):
+    """The sieve quadratic form sum over points of |sum_n v_n e((a/q^k) n)|^2:
+    kernels.quadform over the system's points.  A 1-D values is one vector
+    and gives a float; a (B, N) array gives an array of B.  The range of n
+    (its shift M) cannot change the value, since shifting n by M multiplies
+    each inner sum by e(a M / q^k), of modulus 1."""
+    return kernels.quadform(system.numerators, system.moduli, 0, values)
 
 
 def measure_constant(Q: int, N: int, k: int, mode: Mode = "full",

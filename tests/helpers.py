@@ -137,14 +137,6 @@ def brute_sigma(points: list[tuple[int, int]], m_off: int,
     return total
 
 
-def quadform_of(system, vecs) -> np.ndarray:
-    """kernels.quadform of CoefficientVectors of one length over the
-    system's points, in one call: the (offsets, (B, N) array) batch that the
-    lemma1 command evaluates."""
-    return kernels.quadform(system.numerators, system.moduli, [vec.M for vec in vecs],
-                            np.stack([vec.values for vec in vecs]))
-
-
 def brute_weyl_rational(num: int, den: int, k: int, q_lo: int, q_hi: int) -> complex:
     """sum_{q_lo < q <= q_hi} e(num * q^k / den) with the residue num * q^k mod den
     taken in Python ints."""

@@ -17,9 +17,9 @@ from sieve_lab.bounds import crossover_analysis, fit_exponent
 from sieve_lab.expsums import fourier_majorant
 from sieve_lab.farey import count_near, counting_rhs, enumerate_system, system_point
 from sieve_lab.frozen import FROZEN_RATIOS
-from sieve_lab.sieve import CoefficientVector, dense_lambda_max, power_iteration, toeplitz_kernel
+from sieve_lab.sieve import dense_lambda_max, power_iteration, sigma_exact, toeplitz_kernel
 
-from helpers import quadform_of, stieltjes_integral
+from helpers import stieltjes_integral
 from test_farey import _quadrature_oracle
 
 SEED = 0xC0FFEE
@@ -79,14 +79,14 @@ def _ensure_sigma_cache():
     for k, mode, Q, N in _cell_keys():
         system = enumerate_system(Q, k, mode)
         rhs_unit = counting_rhs(system, N)
-        vecs = [CoefficientVector(m_off, values)
-                for m_off, values in _cell_vectors(k, mode, Q, N)]
+        vs = np.stack([values for _, values in _cell_vectors(k, mode, Q, N)])
         stats = []
-        for vec, lhs in zip(vecs, quadform_of(system, vecs).tolist()):
-            stats.append((lhs, vec.norm_sq))
+        for v, lhs in zip(vs, sigma_exact(system, vs).tolist()):
+            norm_sq = float(np.sum(v.real ** 2 + v.imag ** 2))
+            stats.append((lhs, norm_sq))
             if system.size == 0:
                 continue
-            rhs = rhs_unit * vec.norm_sq
+            rhs = rhs_unit * norm_sq
             max_ratio = max(max_ratio, lhs / rhs)
             if lhs > rhs * (1 + REL):
                 violations += 1
@@ -206,7 +206,7 @@ def test_criterion_06_counting_integral_closed_form():
         else:
             center = Fraction(int(rng.integers(0, 64)), int(rng.integers(1, 64)))
         exact = stieltjes_integral(system, center, N)
-        approx = _quadrature_oracle(system, center, N)
+        approx = _quadrature_oracle(Q, k, mode, system, center, N)
         if approx != 0 or exact != 0:
             worst = max(worst, abs(exact - approx) / max(abs(approx), 1e-12))
         done += 1

@@ -4,21 +4,19 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from sieve_lab import farey
+from sieve_lab import farey, kernels
 from sieve_lab.errors import CapacityError
 from sieve_lab.farey import (PowerFareySystem, count_near, counting_rhs, enumerate_system,
-                             is_member, system_point)
-from sieve_lab.sieve import CoefficientVector
+                             is_member, system_bases, system_point)
+from sieve_lab.sieve import sigma_exact
 
-from helpers import (brute_count_near, brute_enumerate, int_points, quadform_of,
-                     stieltjes_integral, totient)
+from helpers import (brute_count_near, brute_enumerate, int_points, stieltjes_integral,
+                     totient)
 
 
 def make_singleton(a: int, q: int, k: int) -> PowerFareySystem:
-    """A one-point system (used by the closed-form cross-checks)."""
-    return PowerFareySystem(Q=q, k=k, mode="full",
-                            numerators=np.array([a], dtype=np.int64),
-                            moduli=np.array([q ** k], dtype=np.int64))
+    """The one-point system a/q^k (used by the closed-form cross-checks)."""
+    return PowerFareySystem(np.array([a], dtype=np.int64), np.array([q ** k], dtype=np.int64))
 
 
 def test_enumerate_examples():
@@ -192,13 +190,14 @@ def test_stieltjes_examples():
         stieltjes_integral(full, Fraction(1, 4), 1)
 
 
-def _quadrature_oracle(system, center: Fraction, N: int) -> float:
-    """Adaptive quadrature of count_near(x)/x^2 over [1/N, 1/2], splitting at
-    every jump of the step integrand."""
+def _quadrature_oracle(Q: int, k: int, mode: str, system, center: Fraction, N: int) -> float:
+    """Adaptive quadrature of count_near(x)/x^2 over [1/N, 1/2] for the
+    (Q, k, mode) system whose points are system, splitting at every jump of
+    the step integrand."""
     jumps = sorted({float(abs(Fraction(a, qk) - center))
                     for a, qk in int_points(system)})
     inner = [x for x in jumps if 1.0 / N < x < 0.5]
-    value, err = quad(lambda x: count_near(system.Q, system.k, system.mode, center, x) / x ** 2,
+    value, err = quad(lambda x: count_near(Q, k, mode, center, x) / x ** 2,
                       1.0 / N, 0.5, points=inner, limit=10 * (len(inner) + 10))
     return value
 
@@ -220,7 +219,7 @@ def test_stieltjes_matches_quadrature():
         else:
             center = Fraction(int(rng.integers(0, 64)), int(rng.integers(1, 64)))
         exact = stieltjes_integral(s, center, N)
-        approx = _quadrature_oracle(s, center, N)
+        approx = _quadrature_oracle(Q, k, mode, s, center, N)
         assert exact == pytest.approx(approx, rel=1e-6, abs=1e-9)
         done += 1
 
@@ -231,6 +230,13 @@ def test_counting_rhs_examples():
 
     full = enumerate_system(2, 2, "full")
     assert counting_rhs(full, 4) == pytest.approx(18.0, rel=1e-15)
+
+
+def test_counting_rhs_sums_the_moduli_of_its_points():
+    # the one point 3/64: its modulus sum is 4 * 64, whatever range it came from
+    single = make_singleton(3, 4, 3)
+    want = 4.0 * 64 + kernels.pairwise_integral_max(single.numerators, single.moduli, 16)
+    assert counting_rhs(single, 16) == want == 270.0
 
 
 def test_counting_rhs_empty_system_is_zero():
@@ -252,7 +258,7 @@ def test_counting_rhs_matches_per_center_integrals():
     for Q, k, mode in [(2, 2, "full"), (2, 2, "dyadic"), (3, 3, "dyadic"), (4, 2, "full")]:
         s = enumerate_system(Q, k, mode)
         for N in (4, 64):
-            want = 4.0 * sum(set(s.moduli.tolist())) + max(
+            want = 4.0 * sum(q ** k for q in system_bases(Q, k, mode)) + max(
                 stieltjes_integral(s, Fraction(a, qk), N) for a, qk in int_points(s))
             assert counting_rhs(s, N) == pytest.approx(want, rel=1e-12)
 
@@ -265,10 +271,9 @@ def test_counting_inequality_end_to_end():
                 s = enumerate_system(Q, k, mode)
                 for N in (4, 16, 64):
                     rhs_unit = counting_rhs(s, N)
-                    vecs = []
-                    for _ in range(100):
-                        v = rng.standard_normal(N) + 1j * rng.standard_normal(N)
-                        vecs.append(CoefficientVector(int(rng.integers(-20, 21)), v))
-                    for vec, lhs in zip(vecs, quadform_of(s, vecs)):
-                        rhs = rhs_unit * vec.norm_sq
-                        assert lhs <= rhs * (1 + 1e-9)
+                    vs = np.empty((100, N), dtype=np.complex128)
+                    for b in range(100):
+                        vs[b] = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+                        rng.integers(-20, 21)  # a shift, drawn and dropped
+                    rhs = rhs_unit * np.sum(vs.real ** 2 + vs.imag ** 2, axis=1)
+                    assert np.all(sigma_exact(s, vs) <= rhs * (1 + 1e-9))

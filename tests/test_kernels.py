@@ -97,6 +97,13 @@ def test_quadform_batch_shapes():
     assert kernels.quadform(empty.numerators, empty.moduli, [0, 0], vs).tolist() == [0.0, 0.0]
 
 
+@pytest.mark.parametrize("shape", [(0,), (3, 0), (0, 0), (2, 2, 2), ()])
+def test_quadform_rejects_an_empty_vector_and_other_shapes(shape):
+    s = enumerate_system(2, 2, "dyadic")
+    with pytest.raises(ValueError, match="1-D or"):
+        kernels.quadform(s.numerators, s.moduli, 0, np.zeros(shape, dtype=np.complex128))
+
+
 def test_weyl_float_matches_naive_at_small_sizes():
     # q**k stays tiny here, so the naive product-then-mod evaluation is accurate
     for alpha in (0.1234, 0.777, 1 / math.e):

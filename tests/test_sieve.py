@@ -7,32 +7,27 @@ import pytest
 from sieve_lab import kernels, sieve
 from sieve_lab.errors import CapacityError, EigensolverError
 from sieve_lab.farey import enumerate_system, system_size
-from sieve_lab.sieve import (CoefficientVector, ParitySector, ToeplitzKernel, dense_lambda_max,
-                             measure_constant, power_iteration, sigma_exact, toeplitz_kernel)
+from sieve_lab.sieve import (ParitySector, ToeplitzKernel, dense_lambda_max, measure_constant,
+                             power_iteration, sigma_exact, toeplitz_kernel)
 
-from helpers import (brute_sigma, int_points, lanczos_every_step, quadform_of,
-                     rayleigh_quotient, sector_lift, sector_starts)
+from helpers import (brute_sigma, int_points, lanczos_every_step, rayleigh_quotient,
+                     sector_lift, sector_starts)
 from test_farey import make_singleton
 
 GRID = [(Q, k, mode) for Q in (1, 2, 3, 4) for k in (2, 3)
         for mode in ("full", "dyadic")]
 
 
-def random_vec(n, seed, m_off=0):
-    rng = np.random.default_rng(seed)
-    return CoefficientVector(m_off, rng.standard_normal(n) + 1j * rng.standard_normal(n))
-
-
 def test_sigma_single_entry_counts_points():
     for Q, k, mode in GRID:
         s = enumerate_system(Q, k, mode)
-        v = CoefficientVector(0, np.array([1.0 + 0j]))
+        v = np.array([1.0 + 0j])
         assert sigma_exact(s, v) == pytest.approx(s.size, rel=1e-12, abs=1e-12)
 
 
 def test_sigma_full_2_2_ones_cancels():
     s = enumerate_system(2, 2, "full")
-    v = CoefficientVector(0, np.ones(4, dtype=complex))
+    v = np.ones(4, dtype=complex)
     assert sigma_exact(s, v) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -40,18 +35,20 @@ def test_sigma_aligned_singleton_is_n_squared():
     s = make_singleton(3, 4, 3)  # the point 3/64
     n = 17
     ns = np.arange(1, n + 1)
-    v = CoefficientVector(0, np.exp(-2j * np.pi * 3 * ns / 64))
+    v = np.exp(-2j * np.pi * 3 * ns / 64)
     assert sigma_exact(s, v) == pytest.approx(n * n, rel=1e-12)
 
 
 def test_sigma_matches_brute_force():
+    # brute_sigma sums n over M+1..M+N at the drawn shift M; sigma_exact
+    # has no shift, so this also checks that M cannot change the form
     rng = np.random.default_rng(2)
     for Q, k, mode in [(2, 2, "full"), (2, 2, "dyadic"), (3, 3, "full")]:
         s = enumerate_system(Q, k, mode)
         n = int(rng.integers(3, 20))
         m_off = int(rng.integers(-9, 10))
         v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        got = sigma_exact(s, CoefficientVector(m_off, v))
+        got = sigma_exact(s, v)
         assert got == pytest.approx(brute_sigma(int_points(s), m_off, v), rel=1e-9)
 
 
@@ -60,21 +57,23 @@ def test_sigma_exact_is_batch_of_one():
     for Q, k, mode in GRID:
         s = enumerate_system(Q, k, mode)
         for n in (1, 7):
-            v = random_vec(n, int(rng.integers(1 << 30)), int(rng.integers(-30, 31)))
+            vec_rng = np.random.default_rng(int(rng.integers(1 << 30)))
+            rng.integers(-30, 31)  # a shift, drawn and dropped: it cannot change the form
+            v = vec_rng.standard_normal(n) + 1j * vec_rng.standard_normal(n)
             single = sigma_exact(s, v)
             assert isinstance(single, float)
-            assert single == pytest.approx(quadform_of(s, [v])[0], rel=1e-12)
+            assert single == pytest.approx(sigma_exact(s, v[None])[0], rel=1e-12)
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 128, 129, 1000, 4096])
 @pytest.mark.parametrize("nb", [1, 3, 100])
 def test_batch_row_norms_equal_norm_sq(n, nb):
     # the lemma1 command's row norms of a (B, N) batch, bit for bit the
-    # norm_sq of each row as a CoefficientVector
+    # squared norm of each row summed on its own
     rng = np.random.default_rng([n, nb])
     vs = rng.standard_normal((nb, n)) + 1j * rng.standard_normal((nb, n))
     norms = np.sum(vs.real ** 2 + vs.imag ** 2, axis=1)
-    assert norms.tolist() == [CoefficientVector(m, v).norm_sq for m, v in enumerate(vs)]
+    assert norms.tolist() == [float(np.sum(v.real ** 2 + v.imag ** 2)) for v in vs]
 
 
 def test_kernel_c0_is_size_and_examples():
@@ -385,10 +384,11 @@ def test_duality_sandwich():
         kern = toeplitz_kernel(Q, n, k, mode)
         best_rayleigh = 0.0
         for _ in range(100):
-            v = CoefficientVector(int(rng.integers(-16, 17)),
-                                  rng.standard_normal(n) + 1j * rng.standard_normal(n))
-            assert sigma_exact(s, v) <= lam * v.norm_sq * (1 + 1e-6)
-            best_rayleigh = max(best_rayleigh, rayleigh_quotient(kern, v.values))
+            rng.integers(-16, 17)  # a shift, drawn and dropped: it cannot change the form
+            v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            norm_sq = np.sum(v.real ** 2 + v.imag ** 2)
+            assert sigma_exact(s, v) <= lam * norm_sq * (1 + 1e-6)
+            best_rayleigh = max(best_rayleigh, rayleigh_quotient(kern, v))
         assert best_rayleigh <= lam * (1 + 1e-9)
 
 
@@ -400,8 +400,7 @@ def test_sigma_equals_kernel_quadratic_form():
             kern = toeplitz_kernel(Q, n, k, mode)
             for _ in range(10):
                 values = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-                vec = CoefficientVector(0, values)
-                sig = sigma_exact(s, vec)
+                sig = sigma_exact(s, values)
                 quad = float(np.real(np.vdot(values, kern.matvec(values))))
                 assert sig == pytest.approx(quad, rel=1e-8, abs=1e-9)
 

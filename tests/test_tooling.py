@@ -3,7 +3,8 @@ into the package by.  The tracer patches functions by module and attribute,
 and the kernel probe calls the kernels directly on an enumerated system's
 arrays, so a rename in the package breaks the traced run; these tests read
 perfbench/ without importing or changing it, and check that the traced names
-are the ones the commands call.  The last test keeps heavy imports out of the
+are the ones the commands call, including every span CI's traced-spans step
+requires (read from the workflow).  The last test keeps heavy imports out of the
 commands the benchmark times."""
 
 import ast
@@ -12,6 +13,7 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +23,7 @@ from sieve_lab import cli, kernels
 from sieve_lab.farey import enumerate_system
 
 TRACING_PY = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+CI_YML = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "tests.yml"
 SRC = Path(kernels.__file__).resolve().parents[1]
 # Modules no command may import: each one counts in every benchmark child's
 # setup_s and wall_s (scipy.linalg alone takes about 0.33 s).
@@ -54,6 +57,19 @@ def test_every_traced_name_resolves():
         assert callable(getattr(module, attr, None)), (layer, module_name, attr)
 
 
+def _ci_wanted_spans():
+    """The workload -> spans table that CI's "Traced spans are called" step
+    checks, read from the workflow's embedded script."""
+    text = CI_YML.read_text(encoding="utf-8")
+    script = text.split("<<'EOF'\n", 1)[1].split("\n          EOF", 1)[0]
+    tree = ast.parse(textwrap.dedent(script))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "want" for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError("no want table in the workflow's traced-spans step")
+
+
 def test_commands_call_the_traced_names(monkeypatch, tmp_path):
     # a span that wraps a name no command calls reads 0 in the traced run
     calls = {}
@@ -67,14 +83,29 @@ def test_commands_call_the_traced_names(monkeypatch, tmp_path):
     for layer, module_name, attr in _spans():
         module = importlib.import_module(module_name)
         monkeypatch.setattr(module, attr, counting(layer, getattr(module, attr)))
-    for args in ("weyl --Q 4 --k 2 --samples 2", "lemma1 --Q 2 --N 4 --k 2 --vectors 2"):
-        assert cli.main([*args.split(), "--out", str(tmp_path / "out")]) == 0
-    for layer in ("expsums.weyl_sum", "expsums.weyl_min_sum_bound", "expsums.min_sum",
-                  "kernels.quadform", "kernels.weyl_rational", "kernels.weyl_float"):
-        assert calls.get(layer), layer
+    # the commands of each workload, at small sizes
+    workloads = {"constant_large": ["constant --Q 2 --N 4 --k 2"],
+                 "constant_grid": ["constant --Q 2 --N 4 --k 2"],
+                 "lemma1_verify": ["lemma1 --Q 2 --N 4 --k 2 --vectors 2"],
+                 "expsum_tables": ["weyl --Q 4 --k 2 --samples 2",
+                                   "majorant --Q 2 --k 2 --samples 2"]}
+    called = {}
+    for args in sorted({a for commands in workloads.values() for a in commands}):
+        calls.clear()
+        assert cli.main([*args.split(), "--out", str(tmp_path / "out")]) == 0, args
+        called[args] = dict(calls)
+        # tracing.COUNTERS reads a sigma_exact span's terms as args[1].N,
+        # which a plain coefficient array does not have
+        assert "sieve.sigma_exact" not in calls, args
+    wanted = _ci_wanted_spans()
+    assert set(wanted) == set(workloads)
+    for workload, spans in wanted.items():
+        for span in spans:
+            assert any(called[a].get(span) for a in workloads[workload]), (workload, span)
     # tracing.COUNTERS reads a weyl_sum span's terms from args[1]
-    assert [args[1] for args in calls["expsums.weyl_sum"]] == [4]
-    assert type(calls["expsums.weyl_sum"][0][1]) is int
+    weyl_calls = called["weyl --Q 4 --k 2 --samples 2"]["expsums.weyl_sum"]
+    assert [args[1] for args in weyl_calls] == [4]
+    assert type(weyl_calls[0][1]) is int
 
 
 def test_probe_quadform_is_a_batch_of_one():
