@@ -14,12 +14,12 @@ shape's eps-free power terms and its literal value:
               delta = 1/(2k(k-1))
 
 shape_value is the single entry point; evaluate_bounds maps it over the table,
-one shape at a time.
-Two normalizations: "literal" evaluates the complete formulas (natural log)
-and warns on a value above OVERFLOW_FLAG (a power above the float range raises
-CapacityError); "shapes" takes the largest eps-free power term, with the
-loglog factor dropped (so loglog's third term is N^(1/2)*Q^k), which is the
-exponent-level comparison the crossover claims are about.
+one shape at a time, and returns the shapes that fit with the first error.
+Two normalizations: "literal" evaluates the complete formulas (natural log);
+"shapes" takes the largest eps-free power term, with the loglog factor dropped
+(so loglog's third term is N^(1/2)*Q^k), which is the exponent-level
+comparison the crossover claims are about.  Every value is a finite double:
+one above the float range (about 1.8e308) raises CapacityError.
 
 delta_exponent is the one definition of the paper's delta, the exponent that
 Wooley's efficient congruencing supplies; BoundParams, crossover_analysis and
@@ -36,7 +36,6 @@ records together with the verdict.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
@@ -45,8 +44,6 @@ import numpy as np
 
 from .arith import float_power
 from .errors import CapacityError
-
-OVERFLOW_FLAG = 1e300
 
 
 def check_degree(k: int) -> None:
@@ -121,44 +118,38 @@ SHAPE_NAMES = tuple(SHAPES)
 
 
 def shape_value(name: str, p: BoundParams, normalization: str = "literal") -> float:
-    """Evaluate one shape: "literal" gives its complete value and warns above
-    OVERFLOW_FLAG; "shapes" gives its largest eps-free power term.  A power
-    above the float range raises CapacityError."""
+    """Evaluate one shape: "literal" gives its complete value, "shapes" its
+    largest eps-free power term.  A value, power, Q or N above the float range
+    raises CapacityError."""
     if normalization not in ("literal", "shapes"):
         raise ValueError(f"unknown normalization {normalization!r}")
     if name not in SHAPES:
         raise ValueError(f"unknown shape {name!r}")
     terms, literal = SHAPES[name]
-    Q, N = float(p.Q), float(p.N)
-    t = terms(Q, N, p)
-    if normalization == "shapes":
-        return max(t)
     try:
-        value = literal(t, Q, N, p)
+        Q, N = float(p.Q), float(p.N)
+        t = terms(Q, N, p)
+        value = max(t) if normalization == "shapes" else literal(t, Q, N, p)
     except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
         raise CapacityError(f"bound {name} at Q = {p.Q}, N = {p.N}, k = {p.k}, "
-                            f"eps = {p.eps} is above the float range") from None
-    if value > OVERFLOW_FLAG or math.isinf(value):
-        warnings.warn(f"bound {name} overflowed the flag threshold at {value!r}",
-                      RuntimeWarning, stacklevel=2)
+                            f"eps = {p.eps} is above the float range")
     return value
 
 
-def evaluate_bounds(p: BoundParams) -> dict[str, float]:
-    """All literal shape values keyed by name, in SHAPE_NAMES order.  Each
-    shape is evaluated on its own: when some are above the float range, the
-    CapacityError of the first is raised, its `values` holding the shapes
-    that fit."""
-    values, errors = {}, []
+def evaluate_bounds(p: BoundParams) -> tuple[dict[str, float], CapacityError | None]:
+    """(values, error): the literal values of the shapes that fit, keyed by
+    name in SHAPE_NAMES order, and the CapacityError of the first shape above
+    the float range, or None when every shape fits.  Each shape is evaluated
+    on its own."""
+    values, error = {}, None
     for name in SHAPE_NAMES:
         try:
             values[name] = shape_value(name, p)
         except CapacityError as exc:
-            errors.append(exc)
-    if errors:
-        errors[0].values = values
-        raise errors[0]
-    return values
+            error = error or exc
+    return values, error
 
 
 @dataclass(frozen=True)
@@ -192,8 +183,8 @@ def crossover_analysis(k: int, q_values: Sequence[int], points: int,
     grid: list[dict] = []
     columns: list[dict] = []
     for q in q_values:
-        Q = float(q)
         ns = np.geomspace(float_power(q, k), float_power(q, 2 * k), points)
+        Q = float(q)
         column = []
         for N in sorted({max(1, int(round(n))) for n in ns}):
             p = BoundParams(Q, N, k, eps)

@@ -132,7 +132,10 @@ def load_config_file(path: str) -> dict[str, str]:
 def _as_bool(value) -> bool:
     if isinstance(value, bool):
         return value
-    return str(value).strip().lower() in {"1", "true", "yes", "on"}
+    word = str(value).strip().lower()
+    if word not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
+        raise ValueError(f"not a boolean: {value!r}")
+    return word in ("1", "true", "yes", "on")
 
 
 def _range(name: str):
@@ -308,13 +311,11 @@ def cmd_constant(cfg: RunConfig) -> tuple[list[dict], list[str], int, list[str]]
             res = power_iteration(kern, cfg.rel_tol)
             row.update({"size": system_size(Q, k, cfg.mode), "measured": res.value,
                         "residual": res.residual, "iterations": res.iterations})
-            try:  # bounds.evaluate_bounds, where perfbench/tracing.py wraps it
-                values, error = bounds.evaluate_bounds(params), None
-            except CapacityError as exc:  # the shapes that fit still fill their columns
-                values, error = exc.values, exc
+            # bounds.evaluate_bounds, where perfbench/tracing.py wraps it
+            values, error = bounds.evaluate_bounds(params)
             for name, value in values.items():
                 row[f"bound_{name}"] = value
-                row[f"ratio_{name}"] = res.value / value if value > 0 else math.inf
+                row[f"ratio_{name}"] = res.value / value
             if error is not None:
                 raise error
             if cfg.oracle and N <= ORACLE_N_CAP:

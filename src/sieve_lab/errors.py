@@ -2,7 +2,7 @@
 
 
 class CapacityError(Exception):
-    """A requested computation would overflow the supported integer width."""
+    """A computation is past a supported limit: an integer width, a budget or the float range."""
 
     status = "capacity-error"  # the row status of a cell that raises it
 

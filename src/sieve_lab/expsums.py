@@ -100,7 +100,8 @@ def check_weyl_table(alphas: Sequence[Coeff], k_values: Sequence[int],
     without summing.  By kind, each over every (k, Q) k-major: first the
     degree, Q, the term budget and the float range of Q^k and Q^(1+eps); then
     the denominators (one _split); then, with a float alpha, the float-path
-    width."""
+    width.  A bound above the float range it cannot foresee, since the bound
+    needs the minimum sums: weyl_min_sum_bound raises that one."""
     cells = [(k, Q) for k in k_values for Q in q_values]
     for k, Q in cells:
         _check_cell(k, Q)
@@ -199,13 +200,17 @@ def weyl_min_sum_bound(alphas: Sequence[Coeff], Q: int, k: int, eps: float) -> l
     """Per coefficient alpha, the Weyl-sum bound via the minimum sum:
     Q^(1+eps) * (1/Q + Q^-k * sum_{v<=Q} min(Q^k/v, 1/||v*alpha||))^delta,
     the minimum sums in passes over all coefficients at once; raises
-    CapacityError when Q^k or Q^(1+eps) is above the float range."""
+    CapacityError when Q^k, Q^(1+eps) or a bound is above the float range."""
     _check_cell(k, Q)
     delta = float(delta_exponent(k))
     qk = float_power(Q, k)
     scale = float_power(Q, 1.0 + eps)
     inner = _min_terms_sum(alphas, [Q] * len(alphas), [qk] * len(alphas))
-    return [scale * (1.0 / Q + s / qk) ** delta for s in inner.tolist()]
+    bounds = [scale * (1.0 / Q + s / qk) ** delta for s in inner.tolist()]
+    if not all(map(math.isfinite, bounds)):
+        raise CapacityError(f"Weyl bound at Q = {Q}, k = {k}, eps = {eps} "
+                            f"is above the float range")
+    return bounds
 
 
 def fourier_majorant(Q: int, k: int, mode: Mode, center_base: tuple[int, int],

@@ -91,19 +91,41 @@ def test_shapes_normalization_takes_dominant_term():
 
 
 def test_evaluate_bounds_keys():
-    values = evaluate_bounds(BoundParams(2, 16, 2, 0.05))
-    assert tuple(values) == SHAPE_NAMES
+    values, error = evaluate_bounds(BoundParams(2, 16, 2, 0.05))
+    assert tuple(values) == SHAPE_NAMES and error is None
     assert all(v > 0 for v in values.values())
 
 
-def test_literal_values_above_the_flag_warn():
+def test_literal_values_near_the_float_range_are_finite():
+    # between 1e300 and the float range every value is an ordinary double:
+    # no warning, no error
     p = BoundParams(2, 10 ** 301, 2, 0.0)
-    for name in SHAPE_NAMES:
-        with pytest.warns(RuntimeWarning, match=f"bound {name} overflowed"):
-            shape_value(name, p)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        for name in SHAPE_NAMES:
+            value = shape_value(name, p)
+            assert math.isfinite(value) and value > 1e300, name
         assert shape_value("ls_a", p, "shapes") == 1e301
+        values, error = evaluate_bounds(p)
+    assert tuple(values) == SHAPE_NAMES and error is None
+
+
+@pytest.mark.parametrize("p, names, normalization", [
+    # (N*Q)^eps fits, the product (N + Q^4) * (N*Q)^eps does not
+    pytest.param(BoundParams(8, 4096, 3, 68.0), ("conjecture", "delta"), "literal",
+                 id="product"),
+    # the term Q*N = 10^309
+    pytest.param(BoundParams(10.0, 10 ** 308, 3), ("ls_b",), "shapes", id="term"),
+    # Q itself is past the float range
+    pytest.param(BoundParams(10 ** 400, 4, 2), SHAPE_NAMES, "literal", id="Q-literal"),
+    pytest.param(BoundParams(10 ** 400, 4, 2), SHAPE_NAMES, "shapes", id="Q-shapes"),
+])
+def test_values_above_the_float_range_raise(p, names, normalization):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name in names:
+            with pytest.raises(CapacityError, match=f"bound {name} at .* above the float range"):
+                shape_value(name, p, normalization)
 
 
 def test_literal_powers_above_the_float_range_raise():
@@ -112,12 +134,19 @@ def test_literal_powers_above_the_float_range_raise():
         with pytest.raises(CapacityError, match=f"bound {name} at .* above the float range"):
             shape_value(name, p)
     assert shape_value("kappa", p) > 0 and shape_value("ls_a", p) == 260.0
-    # evaluate_bounds raises the first shape's error and keeps the shapes that fit
-    with pytest.raises(CapacityError, match="bound conjecture at") as info:
-        evaluate_bounds(p)
-    assert tuple(info.value.values) == ("ls_a", "ls_b", "kappa", "loglog")
-    assert info.value.values["ls_a"] == 260.0
-    assert info.value.values["kappa"] == shape_value("kappa", p)
+    # evaluate_bounds returns the shapes that fit and the first shape's error
+    values, error = evaluate_bounds(p)
+    assert tuple(values) == ("ls_a", "ls_b", "kappa", "loglog")
+    assert values["ls_a"] == 260.0
+    assert values["kappa"] == shape_value("kappa", p)
+    assert isinstance(error, CapacityError) and str(error).startswith("bound conjecture at")
+
+
+def test_crossover_q_above_the_float_range_raises():
+    # Q^k is taken before float(Q), so a Q past the float range is a
+    # CapacityError, not a raw OverflowError
+    with pytest.raises(CapacityError, match=r"\^3 is above the float range"):
+        crossover_analysis(3, [10 ** 400], 3)
 
 
 SHAPE_GUARD_N = (1, 2, 3, 7, 16, 100, 999, 4096, 12345, 10 ** 6, 3 ** 20, 10 ** 12)
@@ -133,7 +162,8 @@ def test_shape_values_are_the_reference_doubles():
                     p = BoundParams(Q, N, k, eps)
                     ref = reference_shapes(p)
                     assert tuple(ref) == SHAPE_NAMES
-                    values = evaluate_bounds(p)
+                    values, error = evaluate_bounds(p)
+                    assert error is None
                     for name, (literal, terms) in ref.items():
                         assert values[name] == literal, (name, Q, N, k, eps)
                         assert shape_value(name, p, "shapes") == max(terms), (name, Q, N, k)

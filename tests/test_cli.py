@@ -283,21 +283,45 @@ def test_verification_failure_outranks_capacity(tmp_path, monkeypatch):
     assert rows[1]["status"] == "capacity-error"
 
 
+def strict_json(raw: bytes):
+    """json.loads refusing Infinity and NaN, which RFC 8259 JSON does not allow."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(raw, parse_constant=refuse)
+
+
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("args, code", [
     ("crossover --Q 100000 --k 40 --points 3", EXIT_CAPACITY),  # 10^400
     ("crossover --Q 10 --k 160 --points 3", EXIT_CAPACITY),     # 10^320
-    ("crossover --Q 10 --k 154 --points 3", EXIT_OK),           # 10^308 still fits
+    ("crossover --Q 10 --k 154 --points 3", EXIT_CAPACITY),     # ls_b = Q*N = 10^309
+    ("crossover --Q 10 --k 153 --points 3", EXIT_OK),           # Q*N = 10^307 still fits
     ("weyl --Q 256 --k 200 --samples 1", EXIT_CAPACITY),        # 256^200 = 2^1600
     ("fit --Q 10 --theta 400", EXIT_CAPACITY),                  # N = 10^400
     ("weyl --Q 4 --k 2 --samples 1 --eps 1000", EXIT_CAPACITY),  # Q^(1+eps) = 4^1001
     ("crossover --normalization literal --eps 300", EXIT_CAPACITY),  # (N*Q)^eps
+    # (N + Q^4) * (N*Q)^eps in conjecture and delta: the product, not a power
+    ("constant --Q 8 --N 4096 --k 3 --eps 68", EXIT_CAPACITY),
+    # Q^(1+eps) fits, the bound Q^(1+eps) * (...)^delta does not
+    ("weyl --Q 4 --k 2 --eps 510.9 --samples 2", EXIT_CAPACITY),
+    pytest.param(f"crossover --Q {10 ** 50} --k 3 --points 3", EXIT_CAPACITY,
+                 id="crossover --Q 10^50 --k 3 --points 3-4"),  # ls_b = Q*N = 10^350
+    pytest.param(f"crossover --Q {10 ** 400} --k 3", EXIT_CAPACITY,
+                 id="crossover --Q 10^400 --k 3-4"),  # Q itself
 ])
 def test_float_range_exit_code(args, code, tmp_path, capsys):
-    got, raw = run_cli(args.split(), tmp_path)
+    got, raw = run_cli([*args.split(), "--format", "json"], tmp_path)
     assert got == code
+    records = strict_json(raw) if raw else []
     err = capsys.readouterr().err
     if code == EXIT_CAPACITY:
-        assert raw == b"" and "capacity error" in err and "above the float range" in err
+        # constant keeps its cell as a capacity-error row; the other commands
+        # end with no records
+        details = [r["detail"] for r in records if r["status"] == "capacity-error"]
+        assert details if args.startswith("constant") else raw == b""
+        assert "above the float range" in err + "".join(details)
+    else:
+        assert records and "capacity error" not in err
 
 
 def test_constant_bound_above_the_float_range_is_a_row(tmp_path):
@@ -484,6 +508,23 @@ def test_bad_config_file(tmp_path):
     assert cli.main(["constant", "--config", str(cfg)]) == EXIT_INVALID_CONFIG
     cfg.write_text("just a line\n")
     assert cli.main(["constant", "--config", str(cfg)]) == EXIT_INVALID_CONFIG
+    # a typo in a switch is invalid, not False, which would drop the oracle
+    cfg.write_text("oracle = ture\n")
+    assert cli.main(["constant", "--config", str(cfg)]) == EXIT_INVALID_CONFIG
+
+
+def test_config_boolean_words(tmp_path):
+    # exactly these words, in any case; any other is invalid
+    cfg = tmp_path / "lab.cfg"
+    args = cli.build_parser().parse_args(["constant", "--config", str(cfg)])
+    for word, oracle in [("1", True), ("TRUE", True), (" yes ", True), ("On", True),
+                         ("0", False), ("false", False), ("NO", False), ("off", False)]:
+        cfg.write_text(f"oracle = {word}\n")
+        assert cli.build_config(args).oracle is oracle, word
+    for typo in ("ture", "2", "y", ""):
+        cfg.write_text(f"oracle = {typo}\n")
+        with pytest.raises(cli.ConfigError, match="not a boolean"):
+            cli.build_config(args)
 
 
 # The options each command reads besides --format, --out and --config, and a

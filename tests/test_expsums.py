@@ -81,6 +81,15 @@ def test_weyl_bounds_reject_powers_above_the_float_range():
     # Q^(1+eps) = 4^1001 with Q^k = 16
     with pytest.raises(CapacityError, match=r"4\^1001.0 is above the float range"):
         weyl_min_sum_bound([Fraction(1, 3)], 4, 2, 1000.0)
+    # Q^(1+eps) = 4^511.9 = 2^1023.8 fits; times (1/Q + s/Q^k)^delta the bound
+    # is above the float range for alpha = 0 only.  The table check, which
+    # sums nothing, cannot see it.
+    alphas = [Fraction(1, 3), 0.5, 0]
+    check_weyl_table(alphas, [2], [4], 510.9)
+    assert np.isfinite(weyl_min_sum_bound(alphas[:2], 4, 2, 510.9)).all()
+    with pytest.raises(CapacityError, match=r"^Weyl bound at Q = 4, k = 2, eps = 510.9 "
+                                            r"is above the float range$"):
+        weyl_min_sum_bound(alphas, 4, 2, 510.9)
 
 
 def test_weyl_min_sum_bound_examples():

@@ -4,7 +4,7 @@ and the kernel probe calls the kernels directly on an enumerated system's
 arrays, so a rename in the package breaks the traced run; these tests read
 perfbench/ without importing or changing it, and check that the traced names
 are the ones the commands call, including every span CI's traced-spans step
-requires (read from the workflow).  The last test keeps heavy imports out of the
+requires (traced_spans.WANTED_SPANS).  The last test keeps heavy imports out of the
 commands the benchmark times."""
 
 import ast
@@ -13,7 +13,6 @@ import math
 import os
 import subprocess
 import sys
-import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -21,9 +20,9 @@ import pytest
 
 from sieve_lab import cli, kernels
 from sieve_lab.farey import enumerate_system
+from traced_spans import WANTED_SPANS
 
 TRACING_PY = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
-CI_YML = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "tests.yml"
 SRC = Path(kernels.__file__).resolve().parents[1]
 # Modules no command may import: each one counts in every benchmark child's
 # setup_s and wall_s (scipy.linalg alone takes about 0.33 s).
@@ -57,19 +56,6 @@ def test_every_traced_name_resolves():
         assert callable(getattr(module, attr, None)), (layer, module_name, attr)
 
 
-def _ci_wanted_spans():
-    """The workload -> spans table that CI's "Traced spans are called" step
-    checks, read from the workflow's embedded script."""
-    text = CI_YML.read_text(encoding="utf-8")
-    script = text.split("<<'EOF'\n", 1)[1].split("\n          EOF", 1)[0]
-    tree = ast.parse(textwrap.dedent(script))
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "want" for t in node.targets):
-            return ast.literal_eval(node.value)
-    raise AssertionError("no want table in the workflow's traced-spans step")
-
-
 def test_commands_call_the_traced_names(monkeypatch, tmp_path):
     # a span that wraps a name no command calls reads 0 in the traced run
     calls = {}
@@ -97,9 +83,8 @@ def test_commands_call_the_traced_names(monkeypatch, tmp_path):
         # tracing.COUNTERS reads a sigma_exact span's terms as args[1].N,
         # which a plain coefficient array does not have
         assert "sieve.sigma_exact" not in calls, args
-    wanted = _ci_wanted_spans()
-    assert set(wanted) == set(workloads)
-    for workload, spans in wanted.items():
+    assert set(WANTED_SPANS) == set(workloads)
+    for workload, spans in WANTED_SPANS.items():
         for span in spans:
             assert any(called[a].get(span) for a in workloads[workload]), (workload, span)
     # tracing.COUNTERS reads a weyl_sum span's terms from args[1]
