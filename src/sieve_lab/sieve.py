@@ -40,7 +40,8 @@ from . import kernels
 from .errors import CapacityError, EigensolverError
 from .farey import Mode, PowerFareySystem, squarefree_divisors_with_mu, system_bases
 
-# Fixed seed of the Lanczos start vector; results are deterministic.
+# Fixed seed of the splitmix64 stream that start_vector draws the Lanczos
+# start from; results are deterministic.
 START_SEED = 0xC0FFEE
 ITERATION_CAP_BASE = 1000
 # Krylov basis size per Lanczos cycle (capped at the sector's size): one
@@ -194,6 +195,28 @@ def toeplitz_kernel(Q: int, N: int, k: int, mode: Mode = "full") -> ToeplitzKern
     return ToeplitzKernel(c)
 
 
+def start_vector(n: int) -> np.ndarray:
+    """n standard Gaussian floats from START_SEED, the Lanczos start.
+
+    Entry i applies Box-Muller (1958) to the uniforms u = ((z >> 11) + 1) 2^-53
+    in (0, 1] of the splitmix64 outputs z of counters 2i+1 and 2i+2 (Steele,
+    Lea and Flood 2014): sqrt(-2 ln u_{2i}) cos(2 pi u_{2i+1}).  Entry i does
+    not depend on n.  Plain uint64 arithmetic, which wraps mod 2^64, keeps
+    numpy.random, whose import loads OpenSSL's libcrypto (about 6 MB of peak
+    RSS), out of the eigensolve.
+    """
+    z = np.arange(1, 2 * n + 1, dtype=np.uint64)
+    z *= np.uint64(0x9E3779B97F4A7C15)
+    z += np.uint64(START_SEED)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    u = ((z >> np.uint64(11)) + np.uint64(1)) * 2.0 ** -53
+    return np.sqrt(-2.0 * np.log(u[0::2])) * np.cos(2.0 * np.pi * u[1::2])
+
+
 class PowerResult(NamedTuple):
     value: float
     residual: float
@@ -202,8 +225,8 @@ class PowerResult(NamedTuple):
 
 def power_iteration(kernel: ToeplitzKernel, rel_tol: float = 1e-8) -> PowerResult:
     """Largest eigenvalue of the PSD kernel: the larger sector_top of its two
-    ParitySectors, each started from the projection of one fixed-seed
-    Gaussian vector of length N, so the result is deterministic.
+    ParitySectors, each started from the projection of start_vector(N), one
+    fixed-seed Gaussian vector, so the result is deterministic.
 
     The winning sector's value and residual are those of the length-N vector
     its certified Ritz vector stands for.  A sector whose trace is at most
@@ -221,7 +244,7 @@ def power_iteration(kernel: ToeplitzKernel, rel_tol: float = 1e-8) -> PowerResul
         return PowerResult(0.0, 0.0, 0)  # empty system: T = 0
     if kernel.N == 1:
         return PowerResult(c0, 0.0, 0)  # 1x1 matrix
-    x = np.random.default_rng(START_SEED).standard_normal(kernel.N)
+    x = start_vector(kernel.N)
     best, failed, products = PowerResult(0.0, 0.0, 0), None, 0
     for sign in (1, -1):
         sector = ParitySector(kernel, sign)

@@ -18,8 +18,8 @@ import numpy as np
 
 from sieve_lab import kernels
 from sieve_lab.errors import EigensolverError
-from sieve_lab.sieve import (INVARIANT_TOL, ITERATION_CAP_BASE, RESTART_LENGTH, START_SEED,
-                             ParitySector, PowerResult)
+from sieve_lab.sieve import (INVARIANT_TOL, ITERATION_CAP_BASE, RESTART_LENGTH, ParitySector,
+                             PowerResult, start_vector)
 
 TWO_PI = 2.0 * math.pi
 # Runs the command in argv, then prints its exit code and the peak RSS that
@@ -302,6 +302,28 @@ def totient(n: int) -> int:
     return result
 
 
+def splitmix64(seed: int, count: int) -> list[int]:
+    """The first `count` outputs of splitmix64 from state `seed` (Steele, Lea
+    and Flood 2014), in Python ints reduced mod 2^64."""
+    mask = (1 << 64) - 1
+    out = []
+    for c in range(1, count + 1):
+        z = (seed + c * 0x9E3779B97F4A7C15) & mask
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        out.append(z ^ (z >> 31))
+    return out
+
+
+def splitmix64_gaussians(seed: int, n: int) -> list[float]:
+    """n Box-Muller normals, the i-th (from 0) from the uniforms
+    ((z >> 11) + 1) / 2^53 of splitmix64 outputs 2i+1 and 2i+2, by math.log
+    and math.cos."""
+    u = [((z >> 11) + 1) / 2 ** 53 for z in splitmix64(seed, 2 * n)]
+    return [math.sqrt(-2.0 * math.log(u[2 * i])) * math.cos(TWO_PI * u[2 * i + 1])
+            for i in range(n)]
+
+
 def sector_lift(sector, n: int, u) -> np.ndarray:
     """The length-n vector (u_lo / sqrt(2), middle, sign * reversed(u_lo) / sqrt(2))
     whose coordinates in the parity sector `sector` of an n x n kernel are u:
@@ -316,9 +338,10 @@ def sector_lift(sector, n: int, u) -> np.ndarray:
 
 def sector_starts(kernel) -> list:
     """(sector, start) for each parity sector that sieve.power_iteration
-    solves, start being the projection of its fixed-seed length-N draw; a
-    sector whose trace is at most INVARIANT_TOL N c(0) is null and left out."""
-    x = np.random.default_rng(START_SEED).standard_normal(kernel.N)
+    solves, start being the projection of sieve.start_vector(N), its
+    fixed-seed splitmix64 Gaussian draw; a sector whose trace is at most
+    INVARIANT_TOL N c(0) is null and left out."""
+    x = start_vector(kernel.N)
     sectors = (ParitySector(kernel, 1), ParitySector(kernel, -1))
     return [(s, s.project(x)) for s in sectors if s.trace > INVARIANT_TOL * s.bound]
 

@@ -172,6 +172,21 @@ def test_cli_peak_rss_reads_the_child_alone(tmp_path):
     assert peak_mb < 128
 
 
+def test_constant_peak_is_near_a_child_without_eigensolve(tmp_path):
+    # crossover imports the same modules and solves nothing; the Lanczos start
+    # draws no numpy.random, whose import alone loads OpenSSL's libcrypto
+    # (about 6 MB).  On a 2-core VM the gap read 9.7 MB with a numpy.random
+    # start and 3.2 MB without; comparing two children keeps the test free
+    # of the machine's baseline
+    code, constant_mb = cli_peak_rss(["constant", "--Q", "8,16", "--N", "8192", "--k", "3",
+                                      "--out", str(tmp_path / "a.csv")], child_env())
+    assert code == EXIT_OK
+    code, crossover_mb = cli_peak_rss(["crossover", "--Q", "4..6", "--k", "3", "--points", "4",
+                                       "--out", str(tmp_path / "b.csv")], child_env())
+    assert code == EXIT_OK
+    assert constant_mb - crossover_mb < 5.0, (constant_mb, crossover_mb)
+
+
 def test_majorant_builds_no_point(tmp_path):
     # 16.1 million points, just under the point budget: building them took
     # about 390 MB, while the centres need only the per-base counts

@@ -1,4 +1,5 @@
 import itertools
+import math
 import warnings
 
 import numpy as np
@@ -11,7 +12,7 @@ from sieve_lab.sieve import (ParitySector, ToeplitzKernel, dense_lambda_max, mea
                              power_iteration, sigma_exact, toeplitz_kernel)
 
 from helpers import (brute_sigma, int_points, lanczos_every_step, rayleigh_quotient,
-                     sector_lift, sector_starts)
+                     sector_lift, sector_starts, splitmix64, splitmix64_gaussians)
 from test_farey import make_singleton
 
 GRID = [(Q, k, mode) for Q in (1, 2, 3, 4) for k in (2, 3)
@@ -158,6 +159,47 @@ def test_power_iteration_reports_and_nonconvergence():
         power_iteration(kern, 1e-300)
     assert info.value.last_value > 0
     assert info.value.iterations > 0
+
+
+def test_splitmix64_reference_matches_the_published_outputs():
+    # the widely quoted test vector of splitmix64 at seed 1234567 anchors the
+    # Python-int oracle that start_vector is checked against
+    assert splitmix64(1234567, 5) == [6457827717110365317, 3203168211198807973,
+                                      9817491932198370423, 4593380528125082431,
+                                      16408922859458223821]
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 64])
+def test_start_vector_matches_python_int_splitmix64(n):
+    got = sieve.start_vector(n)
+    assert got.dtype == np.float64 and got.shape == (n,)
+    np.testing.assert_allclose(got, splitmix64_gaussians(sieve.START_SEED, n), rtol=1e-15, atol=0)
+
+
+def test_start_vector_prefix_is_stable():
+    # entry i depends on i alone, not on the length drawn
+    full = sieve.start_vector(1000)
+    for m in (1, 2, 3, 64, 999, 1000):
+        assert full[:m].tobytes() == sieve.start_vector(m).tobytes(), m
+
+
+def test_start_vector_is_standard_normal():
+    # every entry finite, and |x| <= sqrt(-2 ln 2^-53) since u lies in
+    # [2^-53, 1]; moments within 5 sigma of N(0, 1)'s, and the
+    # Kolmogorov-Smirnov distance below its 1% critical value 1.63 / sqrt(n)
+    n = 1 << 20
+    x = sieve.start_vector(n)
+    assert np.all(np.isfinite(x))
+    assert np.max(np.abs(x)) <= math.sqrt(106 * math.log(2.0))
+    mean, var = x.mean(), x.var()
+    kurtosis = np.mean((x - mean) ** 4) / var ** 2 - 3.0
+    assert abs(mean) < 5.0 * math.sqrt(1.0 / n)
+    assert abs(var - 1.0) < 5.0 * math.sqrt(2.0 / n)
+    assert abs(kurtosis) < 5.0 * math.sqrt(24.0 / n)
+    xs = np.sort(x)
+    cdf = 0.5 * (1.0 + np.array([math.erf(v / math.sqrt(2.0)) for v in xs]))
+    i = np.arange(1, n + 1)
+    assert max(np.max(i / n - cdf), np.max(cdf - (i - 1) / n)) < 1.63 / math.sqrt(n)
 
 
 @pytest.mark.parametrize("rel_tol", [0.0, -1e-8, 1.0, 2.0, float("inf"), float("nan")])

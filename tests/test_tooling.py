@@ -5,7 +5,7 @@ arrays, so a rename in the package breaks the traced run; these tests read
 perfbench/ without importing or changing it, and check that the traced names
 are the ones the commands call, including every span CI's traced-spans step
 requires (traced_spans.WANTED_SPANS).  The last test keeps heavy imports out of the
-commands the benchmark times."""
+commands the benchmark times, and numpy.random out of those that draw nothing."""
 
 import ast
 import importlib
@@ -27,14 +27,22 @@ SRC = Path(kernels.__file__).resolve().parents[1]
 # Modules no command may import: each one counts in every benchmark child's
 # setup_s and wall_s (scipy.linalg alone takes about 0.33 s).
 HEAVY_MODULES = ("scipy", "numpy.ma")
-# Runs the command in argv, then prints its exit code and the heavy modules
-# loaded at exit as the last line.
+# Modules the commands that draw nothing may not import: numpy.random's
+# import goes through secrets and hmac to _hashlib, which loads OpenSSL's
+# libcrypto (about 6 MB of every child's peak RSS), and sieve.start_vector
+# draws the Lanczos start without it.  lemma1, weyl and majorant still draw
+# from numpy.random.
+RANDOM_MODULES = ("numpy.random", "_hashlib")
+NO_RANDOM_COMMANDS = ("constant", "fit", "crossover")
+# Runs the command in argv, then prints as the last line its exit code, the
+# heavy modules and the random-number modules loaded at exit.
 _CHILD = f"""
 import sys
 from sieve_lab import cli
 code = cli.main(sys.argv[1:])
-print(code, sorted(m for m in sys.modules
-                   if any(m == h or m.startswith(h + ".") for h in {HEAVY_MODULES!r})))
+loaded = lambda names: sorted(m for m in sys.modules
+                              if any(m == h or m.startswith(h + ".") for h in names))
+print((code, loaded({HEAVY_MODULES!r}), loaded({RANDOM_MODULES!r})))
 """
 
 
@@ -135,4 +143,9 @@ def test_commands_import_no_heavy_module(tmp_path, args):
         [sys.executable, "-c", _CHILD, *args.split(), "--out", str(tmp_path / "out")],
         capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "0 []", (args, proc.stdout)
+    code, heavy, random = ast.literal_eval(proc.stdout.splitlines()[-1])
+    assert (code, heavy) == (0, []), (args, proc.stdout)
+    if args.split()[0] in NO_RANDOM_COMMANDS:
+        assert random == [], (args, proc.stdout)
+    else:
+        assert "numpy.random" in random, (args, proc.stdout)
