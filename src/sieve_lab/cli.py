@@ -18,8 +18,8 @@ options, plus --format, --out and --config; any other flag is a usage error
 above K_CAP, and a run size above RUN_CAP, the product of the value counts of
 the Q, N and k ranges the command reads and of the vectors, samples and points
 options it reads; a range "a..b" of more values is refused before it is built.
-A negative seed, and an --out that is neither '-' nor a file in an
-existing directory, are invalid too (exit 2).
+A seed outside [0, 2^64), and an --out that is neither '-' nor a file in
+an existing directory, are invalid too (exit 2).
 Config precedence: command-line flags override the --config file, which
 overrides the file named by SIEVE_LAB_CONFIG, which overrides the command's
 defaults.  Config files are flat key=value lines with '#' comments.  One
@@ -46,7 +46,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import bounds, kernels, regression
-from .arith import float_power
+from .arith import DEFAULT_SEED, float_power, gaussian_pairs, integers, uniforms
 from .bounds import BoundParams, SHAPE_NAMES, crossover_analysis, fit_exponent
 from .errors import (EXIT_CAPACITY, EXIT_EIGENSOLVER, EXIT_INVALID_CONFIG,
                      EXIT_OK, EXIT_VERIFICATION, CapacityError, EigensolverError)
@@ -59,7 +59,6 @@ from .sieve import (dense_lambda_max, measure_constant, power_iteration,  # noqa
                     sigma_exact, toeplitz_kernel)
 
 SCHEMA = "sieve-lab-1"
-DEFAULT_SEED = 0xC0FFEE
 ORACLE_N_CAP = 512
 # Largest k any command takes: above it Q^k is past the float range for every
 # Q >= 2, and exact powers such as 2^(k-1) or q^k would grow without bound.
@@ -68,6 +67,9 @@ K_CAP = 1024
 # count options (vectors, samples, points) a command reads; it bounds each range.
 RUN_CAP = 1 << 14
 REL_SLACK = 1e-9
+# Coefficient entries lemma1 draws at a time: the draw's temporaries, under
+# 64 bytes an entry, stay under 1 MB however large the quadform chunk.
+DRAW_ELEMENTS = 1 << 14
 
 _OUTPUT_DEFAULTS = {"format": "csv", "out": "-"}
 
@@ -211,8 +213,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError("points must be >= 2")
     if ("vectors" in merged and cfg.vectors < 1) or ("samples" in merged and cfg.samples < 1):
         raise ConfigError("vectors and samples must be >= 1")
-    if "seed" in merged and cfg.seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {cfg.seed!r}")
+    if "seed" in merged and not 0 <= cfg.seed < 1 << 64:
+        raise ConfigError(f"seed must be >= 0 and < 2^64, got {cfg.seed!r}")
     if "theta" in merged and not (math.isfinite(cfg.theta) and cfg.theta > 0):
         raise ConfigError(f"theta must be finite and > 0, got {cfg.theta!r}")
     if cfg.out != "-" and (Path(cfg.out).is_dir() or not Path(cfg.out).parent.is_dir()):
@@ -308,7 +310,7 @@ def cmd_constant(cfg: RunConfig) -> tuple[list[dict], list[str], int, list[str]]
             row["delta"] = params.delta
             row["kappa"] = params.kappa
             kern = toeplitz_kernel(Q, N, k, cfg.mode)
-            res = power_iteration(kern, cfg.rel_tol)
+            res = power_iteration(kern, cfg.rel_tol, seed=cfg.seed)
             row.update({"size": system_size(Q, k, cfg.mode), "measured": res.value,
                         "residual": res.residual, "iterations": res.iterations})
             # bounds.evaluate_bounds, where perfbench/tracing.py wraps it
@@ -353,18 +355,19 @@ def cmd_lemma1(cfg: RunConfig) -> tuple[list[dict], list[str], int, list[str]]:
             check_pair_budget(row["size"])  # before the points are built
             system = enumerate_system(Q, k, cfg.mode)
             rhs_unit = counting_rhs(system, N)
-            rng = np.random.default_rng([cfg.seed, k, Q, N, mode_idx])
+            key = (2, k, Q, N, mode_idx)
             max_ratio = 0.0
             violations = 0
             chunk = max(1, kernels.BLOCK_ELEMENTS // N)
             for start in range(0, cfg.vectors, chunk):
                 nb = min(chunk, cfg.vectors - start)
                 vs = np.empty((nb, N), dtype=np.complex128)
-                for b in range(nb):
-                    # each vector's shift M: still drawn, so the draws stay the
-                    # same, but it cannot change the form (see kernels.quadform)
-                    rng.integers(-64, 65)
-                    vs[b] = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+                # entry n of vector j is Gaussian pair j N + n of the cell's key
+                flat = vs.reshape(-1)
+                for lo in range(0, nb * N, DRAW_ELEMENTS):
+                    hi = min(lo + DRAW_ELEMENTS, nb * N)
+                    flat.real[lo:hi], flat.imag[lo:hi] = gaussian_pairs(
+                        cfg.seed, key, start * N + lo, hi - lo)
                 lhs = kernels.quadform(system.numerators, system.moduli, 0, vs)
                 rhs = rhs_unit * np.sum(vs.real ** 2 + vs.imag ** 2, axis=1)
                 max_ratio = max(max_ratio, float(np.max(lhs / rhs)))
@@ -413,10 +416,12 @@ def cmd_majorant(cfg: RunConfig) -> tuple[list[dict], list[str], int, list[str]]
                 rows.append(head)
                 continue
             top = system_bases(Q, k, cfg.mode)[-1] ** k
-            rng = np.random.default_rng([cfg.seed, 3, k, Q, mode_idx])
-            for _ in range(cfg.samples):
-                b, r = system_point(Q, k, cfg.mode, int(rng.integers(0, size)))
-                x = float(10.0 ** rng.uniform(-3, 0) / (2.0 * top))
+            key = (3, k, Q, mode_idx)
+            points = integers(cfg.seed, (*key, 0), size, cfg.samples).tolist()
+            us = uniforms(cfg.seed, (*key, 1), 0, cfg.samples).tolist()
+            for idx, u in zip(points, us):
+                b, r = system_point(Q, k, cfg.mode, idx)
+                x = 10.0 ** (-3.0 * u) / (2.0 * top)
                 with _guarded({**base, "b": b, "r": r, "x": x, "size": size}) as row:
                     res = fourier_majorant(Q, k, cfg.mode, (b, r), x)
                     near = count_near(Q, k, cfg.mode, Fraction(b, r ** k), x)

@@ -7,7 +7,7 @@ regression ever after.  The maxima are the commands' own: the `ratio` column
 of the `weyl` command's two tables ("weyl" and "min_sum"), and the
 ratio_kappa, ratio_loglog and ratio_delta columns of the `constant` command in
 both modes, every command at its cli.COMMANDS defaults (seed
-cli.DEFAULT_SEED).  Regeneration reads no config file.  Regenerate with:
+arith.DEFAULT_SEED).  Regeneration reads no config file.  Regenerate with:
 
     python -m sieve_lab.regression
 """
@@ -19,9 +19,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Sequence, Union
 
-import numpy as np
-
-from .arith import dirichlet_approx
+from .arith import DEFAULT_SEED, dirichlet_approx, integers, uniforms
 from .expsums import check_weyl_table, min_sum, min_sum_bound, weyl_min_sum_bound, weyl_sum
 
 MIN_SUM_LIMIT = 512.0
@@ -33,20 +31,21 @@ _NONSQUARES = tuple(d for d in range(2, 60) if math.isqrt(d) ** 2 != d)
 
 
 def sample_alphas(seed: int) -> list[tuple[str, Alpha]]:
-    """Labelled phase coefficients: 100 random reduced rationals (kept exact)
-    and 100 quadratic irrationals (p + s*sqrt(d))/r evaluated as floats."""
-    rng = np.random.default_rng(seed)
+    """Labelled phase coefficients: 100 random reduced rationals num/den,
+    2 <= den <= 512 and 1 <= num < den (kept exact), and 100 quadratic
+    irrationals (p + s*sqrt(d))/r evaluated as floats.  Each field is one
+    arith.integers draw of 100, under the key (0, field)."""
+    def draw(field: int, bound) -> list[int]:
+        return integers(seed, (0, field), bound, 100).tolist()
+
+    dens = [2 + i for i in draw(0, 511)]
+    nums = [1 + i for i in draw(1, [den - 1 for den in dens])]
     out: list[tuple[str, Alpha]] = []
-    for _ in range(100):
-        den = int(rng.integers(2, 513))
-        num = int(rng.integers(1, den))
+    for num, den in zip(nums, dens):
         fr = Fraction(num, den)
         out.append((f"{fr.numerator}/{fr.denominator}", fr))
-    for _ in range(100):
-        d = int(rng.choice(_NONSQUARES))
-        p = int(rng.integers(0, 10))
-        s = int(rng.integers(1, 6))
-        r = int(rng.integers(2, 30))
+    for i, p, s, r in zip(draw(2, len(_NONSQUARES)), draw(3, 10), draw(4, 5), draw(5, 28)):
+        d, s, r = _NONSQUARES[i], 1 + s, 2 + r
         out.append((f"({p}+{s}*sqrt({d}))/{r}", (p + s * math.sqrt(d)) / r))
     return out
 
@@ -79,14 +78,12 @@ def min_sum_ratio_rows(alphas: Sequence[tuple[str, Alpha]],
                        seed: int, n_samples: int) -> list[dict]:
     """The `weyl` command's "min_sum" table: one record per seeded (alpha, X,
     Y) sample under the cli.WEYL_COLUMNS names, min_sum against min_sum_bound.
-    Every (X, Y) is drawn first, then the minimum sums run for all samples at
+    Sample i takes X and Y in [1, MIN_SUM_LIMIT) from the uniforms 2i and
+    2i + 1 under the key (1,); then the minimum sums run for all samples at
     once."""
-    rng = np.random.default_rng([seed, 1])
     drawn = [alphas[i % len(alphas)] for i in range(n_samples)]
-    xs, ys = [], []
-    for _ in drawn:
-        xs.append(float(rng.uniform(1.0, MIN_SUM_LIMIT)))
-        ys.append(float(rng.uniform(1.0, MIN_SUM_LIMIT)))
+    u = MIN_SUM_LIMIT - (MIN_SUM_LIMIT - 1.0) * uniforms(seed, (1,), 0, 2 * n_samples)
+    xs, ys = u[0::2].tolist(), u[1::2].tolist()
     values = min_sum([alpha for _, alpha in drawn], xs, ys).tolist()
     rows = []
     for (label, alpha), X, Y, value in zip(drawn, xs, ys, values):
@@ -121,7 +118,7 @@ def compute_frozen() -> dict:
         for name in DELTA_SHAPES:
             maxima[name] = max(maxima[name], row[f"ratio_{name}"])
     return {
-        "seed": cli.DEFAULT_SEED,
+        "seed": DEFAULT_SEED,
         "weyl_bound_max": max(r["ratio"] for r in weyl_rows if r["table"] == "weyl"),
         "min_sum_bound_max": max(r["ratio"] for r in weyl_rows if r["table"] == "min_sum"),
         "delta_ratio_max": delta,

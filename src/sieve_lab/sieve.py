@@ -15,9 +15,11 @@ reversal J, so its top eigenvalue is the larger of the top eigenvalues of its
 two parity sectors, the vectors with J v = v and with J v = -v (Cantoni and
 Butler 1976).  power_iteration solves each sector, about N/2 entries, by a
 restarted Lanczos iteration whose products are real FFTs of length N
-(ParitySector); T's own product, ToeplitzKernel.matvec, and its dense matrix
-stay as the oracle.  The O(|F| N) brute-force sum over the enumerated points,
-kernels.autocorr, is the oracle for c(t).
+(ParitySector), started from the projection of start_vector(N, seed), a
+Gaussian vector from the package's one seeded stream (arith.gaussian_pairs;
+`constant --seed` picks it).  T's own product, ToeplitzKernel.matvec, and its
+dense matrix stay as the oracle.  The O(|F| N) brute-force sum over the
+enumerated points, kernels.autocorr, is the oracle for c(t).
 
 The quadratic form itself has one entry, kernels.quadform, which the lemma1
 command calls with one (B, N) coefficient array per chunk; sigma_exact
@@ -37,12 +39,10 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels
+from .arith import DEFAULT_SEED, gaussian_pairs
 from .errors import CapacityError, EigensolverError
 from .farey import Mode, PowerFareySystem, squarefree_divisors_with_mu, system_bases
 
-# Fixed seed of the splitmix64 stream that start_vector draws the Lanczos
-# start from; results are deterministic.
-START_SEED = 0xC0FFEE
 ITERATION_CAP_BASE = 1000
 # Krylov basis size per Lanczos cycle (capped at the sector's size): one
 # sector is solved at a time, so the basis holds about RESTART_LENGTH * N / 2
@@ -195,26 +195,14 @@ def toeplitz_kernel(Q: int, N: int, k: int, mode: Mode = "full") -> ToeplitzKern
     return ToeplitzKernel(c)
 
 
-def start_vector(n: int) -> np.ndarray:
-    """n standard Gaussian floats from START_SEED, the Lanczos start.
-
-    Entry i applies Box-Muller (1958) to the uniforms u = ((z >> 11) + 1) 2^-53
-    in (0, 1] of the splitmix64 outputs z of counters 2i+1 and 2i+2 (Steele,
-    Lea and Flood 2014): sqrt(-2 ln u_{2i}) cos(2 pi u_{2i+1}).  Entry i does
-    not depend on n.  Plain uint64 arithmetic, which wraps mod 2^64, keeps
-    numpy.random, whose import loads OpenSSL's libcrypto (about 6 MB of peak
-    RSS), out of the eigensolve.
+def start_vector(n: int, seed: int = DEFAULT_SEED) -> np.ndarray:
+    """n standard Gaussian floats, the Lanczos start: the cosine halves of the
+    first n arith.gaussian_pairs of `seed` under the empty key.  Entry i
+    applies Box-Muller to the splitmix64 words 2i and 2i+1 and does not depend
+    on n.  numpy.random, whose import loads OpenSSL's libcrypto (about 6 MB of
+    peak RSS), stays out of the eigensolve.
     """
-    z = np.arange(1, 2 * n + 1, dtype=np.uint64)
-    z *= np.uint64(0x9E3779B97F4A7C15)
-    z += np.uint64(START_SEED)
-    z ^= z >> np.uint64(30)
-    z *= np.uint64(0xBF58476D1CE4E5B9)
-    z ^= z >> np.uint64(27)
-    z *= np.uint64(0x94D049BB133111EB)
-    z ^= z >> np.uint64(31)
-    u = ((z >> np.uint64(11)) + np.uint64(1)) * 2.0 ** -53
-    return np.sqrt(-2.0 * np.log(u[0::2])) * np.cos(2.0 * np.pi * u[1::2])
+    return gaussian_pairs(seed, (), 0, n)[0]
 
 
 class PowerResult(NamedTuple):
@@ -223,10 +211,11 @@ class PowerResult(NamedTuple):
     iterations: int
 
 
-def power_iteration(kernel: ToeplitzKernel, rel_tol: float = 1e-8) -> PowerResult:
+def power_iteration(kernel: ToeplitzKernel, rel_tol: float = 1e-8, *,
+                    seed: int = DEFAULT_SEED) -> PowerResult:
     """Largest eigenvalue of the PSD kernel: the larger sector_top of its two
-    ParitySectors, each started from the projection of start_vector(N), one
-    fixed-seed Gaussian vector, so the result is deterministic.
+    ParitySectors, each started from the projection of start_vector(N, seed),
+    one seeded Gaussian vector, so the result is deterministic.
 
     The winning sector's value and residual are those of the length-N vector
     its certified Ritz vector stands for.  A sector whose trace is at most
@@ -244,7 +233,7 @@ def power_iteration(kernel: ToeplitzKernel, rel_tol: float = 1e-8) -> PowerResul
         return PowerResult(0.0, 0.0, 0)  # empty system: T = 0
     if kernel.N == 1:
         return PowerResult(c0, 0.0, 0)  # 1x1 matrix
-    x = start_vector(kernel.N)
+    x = start_vector(kernel.N, seed)
     best, failed, products = PowerResult(0.0, 0.0, 0), None, 0
     for sign in (1, -1):
         sector = ParitySector(kernel, sign)

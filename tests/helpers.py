@@ -302,26 +302,67 @@ def totient(n: int) -> int:
     return result
 
 
-def splitmix64(seed: int, count: int) -> list[int]:
-    """The first `count` outputs of splitmix64 from state `seed` (Steele, Lea
-    and Flood 2014), in Python ints reduced mod 2^64."""
-    mask = (1 << 64) - 1
-    out = []
-    for c in range(1, count + 1):
-        z = (seed + c * 0x9E3779B97F4A7C15) & mask
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
-        out.append(z ^ (z >> 31))
-    return out
+_MASK64 = (1 << 64) - 1
 
 
-def splitmix64_gaussians(seed: int, n: int) -> list[float]:
-    """n Box-Muller normals, the i-th (from 0) from the uniforms
-    ((z >> 11) + 1) / 2^53 of splitmix64 outputs 2i+1 and 2i+2, by math.log
-    and math.cos."""
-    u = [((z >> 11) + 1) / 2 ** 53 for z in splitmix64(seed, 2 * n)]
-    return [math.sqrt(-2.0 * math.log(u[2 * i])) * math.cos(TWO_PI * u[2 * i + 1])
-            for i in range(n)]
+def _splitmix64_word(state: int, i: int) -> int:
+    """Output i + 1 of splitmix64 from `state` (Steele, Lea and Flood 2014),
+    in Python ints reduced mod 2^64."""
+    z = (state + (i + 1) * 0x9E3779B97F4A7C15) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+def keyed_state(seed: int, key) -> int:
+    """The state of the keyed stream: `seed`, then for each key part p in
+    turn, word p of the stream so far."""
+    state = seed
+    for part in key:
+        state = _splitmix64_word(state, part)
+    return state
+
+
+def keyed_words(seed: int, key, first: int, count: int) -> list[int]:
+    """Words first .. first + count - 1 of the stream of (seed, key)."""
+    state = keyed_state(seed, key)
+    return [_splitmix64_word(state, i) for i in range(first, first + count)]
+
+
+def keyed_uniforms(seed: int, key, first: int, count: int) -> list[float]:
+    """((z >> 11) + 1) / 2^53 of the words z from `first`."""
+    return [((z >> 11) + 1) / 2 ** 53 for z in keyed_words(seed, key, first, count)]
+
+
+def keyed_gaussian_pairs(seed: int, key, first: int, count: int) -> list[tuple[float, float]]:
+    """Box-Muller pairs first .. first + count - 1, pair i from the uniforms
+    u, v of words 2i and 2i + 1, by math.log, math.cos and math.sin."""
+    u = keyed_uniforms(seed, key, 2 * first, 2 * count)
+    return [(math.sqrt(-2.0 * math.log(u[2 * i])) * math.cos(TWO_PI * u[2 * i + 1]),
+             math.sqrt(-2.0 * math.log(u[2 * i])) * math.sin(TWO_PI * u[2 * i + 1]))
+            for i in range(count)]
+
+
+def keyed_integers(seed: int, key, bounds) -> tuple[list[int], int]:
+    """Lemire's multiply-and-reject one entry at a time: entry i of len(bounds)
+    tries the low, then the high 32-bit half of word i, then of word i + count,
+    i + 2 count, ...; a candidate x is rejected when (x b) mod 2^32 is below
+    (2^32 - b) mod b, and otherwise gives (x b) >> 32.  Returns the entries
+    and the number of rejected candidates."""
+    state, count = keyed_state(seed, key), len(bounds)
+    out, rejected = [], 0
+    for i, b in enumerate(bounds):
+        threshold = ((1 << 32) - b) % b
+        candidate = 0
+        while True:
+            z = _splitmix64_word(state, candidate // 2 * count + i)
+            m = ((z >> (32 * (candidate % 2))) & 0xFFFFFFFF) * b
+            if (m & 0xFFFFFFFF) >= threshold:
+                out.append(m >> 32)
+                break
+            rejected += 1
+            candidate += 1
+    return out, rejected
 
 
 def sector_lift(sector, n: int, u) -> np.ndarray:
@@ -339,7 +380,7 @@ def sector_lift(sector, n: int, u) -> np.ndarray:
 def sector_starts(kernel) -> list:
     """(sector, start) for each parity sector that sieve.power_iteration
     solves, start being the projection of sieve.start_vector(N), its
-    fixed-seed splitmix64 Gaussian draw; a sector whose trace is at most
+    default-seed splitmix64 Gaussian draw; a sector whose trace is at most
     INVARIANT_TOL N c(0) is null and left out."""
     x = start_vector(kernel.N)
     sectors = (ParitySector(kernel, 1), ParitySector(kernel, -1))

@@ -19,7 +19,7 @@ from sieve_lab.sieve import sigma_exact
 from sieve_lab.errors import (EXIT_CAPACITY, EXIT_EIGENSOLVER, EXIT_INVALID_CONFIG, EXIT_OK,
                               EXIT_VERIFICATION, CapacityError, EigensolverError)
 
-from helpers import cli_peak_rss, totient
+from helpers import cli_peak_rss, keyed_gaussian_pairs, totient
 
 
 # the directory that holds the sieve_lab package under test
@@ -105,6 +105,36 @@ def test_constant_oracle_columns(tmp_path):
     for rec in json.loads(raw):
         assert rec["oracle_rel_err"] <= 1e-6
         assert rec["oracle_kernel_abs_err"] <= 1e-10
+
+
+def test_constant_seed_picks_the_lanczos_start(tmp_path):
+    # two seeds start Lanczos from different vectors: other residuals, the
+    # same constants to rel_tol
+    args = ["constant", "--Q", "2..4", "--N", "16,64,256", "--k", "2,3", "--format", "json"]
+    runs = []
+    for seed in (1, 2):
+        code, raw = run_cli(args + ["--seed", str(seed)], tmp_path, f"{seed}.json")
+        assert code == EXIT_OK
+        runs.append(json.loads(raw))
+    assert len(runs[0]) == len(runs[1]) == 18
+    for one, two in zip(*runs):
+        assert one["residual"] != two["residual"], (one, two)
+        assert one["measured"] == pytest.approx(two["measured"], rel=one["rel_tol"])
+
+
+def test_constant_passes_seed_to_power_iteration_by_keyword(tmp_path, monkeypatch):
+    # perfbench/tracing.py reads a third positional argument as a block width
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append((args, kwargs))
+        return sieve.power_iteration(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "power_iteration", recording)
+    code, _ = run_cli(["constant", "--Q", "2", "--N", "4,16", "--k", "2", "--seed", "9"],
+                      tmp_path)
+    assert code == EXIT_OK
+    assert [(len(args), kwargs) for args, kwargs in calls] == [(2, {"seed": 9})] * 2
 
 
 def test_invalid_configs(tmp_path, capsys):
@@ -388,7 +418,8 @@ def test_non_finite_float_options_exit_2(args, tmp_path):
 
 
 @pytest.mark.parametrize("args, out, message", [
-    ("lemma1 --seed -1", "a.csv", "seed must be >= 0"),     # ValueError in default_rng
+    ("lemma1 --seed -1", "a.csv", "seed must be >= 0"),     # ValueError in the draw
+    ("lemma1 --seed 18446744073709551616", "a.csv", "seed must be >= 0 and < 2^64"),
     ("majorant --seed -1", "a.csv", "seed must be >= 0"),
     ("weyl --seed -1", "a.csv", "seed must be >= 0"),
     ("constant --seed -1", "a.csv", "seed must be >= 0"),   # echoed the bad seed
@@ -646,15 +677,24 @@ def test_lemma1_runs_clean(tmp_path, capsys):
     assert b"violations" in raw and b"verification-failure" not in raw
 
 
-@pytest.mark.parametrize("block", [None, 448])
-def test_lemma1_matches_per_vector_reference(tmp_path, monkeypatch, block):
-    """The lemma1 cells hand kernels.quadform the same draws, in order
+@pytest.mark.parametrize("block, draw", [
+    pytest.param(None, None, id="None"),
+    pytest.param(448, None, id="448"),
+    pytest.param(448, 40, id="448-draw40"),
+])
+def test_lemma1_matches_per_vector_reference(tmp_path, monkeypatch, block, draw):
+    """The lemma1 cells hand kernels.quadform the stream's draws, in order
     and in chunks of at most max(1, BLOCK_ELEMENTS // N) vectors, and give the
-    same max_ratio and violations as a loop of single sigma_exact calls (the
-    shift M drawn before each vector is drawn and dropped here as in the cells);
-    block 448 splits the N=64 cells into chunks of 7 vectors."""
+    same max_ratio and violations as a loop of single sigma_exact calls on
+    vectors from the Python-int stream: entry n of vector j is Gaussian pair
+    j N + n under the key (2, k, Q, N, mode).  Block 448 splits the N=64
+    cells into chunks of 7 vectors; draw 40 draws each chunk in sub-blocks of
+    40 entries, which split vectors, so a wrong word offset between sub-blocks
+    changes the draws."""
     if block is not None:
         monkeypatch.setattr(kernels, "BLOCK_ELEMENTS", block)
+    if draw is not None:
+        monkeypatch.setattr(cli, "DRAW_ELEMENTS", draw)
     quadform = kernels.quadform
     calls = []
 
@@ -686,14 +726,13 @@ def test_lemma1_matches_per_vector_reference(tmp_path, monkeypatch, block):
                 assert row["max_ratio"] == 0.0 and row["violations"] == 0
                 continue
             rhs_unit = counting_rhs(system, N)
-            rng = np.random.default_rng([seed, k, Q, N, mode_idx])
+            pairs = keyed_gaussian_pairs(seed, (2, k, Q, N, mode_idx), 0, vectors * N)
             batched = seen.pop((system.numerators.tobytes(), system.moduli.tobytes(), N))
             assert len(batched) == vectors
             max_ratio, violations = 0.0, 0
-            for got_v in batched:
-                rng.integers(-64, 65)
-                v = rng.standard_normal(N) + 1j * rng.standard_normal(N)
-                assert np.array_equal(got_v, v)
+            for j, got_v in enumerate(batched):
+                v = np.array([complex(*pair) for pair in pairs[j * N:(j + 1) * N]])
+                np.testing.assert_allclose(got_v, v, rtol=1e-14, atol=0)
                 lhs = sigma_exact(system, v)
                 rhs = rhs_unit * float(np.sum(v.real ** 2 + v.imag ** 2))
                 max_ratio = max(max_ratio, lhs / rhs)

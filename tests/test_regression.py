@@ -59,7 +59,7 @@ def test_regeneration_writes_the_default_maxima_and_reads_no_config(tmp_path, fr
 def test_a_failing_cell_stops_the_regeneration(monkeypatch):
     # the constant command turns a cell that does not converge into an
     # eigensolver-error row; a maximum over such rows must not be frozen
-    def no_convergence(kern, rel_tol):
+    def no_convergence(kern, rel_tol, *, seed):
         raise EigensolverError("no convergence", 0.0, 1.0, 0)
 
     monkeypatch.setattr(cli, "power_iteration", no_convergence)

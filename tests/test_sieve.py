@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 from sieve_lab import kernels, sieve
+from sieve_lab.arith import DEFAULT_SEED
 from sieve_lab.errors import CapacityError, EigensolverError
 from sieve_lab.farey import enumerate_system, system_size
 from sieve_lab.sieve import (ParitySector, ToeplitzKernel, dense_lambda_max, measure_constant,
                              power_iteration, sigma_exact, toeplitz_kernel)
 
-from helpers import (brute_sigma, int_points, lanczos_every_step, rayleigh_quotient,
-                     sector_lift, sector_starts, splitmix64, splitmix64_gaussians)
+from helpers import (brute_sigma, int_points, keyed_gaussian_pairs, keyed_words,
+                     lanczos_every_step, rayleigh_quotient, sector_lift, sector_starts)
 from test_farey import make_singleton
 
 GRID = [(Q, k, mode) for Q in (1, 2, 3, 4) for k in (2, 3)
@@ -163,17 +164,19 @@ def test_power_iteration_reports_and_nonconvergence():
 
 def test_splitmix64_reference_matches_the_published_outputs():
     # the widely quoted test vector of splitmix64 at seed 1234567 anchors the
-    # Python-int oracle that start_vector is checked against
-    assert splitmix64(1234567, 5) == [6457827717110365317, 3203168211198807973,
-                                      9817491932198370423, 4593380528125082431,
-                                      16408922859458223821]
+    # Python-int oracle that the keyed stream is checked against
+    assert keyed_words(1234567, (), 0, 5) == [6457827717110365317, 3203168211198807973,
+                                              9817491932198370423, 4593380528125082431,
+                                              16408922859458223821]
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 64])
 def test_start_vector_matches_python_int_splitmix64(n):
-    got = sieve.start_vector(n)
-    assert got.dtype == np.float64 and got.shape == (n,)
-    np.testing.assert_allclose(got, splitmix64_gaussians(sieve.START_SEED, n), rtol=1e-15, atol=0)
+    for seed in (DEFAULT_SEED, 5):
+        got = sieve.start_vector(n, seed)
+        assert got.dtype == np.float64 and got.shape == (n,)
+        want = [c for c, _ in keyed_gaussian_pairs(seed, (), 0, n)]
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
 
 
 def test_start_vector_prefix_is_stable():
