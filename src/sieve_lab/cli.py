@@ -67,8 +67,10 @@ K_CAP = 1024
 # count options (vectors, samples, points) a command reads; it bounds each range.
 RUN_CAP = 1 << 14
 REL_SLACK = 1e-9
-# Coefficient entries lemma1 draws at a time: the draw's temporaries, under
-# 64 bytes an entry, stay under 1 MB however large the quadform chunk.
+# Coefficient entries lemma1 draws and evaluates at a time: a chunk is
+# max(1, DRAW_ELEMENTS // N) vectors, so the draw's temporaries (under 64
+# bytes an entry) and the chunk stay under 1 MB; only one vector longer than
+# DRAW_ELEMENTS is drawn in sub-blocks.
 DRAW_ELEMENTS = 1 << 14
 
 _OUTPUT_DEFAULTS = {"format": "csv", "out": "-"}
@@ -358,7 +360,7 @@ def cmd_lemma1(cfg: RunConfig) -> tuple[list[dict], list[str], int, list[str]]:
             key = (2, k, Q, N, mode_idx)
             max_ratio = 0.0
             violations = 0
-            chunk = max(1, kernels.BLOCK_ELEMENTS // N)
+            chunk = max(1, DRAW_ELEMENTS // N)
             for start in range(0, cfg.vectors, chunk):
                 nb = min(chunk, cfg.vectors - start)
                 vs = np.empty((nb, N), dtype=np.complex128)

@@ -3,9 +3,10 @@ sums, the majorant transform sum and the pairwise counting integral.
 
 Each kernel has one form.  The quadratic form and the Weyl sums are batched:
 quadform, the one entry of the sieve quadratic form, evaluates a (B, N) array
-of coefficient vectors in one pass, and weyl_rational and weyl_float one Weyl
-sum per phase coefficient over a shared range of q.  A 1-D vector, or a
-scalar coefficient, is a batch of one that returns its float or complex.
+of coefficient vectors by one FFT of the folded rows per modulus, and
+weyl_rational and weyl_float one Weyl sum per phase coefficient over a shared
+range of q.  A 1-D vector, or a scalar coefficient, is a batch of one that
+returns its float or complex.
 
 All integer phase arithmetic stays inside int64: callers keep every modulus
 < 2**31 (see farey.MODULUS_CAP), so products of two reduced residues stay below
@@ -18,11 +19,13 @@ import math
 
 import numpy as np
 
+from .errors import CapacityError
+
 _SPLIT_BITS = 26
 _SPLIT = 1 << _SPLIT_BITS  # high/low split of a float phase for exact mod-1 reduction
 PI_SQ_OVER_4 = math.pi * math.pi / 4.0
-# Element budget of one dense numpy block: phase matrices, their products and
-# the coefficient batches the lemma1 command evaluates at once.
+# Element budget of one dense numpy block: autocorr's phase blocks, and
+# quadform's FFT steps of rows x q^k, which also caps the modulus it takes.
 BLOCK_ELEMENTS = 1 << 21
 # Most terms one row-blocked pass takes (row_blocks).  The Weyl tables are
 # hundreds to thousands of short rows, one per phase coefficient; passes of
@@ -44,13 +47,21 @@ def quadform(nums, mods, m_offs, vs):
     rows are summed from n = 0, and m_offs is not read.  The phase of n
     depends only on n mod q^k, so per modulus each row folds into
     width = min(q^k, N) residue sums w_r = sum_{n = r mod q^k} v_n, and
-    sum_n v_n e(a n / q^k) = sum_r w_r e(a r / q^k).  One phase matrix, built
-    from the exact integer residues a*r mod q^k, serves the whole batch
-    through one matrix product per block of points.  Memory per block is at
-    most BLOCK_ELEMENTS for the phase matrix and for the product, plus
-    B x width for the folded rows.  A batch of no rows gives an empty array;
-    vs of other than one or two dimensions, or with N < 1, raises ValueError.
+    sum_n v_n e(a n / q^k) = sum_r w_r e(a r / q^k), which over all a at once
+    is the length-q^k DFT of w read at the indices (-a) mod q^k.  The FFTs
+    run in steps of rows with rows x q^k <= BLOCK_ELEMENTS, so memory is at
+    most BLOCK_ELEMENTS for the transform and for its values at the points,
+    plus B x width for the folded rows.  The transform length is q^k, not
+    width: a modulus above BLOCK_ELEMENTS raises CapacityError before anything
+    is allocated.  lemma1 never meets that: under farey.PAIR_BUDGET its
+    largest modulus is 2**16, at Q = 2, k = 16.  A batch of no rows gives an
+    empty array; vs of other than one or two dimensions, or with N < 1,
+    raises ValueError.
     """
+    moduli = sorted(set(mods.tolist()))
+    if moduli and moduli[-1] > BLOCK_ELEMENTS:
+        raise CapacityError(f"modulus {moduli[-1]} is above the quadratic form's "
+                            f"transform budget of {BLOCK_ELEMENTS}")
     vs = np.asarray(vs, dtype=np.complex128)
     if vs.ndim not in (1, 2) or vs.shape[-1] < 1:
         raise ValueError(f"vs must be a 1-D or (B, N) array with N >= 1, got shape {vs.shape}")
@@ -58,21 +69,18 @@ def quadform(nums, mods, m_offs, vs):
     vs = np.atleast_2d(vs)
     nb, n = vs.shape
     totals = np.zeros(nb)
-    if nb == 0:
-        return totals
-    for qk in sorted(set(mods.tolist())):
-        sel = nums[mods == qk]
+    for qk in moduli:
+        at = -nums[mods == qk] % qk
         width = min(qk, n)
         full = n - n % width
         w = vs[:, :full].reshape(nb, full // width, width).sum(axis=1)
         w[:, :n - full] += vs[:, full:]
-        cols = np.arange(width, dtype=np.int64)
-        block = max(1, BLOCK_ELEMENTS // max(width, nb))
-        for start in range(0, sel.shape[0], block):
-            rows = sel[start:start + block]
-            e = np.exp((2j * np.pi / qk) * ((rows[:, None] * cols[None, :]) % qk))
-            s = w @ e.T
-            totals += np.sum(s.real * s.real + s.imag * s.imag, axis=1)
+        step = BLOCK_ELEMENTS // qk
+        for start in range(0, nb, step):
+            # np.fft by attribute, loaded on first use: a command that never
+            # calls quadform loads no numpy.fft
+            s = np.fft.fft(w[start:start + step], qk, axis=1)[:, at]
+            totals[start:start + step] += np.sum(s.real * s.real + s.imag * s.imag, axis=1)
     return float(totals[0]) if single else totals
 
 

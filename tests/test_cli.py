@@ -217,6 +217,19 @@ def test_constant_peak_is_near_a_child_without_eigensolve(tmp_path):
     assert constant_mb - crossover_mb < 5.0, (constant_mb, crossover_mb)
 
 
+def test_lemma1_peak_is_near_a_child_without_quadform(tmp_path):
+    # lemma1 evaluates one draw-sized chunk at a time, by one FFT per modulus:
+    # on a 2-core VM this cell peaked 3.2 MB above the crossover child, and
+    # about 150 MB above it when all 100 vectors went through phase matrices
+    code, lemma1_mb = cli_peak_rss(["lemma1", "--Q", "16", "--N", "4096", "--k", "3",
+                                    "--out", str(tmp_path / "a.csv")], child_env())
+    assert code == EXIT_OK
+    code, crossover_mb = cli_peak_rss(["crossover", "--Q", "4..6", "--k", "3", "--points", "4",
+                                       "--out", str(tmp_path / "b.csv")], child_env())
+    assert code == EXIT_OK
+    assert lemma1_mb - crossover_mb < 5.0, (lemma1_mb, crossover_mb)
+
+
 def test_majorant_builds_no_point(tmp_path):
     # 16.1 million points, just under the point budget: building them took
     # about 390 MB, while the centres need only the per-base counts
@@ -684,12 +697,13 @@ def test_lemma1_runs_clean(tmp_path, capsys):
 ])
 def test_lemma1_matches_per_vector_reference(tmp_path, monkeypatch, block, draw):
     """The lemma1 cells hand kernels.quadform the stream's draws, in order
-    and in chunks of at most max(1, BLOCK_ELEMENTS // N) vectors, and give the
+    and in chunks of at most max(1, DRAW_ELEMENTS // N) vectors, and give the
     same max_ratio and violations as a loop of single sigma_exact calls on
     vectors from the Python-int stream: entry n of vector j is Gaussian pair
-    j N + n under the key (2, k, Q, N, mode).  Block 448 splits the N=64
-    cells into chunks of 7 vectors; draw 40 draws each chunk in sub-blocks of
-    40 entries, which split vectors, so a wrong word offset between sub-blocks
+    j N + n under the key (2, k, Q, N, mode).  Block 448 splits quadform's
+    FFTs of a 25-vector chunk into steps of 448 // q^k rows; draw 40 makes
+    chunks of 2 vectors at N=16 and of 1 at N=64, whose vectors are drawn in
+    sub-blocks of 40 entries, so a wrong word offset between sub-blocks
     changes the draws."""
     if block is not None:
         monkeypatch.setattr(kernels, "BLOCK_ELEMENTS", block)
@@ -699,7 +713,7 @@ def test_lemma1_matches_per_vector_reference(tmp_path, monkeypatch, block, draw)
     calls = []
 
     def recording(nums, mods, m_offs, vs):
-        assert vs.shape[0] <= max(1, kernels.BLOCK_ELEMENTS // vs.shape[1])
+        assert vs.shape[0] <= max(1, cli.DRAW_ELEMENTS // vs.shape[1])
         calls.append((nums, mods, vs.copy()))
         return quadform(nums, mods, m_offs, vs)
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from sieve_lab import kernels
+from sieve_lab.errors import CapacityError
 from sieve_lab.farey import enumerate_system
 
 from helpers import (brute_majorant, brute_sigma, brute_weyl_rational, class_majorant,
@@ -76,13 +77,41 @@ def test_quadform_batch_over_several_blocks(system, monkeypatch):
     offsets = rng.integers(-64, 65, 9)
     vs = rng.standard_normal((9, 20)) + 1j * rng.standard_normal((9, 20))
     whole = kernels.quadform(system.numerators, system.moduli, offsets, vs)
-    # at most 64 elements per phase matrix or product: 1 to 4 points per block
+    # at most 64 elements per FFT step: 4, 2 and 1 rows a step at q^k = 16, 25, 36
     monkeypatch.setattr(kernels, "BLOCK_ELEMENTS", 64)
     blocked = kernels.quadform(system.numerators, system.moduli, offsets, vs)
     for b, m_off in enumerate(offsets.tolist()):
         want = brute_sigma(int_points(system), m_off, vs[b])
         assert blocked[b] == pytest.approx(want, rel=1e-12)
         assert blocked[b] == pytest.approx(whole[b], rel=1e-12)
+
+
+def test_quadform_reads_the_transform_at_the_negated_numerator():
+    # the one point 3/64 is not closed under a -> q^k - a, as every enumerated
+    # system is, so only here does the index (-a) mod q^k differ from a; N = 100
+    # folds into 64 columns with a remainder of 36
+    nums, mods = np.array([3], dtype=np.int64), np.array([64], dtype=np.int64)
+    rng = np.random.default_rng(64)
+    vs = rng.standard_normal((2, 100)) + 1j * rng.standard_normal((2, 100))
+    got = kernels.quadform(nums, mods, 0, vs)
+    for b in range(2):
+        assert got[b] == pytest.approx(brute_sigma([(3, 64)], 0, vs[b]), rel=1e-12)
+
+
+def test_quadform_refuses_a_modulus_above_the_block(monkeypatch):
+    # the transform is q^k long whatever N: the one point 1/2^22 at N = 8
+    # would take a 64 MB row
+    vs = np.ones(8, dtype=np.complex128)
+    with pytest.raises(CapacityError, match="above the quadratic form's transform budget"):
+        kernels.quadform(np.array([1], dtype=np.int64), np.array([1 << 22], dtype=np.int64),
+                         0, vs)
+    # a modulus of BLOCK_ELEMENTS is the largest taken
+    monkeypatch.setattr(kernels, "BLOCK_ELEMENTS", 64)
+    one = np.array([1], dtype=np.int64)
+    assert kernels.quadform(one, np.array([64], dtype=np.int64), 0, vs) == pytest.approx(
+        brute_sigma([(1, 64)], 0, vs), rel=1e-12)
+    with pytest.raises(CapacityError):
+        kernels.quadform(one, np.array([65], dtype=np.int64), 0, vs)
 
 
 def test_quadform_batch_shapes():
