@@ -32,12 +32,11 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -239,23 +238,25 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 
 def write_records(records: list[dict], columns: list[str], cfg: RunConfig) -> None:
     """Write the records under a schema and a command column, filled with SCHEMA
-    and cfg.command, then `columns`; a value a record lacks is empty (JSON null)."""
-    if cfg.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["schema", "command", *columns])
-        for rec in records:
-            writer.writerow([SCHEMA, cfg.command, *(str(v).lower() if isinstance(v, bool)
-                                                    else v for v in map(rec.get, columns))])
-        text = buf.getvalue()
-    else:
-        text = json.dumps([{"schema": SCHEMA, "command": cfg.command,
-                            **{col: rec.get(col) for col in columns}} for rec in records],
-                          indent=2) + "\n"
-    if cfg.out == "-":
-        sys.stdout.write(text)
-    else:
-        Path(cfg.out).write_text(text, encoding="utf-8", newline="")
+    and cfg.command, then `columns`; a value a record lacks is empty (JSON null).
+
+    Each record goes out as it is formatted, to the sys.stdout of the moment
+    or to the --out file, which is opened and closed here: CSV one row at a
+    time through csv.writer, JSON through json.dump with indent 2 and a final
+    newline.  No copy of the whole output is built."""
+    with (nullcontext(sys.stdout) if cfg.out == "-"
+          else open(cfg.out, "w", encoding="utf-8", newline="")) as stream:
+        if cfg.format == "csv":
+            writer = csv.writer(stream, lineterminator="\n")
+            writer.writerow(["schema", "command", *columns])
+            for rec in records:
+                writer.writerow([SCHEMA, cfg.command, *(str(v).lower() if isinstance(v, bool)
+                                                        else v for v in map(rec.get, columns))])
+        else:
+            json.dump([{"schema": SCHEMA, "command": cfg.command,
+                        **{col: rec.get(col) for col in columns}} for rec in records],
+                      stream, indent=2)
+            stream.write("\n")
 
 
 def map_cells(func, cells, threads: int) -> list:

@@ -29,10 +29,12 @@ PI_SQ_OVER_4 = math.pi * math.pi / 4.0
 BLOCK_ELEMENTS = 1 << 21
 # Most terms one row-blocked pass takes (row_blocks).  The Weyl tables are
 # hundreds to thousands of short rows, one per phase coefficient; passes of
-# this size (about 1 MB per temporary) keep the weyl command's peak memory no
-# higher than one pass per row did, where one unblocked 2000 x 511 minimum-sum
-# pass raised it from 41 MB to 69 MB.
-ROW_BLOCK_TERMS = 1 << 16
+# this size (128 KB per int64 or float temporary, 256 KB per complex one) keep
+# the weyl command's peak memory near a child's that sums nothing.  On a
+# 2-core VM the `weyl --Q 64,256,1024 --k 2,3 --samples 2000` child peaked at
+# 32.0 MB with them, 36.3 MB with 2^16-term passes and 59.3 MB with one pass
+# per batch.
+ROW_BLOCK_TERMS = 1 << 14
 # The one kernel implementation; printed in run manifests.
 ACTIVE_LANE = "numpy"
 

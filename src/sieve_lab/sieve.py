@@ -33,6 +33,7 @@ q^k >= 2^k only.
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 from typing import NamedTuple
 
@@ -160,7 +161,7 @@ class ParitySector:
         if not self._middle:
             return out
         m = u[h]
-        return np.append(out + m * self._b, self._b @ w + self._c0 * m)
+        return np.append(out + m * self._b, _dot(self._b, w) + self._c0 * m)
 
     def project(self, x: np.ndarray) -> np.ndarray:
         """Sector coordinates of the projection of the length-N vector x onto
@@ -256,6 +257,15 @@ def power_iteration(kernel: ToeplitzKernel, rel_tol: float = 1e-8, *,
     return best._replace(iterations=products)
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """The dot product of two 1-D float arrays by numpy's pairwise sum."""
+    return float(np.add.reduce(a * b))
+
+
+def _norm(x: np.ndarray) -> float:
+    return math.sqrt(_dot(x, x))
+
+
 def sector_top(sector: ParitySector, start: np.ndarray, rel_tol: float) -> PowerResult:
     """Top eigenvalue of one ParitySector by explicitly restarted Lanczos
     from `start`, a nonzero vector of sector coordinates.
@@ -280,6 +290,11 @@ def sector_top(sector: ParitySector, start: np.ndarray, rel_tol: float) -> Power
     rel_tol, value can sit up to their gap below its top.  `iterations`
     counts every product; EigensolverError, with the last value and
     residual, is raised at 10 n + 1000 products, n the sector's size.
+    No step calls BLAS, whose threads split long sums, so the result has the
+    same bits whatever the BLAS thread count: dots and norms are numpy's
+    pairwise sums of the products (einsum's single loop was 40 times less
+    accurate on a sector of 32768), and the Ritz vector, a sum of at most
+    RESTART_LENGTH terms per entry, is an einsum.
     """
     n = sector.N
     m = min(RESTART_LENGTH, n)
@@ -287,17 +302,17 @@ def sector_top(sector: ParitySector, start: np.ndarray, rel_tol: float) -> Power
     # every Ritz value is at most sector.bound: above this, beta_j cannot pass
     # the invariant-subspace test
     near_invariant = 2 * INVARIANT_TOL * sector.bound
-    x = start / np.linalg.norm(start)
+    x = start / _norm(start)
     V = np.empty((m, n))
     alpha = np.zeros(m)
     beta = np.zeros(m)
     tx = sector.matvec(x)
     matvecs = 1
     while True:
-        value = float(np.vdot(x, tx))
+        value = _dot(x, tx)
         if value <= 0.0:
             return PowerResult(0.0, 0.0, matvecs)  # numerically null operator
-        residual = float(np.linalg.norm(tx - value * x)) / value
+        residual = _norm(tx - value * x) / value
         if residual < rel_tol:
             return PowerResult(value, residual, matvecs)
         if matvecs >= cap:
@@ -312,11 +327,11 @@ def sector_top(sector: ParitySector, start: np.ndarray, rel_tol: float) -> Power
             if j > 0:
                 w = sector.matvec(V[j])
                 matvecs += 1
-            alpha[j] = V[j] @ w
+            alpha[j] = _dot(V[j], w)
             w = w - alpha[j] * V[j]
             if j > 0:
                 w -= beta[j - 1] * V[j - 1]
-            beta[j] = float(np.linalg.norm(w))
+            beta[j] = _norm(w)
             last = j == m - 1 or matvecs >= cap - 1
             if (last or near or (j + 1) % RITZ_CHECK_EVERY == 0
                     or beta[j] <= near_invariant):
@@ -330,8 +345,8 @@ def sector_top(sector: ParitySector, start: np.ndarray, rel_tol: float) -> Power
                     break
                 near = estimate < RITZ_NEAR * rel_tol * theta[-1]
             V[j + 1] = w / beta[j]
-        x = y @ V[:j + 1]
-        x /= np.linalg.norm(x)
+        x = np.einsum("i,ij->j", y, V[:j + 1])
+        x /= _norm(x)
         tx = sector.matvec(x)
         matvecs += 1
 

@@ -8,6 +8,9 @@ paths are checked against genuinely separate code.
 from __future__ import annotations
 
 import cmath
+import csv
+import io
+import json
 import math
 import os
 import subprocess
@@ -47,6 +50,23 @@ def cli_peak_rss(args, env, timeout: float = 60.0) -> tuple[int, float]:
          *args], env=env, capture_output=True, text=True, timeout=timeout, check=True)
     code, kib = proc.stdout.split()
     return int(code), int(kib) / 1024
+
+
+def whole_text_records(records: list[dict], columns: list[str], schema: str, command: str,
+                       fmt: str) -> str:
+    """The whole output text of cli.write_records, built in memory the way the
+    writer once built it before writing: the CSV in one io.StringIO, the JSON
+    by json.dumps with indent 2 plus a newline."""
+    rows = [{"schema": schema, "command": command, **{col: rec.get(col) for col in columns}}
+            for rec in records]
+    if fmt == "json":
+        return json.dumps(rows, indent=2) + "\n"
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["schema", "command", *columns])
+    for row in rows:
+        writer.writerow([str(v).lower() if isinstance(v, bool) else v for v in row.values()])
+    return buf.getvalue()
 
 
 def brute_dirichlet(alpha: float, bound: int) -> tuple[int, int, float]:

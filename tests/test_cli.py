@@ -19,7 +19,7 @@ from sieve_lab.sieve import sigma_exact
 from sieve_lab.errors import (EXIT_CAPACITY, EXIT_EIGENSOLVER, EXIT_INVALID_CONFIG, EXIT_OK,
                               EXIT_VERIFICATION, CapacityError, EigensolverError)
 
-from helpers import cli_peak_rss, keyed_gaussian_pairs, totient
+from helpers import cli_peak_rss, keyed_gaussian_pairs, totient, whole_text_records
 
 
 # the directory that holds the sieve_lab package under test
@@ -84,6 +84,57 @@ def test_write_records_spells_each_cell(capsys):
             (obj,) = json.loads(text)
             assert list(obj) == ["schema", "command", *columns]
             assert obj == {"schema": cli.SCHEMA, "command": "demo", **rec, "missing": None}
+
+
+def test_write_records_streams_the_whole_text_bytes(capsys, monkeypatch, tmp_path):
+    records = [{"yes": True, "x": 0.1, "n": 3, "text": "a,b"},
+               {"yes": False, "x": 1e-300, "n": None},
+               {"x": 2.5e10, "text": 'say "hi"'}]
+    columns = ["yes", "x", "n", "text", "missing"]
+    opened = []
+
+    def recording_open(*args, **kwargs):
+        opened.append(open(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(cli, "open", recording_open, raising=False)
+    for fmt in ("csv", "json"):
+        expected = whole_text_records(records, columns, cli.SCHEMA, "demo", fmt)
+        cli.write_records(records, columns, cli.RunConfig(command="demo", format=fmt, out="-"))
+        assert capsys.readouterr().out == expected
+        out = tmp_path / f"a.{fmt}"
+        cli.write_records(records, columns, cli.RunConfig(command="demo", format=fmt,
+                                                          out=str(out)))
+        assert out.read_bytes() == expected.encode("utf-8")
+        assert opened[-1].closed
+    assert len(opened) == 2
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_weyl_stdout_equals_its_out_file(fmt, tmp_path):
+    # the child runs in development mode, where a file left open warns
+    args = [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-m", "sieve_lab.cli",
+            "weyl", "--Q", "4", "--k", "2", "--samples", "3", "--format", fmt]
+    out = tmp_path / "a.out"
+    shown = subprocess.run(args, env=child_env(), capture_output=True, timeout=60, check=True)
+    written = subprocess.run([*args, "--out", str(out)], env=child_env(), capture_output=True,
+                             timeout=60, check=True)
+    assert shown.stdout.startswith(b"schema,command," if fmt == "csv" else b"[\n")
+    assert out.read_bytes() == shown.stdout
+    assert written.stdout == b""
+    assert b"ResourceWarning" not in shown.stderr + written.stderr
+
+
+def test_constant_records_do_not_depend_on_the_blas_thread_count():
+    # from N = 2^16 up, BLAS dots split their sums across threads; at
+    # (4, 65536, 2) they moved `measured` in its last digits
+    args = [sys.executable, "-m", "sieve_lab.cli", "constant", "--seed", "1", "--Q", "4",
+            "--N", "65536", "--k", "2"]
+    outputs = [subprocess.run(args, env={**child_env(), "OPENBLAS_NUM_THREADS": threads},
+                              capture_output=True, timeout=120, check=True).stdout
+               for threads in ("1", "2")]
+    assert outputs[0].count(b"\n") == 2
+    assert outputs[0] == outputs[1]
 
 
 def test_constant_json_mirror(tmp_path):
@@ -228,6 +279,20 @@ def test_lemma1_peak_is_near_a_child_without_quadform(tmp_path):
                                        "--out", str(tmp_path / "b.csv")], child_env())
     assert code == EXIT_OK
     assert lemma1_mb - crossover_mb < 5.0, (lemma1_mb, crossover_mb)
+
+
+def test_weyl_peak_is_near_a_child_without_sums(tmp_path):
+    # the Weyl tables run in passes of kernels.ROW_BLOCK_TERMS terms and the
+    # records are written as they are formatted: on a 2-core VM the gap read
+    # about 6.1 MB with 2^16-term passes and a whole-text copy of the output,
+    # and about 2.0 MB without
+    code, weyl_mb = cli_peak_rss(["weyl", "--Q", "64,256,1024", "--k", "2,3", "--samples",
+                                  "2000", "--out", str(tmp_path / "a.csv")], child_env())
+    assert code == EXIT_OK
+    code, crossover_mb = cli_peak_rss(["crossover", "--Q", "4..6", "--k", "3", "--points", "4",
+                                       "--out", str(tmp_path / "b.csv")], child_env())
+    assert code == EXIT_OK
+    assert weyl_mb - crossover_mb < 3.5, (weyl_mb, crossover_mb)
 
 
 def test_majorant_builds_no_point(tmp_path):
