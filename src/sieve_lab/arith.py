@@ -14,7 +14,9 @@ seed (a command's --seed), a key of nonnegative ints and a word index, so no
 draw depends on the order of the others.  The key's first part names the draw
 site: 0 the Weyl coefficients (regression.sample_alphas), 1 the min-sum
 samples, 2 lemma1's coefficient vectors and 3 majorant's centres; the Lanczos
-start (sieve.start_vector) takes the empty key.
+start (sieve.start_vector) takes the empty key.  gaussian_pairs writes its
+draws into the caller's complex array and works BLOCK_PAIRS pairs at a time,
+so a draw needs no temporaries as large as itself.
 """
 
 from __future__ import annotations
@@ -33,6 +35,11 @@ Real = Union[int, float, Fraction]
 DEFAULT_SEED = 0xC0FFEE
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _LOW32 = np.uint64(0xFFFFFFFF)
+# Pairs gaussian_pairs converts at a time.  Its scratch (a block of word
+# offsets, a two-block array of radii and angles and _words' two-block shift
+# temporary) is 160 KB at 2^12 whatever the length of the draw; records do
+# not depend on it.
+BLOCK_PAIRS = 1 << 12
 
 
 def float_power(base: int, exp: float) -> float:
@@ -93,10 +100,11 @@ def dirichlet_approx(alpha: Real, bound: int) -> ApproxPair:
     return ApproxPair(u=u, v=v, residual=float(abs(alpha * v - u)))
 
 
-def _words(state: int, index: np.ndarray) -> np.ndarray:
-    """splitmix64's outputs mix(state + (i + 1) * 0x9E3779B97F4A7C15) mod 2^64
-    for the word indices i in the uint64 array `index`."""
-    z = (index + np.uint64(1)) * _GOLDEN
+def _words(state: int, z: np.ndarray) -> np.ndarray:
+    """Overwrite the word indices i in the uint64 array `z` with splitmix64's
+    outputs mix(state + (i + 1) * 0x9E3779B97F4A7C15) mod 2^64; returns z."""
+    z += np.uint64(1)
+    z *= _GOLDEN
     z += np.uint64(state)
     z ^= z >> np.uint64(30)
     z *= np.uint64(0xBF58476D1CE4E5B9)
@@ -127,15 +135,41 @@ def uniforms(seed: int, key: tuple[int, ...], first: int, count: int) -> np.ndar
     return ((splitmix64(seed, key, first, count) >> np.uint64(11)) + np.uint64(1)) * 2.0 ** -53
 
 
-def gaussian_pairs(seed: int, key: tuple[int, ...], first: int,
-                   count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pairs first .. first + count - 1 of independent standard Gaussians, as
-    (cosine halves, sine halves): pair i applies Box-Muller (1958) to the
-    uniforms u, v of words 2i and 2i + 1, sqrt(-2 ln u) (cos 2 pi v, sin 2 pi v)."""
-    u = uniforms(seed, key, 2 * first, 2 * count)
-    radius = np.sqrt(-2.0 * np.log(u[0::2]))
-    angle = 2.0 * np.pi * u[1::2]
-    return radius * np.cos(angle), radius * np.sin(angle)
+def gaussian_pairs(seed: int, key: tuple[int, ...], first: int, out: np.ndarray) -> np.ndarray:
+    """Fill the complex128 array `out` with pairs first .. first + len(out) - 1
+    of independent standard Gaussians, cosine halves real and sine halves
+    imaginary, and return it: pair i applies Box-Muller (1958) to the
+    uniforms u, v of words 2i and 2i + 1, sqrt(-2 ln u) (cos 2 pi v, sin 2 pi v).
+
+    Each block of BLOCK_PAIRS pairs turns its even words into radii and its
+    odd words into angles in place in one scratch array, and cos and sin
+    write straight into out, so the scratch does not grow with len(out).
+    Every entry takes the same operations in the same order, so its bits
+    depend neither on BLOCK_PAIRS nor on where out starts.
+    """
+    state = _keyed_state(seed, key)
+    n = len(out)
+    evens = np.arange(0, 2 * min(n, BLOCK_PAIRS), 2, dtype=np.uint64)
+    scratch = np.empty(2 * len(evens))
+    for lo in range(0, n, BLOCK_PAIRS):
+        m = min(BLOCK_PAIRS, n - lo)
+        # words 2i then words 2i + 1 of the block's pairs i, as two runs
+        z = scratch[:2 * m].view(np.uint64)
+        np.add(evens[:m], np.uint64(2 * (first + lo)), out=z[:m])
+        np.add(evens[:m], np.uint64(2 * (first + lo) + 1), out=z[m:])
+        _words(state, z)
+        z >>= np.uint64(11)
+        z += np.uint64(1)
+        u = np.multiply(z, 2.0 ** -53, out=scratch[:2 * m])
+        radius, angle = u[:m], u[m:]
+        np.log(radius, out=radius)
+        radius *= -2.0
+        np.sqrt(radius, out=radius)
+        angle *= 2.0 * np.pi
+        for trig, half in ((np.cos, out.real[lo:lo + m]), (np.sin, out.imag[lo:lo + m])):
+            trig(angle, out=half)
+            half *= radius
+    return out
 
 
 def integers(seed: int, key: tuple[int, ...], bound, count: int) -> np.ndarray:

@@ -67,9 +67,10 @@ K_CAP = 1024
 RUN_CAP = 1 << 14
 REL_SLACK = 1e-9
 # Coefficient entries lemma1 draws and evaluates at a time: a chunk is
-# max(1, DRAW_ELEMENTS // N) vectors, so the draw's temporaries (under 64
-# bytes an entry) and the chunk stay under 1 MB; only one vector longer than
-# DRAW_ELEMENTS is drawn in sub-blocks.
+# max(1, DRAW_ELEMENTS // N) vectors (256 KB unless one vector is longer),
+# drawn in place by arith.gaussian_pairs.  The records depend on it: the
+# axis-1 sums in kernels.quadform and below round differently in other
+# batch shapes.
 DRAW_ELEMENTS = 1 << 14
 
 _OUTPUT_DEFAULTS = {"format": "csv", "out": "-"}
@@ -366,11 +367,7 @@ def cmd_lemma1(cfg: RunConfig) -> tuple[list[dict], list[str], int, list[str]]:
                 nb = min(chunk, cfg.vectors - start)
                 vs = np.empty((nb, N), dtype=np.complex128)
                 # entry n of vector j is Gaussian pair j N + n of the cell's key
-                flat = vs.reshape(-1)
-                for lo in range(0, nb * N, DRAW_ELEMENTS):
-                    hi = min(lo + DRAW_ELEMENTS, nb * N)
-                    flat.real[lo:hi], flat.imag[lo:hi] = gaussian_pairs(
-                        cfg.seed, key, start * N + lo, hi - lo)
+                gaussian_pairs(cfg.seed, key, start * N, vs.reshape(-1))
                 lhs = kernels.quadform(system.numerators, system.moduli, 0, vs)
                 rhs = rhs_unit * np.sum(vs.real ** 2 + vs.imag ** 2, axis=1)
                 max_ratio = max(max_ratio, float(np.max(lhs / rhs)))

@@ -197,13 +197,14 @@ def toeplitz_kernel(Q: int, N: int, k: int, mode: Mode = "full") -> ToeplitzKern
 
 
 def start_vector(n: int, seed: int = DEFAULT_SEED) -> np.ndarray:
-    """n standard Gaussian floats, the Lanczos start: the cosine halves of the
-    first n arith.gaussian_pairs of `seed` under the empty key.  Entry i
+    """n standard Gaussian floats, the Lanczos start: the real parts (cosine
+    halves) of the first n arith.gaussian_pairs of `seed` under the empty
+    key, copied out of the complex draw so the start is contiguous.  Entry i
     applies Box-Muller to the splitmix64 words 2i and 2i+1 and does not depend
     on n.  numpy.random, whose import loads OpenSSL's libcrypto (about 6 MB of
     peak RSS), stays out of the eigensolve.
     """
-    return gaussian_pairs(seed, (), 0, n)[0]
+    return gaussian_pairs(seed, (), 0, np.empty(n, dtype=np.complex128)).real.copy()
 
 
 class PowerResult(NamedTuple):

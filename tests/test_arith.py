@@ -5,7 +5,7 @@ from itertools import takewhile
 import numpy as np
 import pytest
 
-from sieve_lab import sieve
+from sieve_lab import arith, sieve
 from sieve_lab.arith import (DEFAULT_SEED, dirichlet_approx, gaussian_pairs, integers,
                              splitmix64, uniforms)
 from sieve_lab.regression import sample_alphas
@@ -15,9 +15,11 @@ from helpers import (brute_dirichlet, fraction_convergents, fraction_dirichlet_a
                      valid_pairs)
 
 # (seed, key, first word, count): the empty key, keys as lemma1 and majorant
-# build them, and the largest seed
+# build them, the largest seed, and an odd first and count that span three
+# of gaussian_pairs' blocks
 STREAMS = [(DEFAULT_SEED, (), 0, 64), (1, (0, 3), 5, 9), (7, (2, 3, 4, 64, 1), 1000, 33),
-           ((1 << 64) - 1, (3, 2, 12, 0, 1), 0, 5), (0, (1,), 1 << 40, 3)]
+           ((1 << 64) - 1, (3, 2, 12, 0, 1), 0, 5), (0, (1,), 1 << 40, 3),
+           (5, (2, 2, 3, 17, 0), 4099, 2 * arith.BLOCK_PAIRS + 3)]
 
 
 def test_dirichlet_exact_rational():
@@ -108,16 +110,49 @@ def test_keyed_stream_matches_python_int_reference(seed, key, first, count):
     assert uniforms(seed, key, first, count).tolist() == keyed_uniforms(seed, key, first, count)
 
 
+def _draw(seed, key, first, count):
+    """gaussian_pairs into a new array of count entries."""
+    return gaussian_pairs(seed, key, first, np.empty(count, dtype=np.complex128))
+
+
 @pytest.mark.parametrize("seed, key, first, count", STREAMS)
 def test_gaussian_pairs_match_python_int_reference(seed, key, first, count):
-    cos_half, sin_half = gaussian_pairs(seed, key, first, count)
+    # drawn into a slice at an odd offset of a larger array, which it fills
+    # and returns, leaving the entries on either side as they were
+    fill = 7.0 - 3.0j
+    big = np.full(count + 8, fill)
+    got = gaussian_pairs(seed, key, first, big[3:3 + count])
+    assert np.shares_memory(got, big) and got.shape == (count,)
+    assert big[:3].tolist() == [fill] * 3 and big[3 + count:].tolist() == [fill] * 5
     want = np.array(keyed_gaussian_pairs(seed, key, first, count))
-    np.testing.assert_allclose(cos_half, want[:, 0], rtol=1e-15, atol=0)
-    np.testing.assert_allclose(sin_half, want[:, 1], rtol=1e-15, atol=0)
+    np.testing.assert_allclose(got.real, want[:, 0], rtol=1e-15, atol=0)
+    np.testing.assert_allclose(got.imag, want[:, 1], rtol=1e-15, atol=0)
     # pair i depends on i alone: a draw from a later first pair is a suffix
-    later = gaussian_pairs(seed, key, first + 2, count - 2)
-    assert later[0].tobytes() == cos_half[2:].tobytes()
-    assert later[1].tobytes() == sin_half[2:].tobytes()
+    assert _draw(seed, key, first + 2, count - 2).tobytes() == got[2:].tobytes()
+
+
+def _gaussian_pairs_before_in_place(seed, key, first, count):
+    """Both halves as gaussian_pairs computed them before it drew in place:
+    the uniforms of words 2 first .. 2 (first + count) - 1 of the Python-int
+    stream, then one numpy expression per half."""
+    z = np.array(keyed_words(seed, key, 2 * first, 2 * count), dtype=np.uint64)
+    u = ((z >> np.uint64(11)) + np.uint64(1)) * 2.0 ** -53
+    radius = np.sqrt(-2.0 * np.log(u[0::2]))
+    angle = 2.0 * np.pi * u[1::2]
+    return radius * np.cos(angle), radius * np.sin(angle)
+
+
+@pytest.mark.parametrize("seed, key, first, count", [
+    (1, (2, 3, 5, 1024, 0), 0, 2 * arith.BLOCK_PAIRS + 1),
+    (7, (3, 2, 12, 0, 1), 4097, 3001),
+    ((1 << 64) - 1, (0, 0), 1 << 40, 5),
+])
+def test_gaussian_pairs_are_the_earlier_formula_bit_for_bit(seed, key, first, count):
+    # both halves, so every seeded lemma1 record stays byte-identical
+    got = _draw(seed, key, first, count)
+    cos_half, sin_half = _gaussian_pairs_before_in_place(seed, key, first, count)
+    assert got.real.tobytes() == cos_half.tobytes()
+    assert got.imag.tobytes() == sin_half.tobytes()
 
 
 def _start_vector_before_the_keyed_stream(n):
@@ -140,7 +175,7 @@ def test_default_seed_with_the_empty_key_is_the_earlier_start_vector(n):
     # bit for bit, so every default-seed constant, fit and crossover record
     # and the frozen delta_ratio_max stay byte-identical
     want = _start_vector_before_the_keyed_stream(n).tobytes()
-    assert gaussian_pairs(DEFAULT_SEED, (), 0, n)[0].tobytes() == want
+    assert _draw(DEFAULT_SEED, (), 0, n).real.tobytes() == want
     assert sieve.start_vector(n).tobytes() == want
     assert splitmix64(DEFAULT_SEED, (), 0, 2 * n).tolist() == keyed_words(0xC0FFEE, (), 0, 2 * n)
 
@@ -149,7 +184,8 @@ def test_gaussian_pairs_halves_are_independent_standard_normals():
     # each half's mean, variance and excess kurtosis, and the halves'
     # correlation, within 5 sigma of independent N(0, 1)'s
     n = 1 << 18
-    cos_half, sin_half = gaussian_pairs(3, (2, 1), 0, n)
+    pairs = _draw(3, (2, 1), 0, n)
+    cos_half, sin_half = pairs.real, pairs.imag
     for x in (cos_half, sin_half):
         mean, var = x.mean(), x.var()
         assert abs(mean) < 5.0 * math.sqrt(1.0 / n)

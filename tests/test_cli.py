@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sieve_lab import cli, expsums, farey, kernels, sieve
+from sieve_lab import arith, cli, expsums, farey, kernels, sieve
 from sieve_lab.bounds import SHAPE_NAMES
 from sieve_lab.farey import counting_rhs, enumerate_system
 from sieve_lab.sieve import sigma_exact
@@ -279,6 +279,19 @@ def test_lemma1_peak_is_near_a_child_without_quadform(tmp_path):
                                        "--out", str(tmp_path / "b.csv")], child_env())
     assert code == EXIT_OK
     assert lemma1_mb - crossover_mb < 5.0, (lemma1_mb, crossover_mb)
+
+
+def test_lemma1_verify_peak_is_within_2_mb_of_a_child_without_quadform(tmp_path):
+    # lemma1 draws each chunk in place, in scratch of arith.BLOCK_PAIRS pairs:
+    # on a 2-core VM the gap read 2.4 MB when each chunk's draw went through
+    # whole-chunk temporaries, and 1.5 MB in place
+    code, lemma1_mb = cli_peak_rss(["lemma1", "--Q", "1..5", "--N", "256,1024", "--k", "2,3",
+                                    "--out", str(tmp_path / "a.csv")], child_env())
+    assert code == EXIT_OK
+    code, crossover_mb = cli_peak_rss(["crossover", "--Q", "4..6", "--k", "3", "--points", "4",
+                                       "--out", str(tmp_path / "b.csv")], child_env())
+    assert code == EXIT_OK
+    assert lemma1_mb - crossover_mb < 2.0, (lemma1_mb, crossover_mb)
 
 
 def test_weyl_peak_is_near_a_child_without_sums(tmp_path):
@@ -767,9 +780,8 @@ def test_lemma1_matches_per_vector_reference(tmp_path, monkeypatch, block, draw)
     vectors from the Python-int stream: entry n of vector j is Gaussian pair
     j N + n under the key (2, k, Q, N, mode).  Block 448 splits quadform's
     FFTs of a 25-vector chunk into steps of 448 // q^k rows; draw 40 makes
-    chunks of 2 vectors at N=16 and of 1 at N=64, whose vectors are drawn in
-    sub-blocks of 40 entries, so a wrong word offset between sub-blocks
-    changes the draws."""
+    chunks of 2 vectors at N=16 and of 1 at N=64, so a wrong word offset
+    between chunks changes the draws."""
     if block is not None:
         monkeypatch.setattr(kernels, "BLOCK_ELEMENTS", block)
     if draw is not None:
@@ -819,6 +831,20 @@ def test_lemma1_matches_per_vector_reference(tmp_path, monkeypatch, block, draw)
             assert row["max_ratio"] == pytest.approx(max_ratio, rel=1e-12)
             assert row["violations"] == violations
         assert not seen
+
+
+@pytest.mark.parametrize("block", [1, 7, 1000])
+def test_lemma1_records_do_not_depend_on_the_draw_block(tmp_path, monkeypatch, block):
+    # arith.gaussian_pairs converts BLOCK_PAIRS pairs at a time; blocks of 1,
+    # 7 and 1000 pairs end inside the vectors of N = 17 and 300 and inside
+    # the chunks, and must give the bytes of the unpatched run
+    args = ["lemma1", "--Q", "1..3", "--N", "5,17,300", "--k", "2,3", "--vectors", "7",
+            "--seed", "3", "--format", "json"]
+    code, want = run_cli(args, tmp_path, "want.json")
+    monkeypatch.setattr(arith, "BLOCK_PAIRS", block)
+    patched_code, got = run_cli(args, tmp_path, "got.json")
+    assert code == patched_code == EXIT_OK
+    assert got == want
 
 
 def test_weyl_rows_and_determinism(tmp_path):

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from sieve_lab import kernels, sieve
+from sieve_lab import arith, kernels, sieve
 from sieve_lab.arith import DEFAULT_SEED
 from sieve_lab.errors import CapacityError, EigensolverError
 from sieve_lab.farey import enumerate_system, system_size
@@ -184,6 +184,16 @@ def test_start_vector_prefix_is_stable():
     full = sieve.start_vector(1000)
     for m in (1, 2, 3, 64, 999, 1000):
         assert full[:m].tobytes() == sieve.start_vector(m).tobytes(), m
+
+
+@pytest.mark.parametrize("block", [1, 7, 1000])
+def test_start_vector_does_not_depend_on_the_draw_block(monkeypatch, block):
+    # arith.gaussian_pairs' block size sets how many pairs each pass
+    # converts, never their bits
+    cases = [(n, seed) for n in (1, 999, 2501) for seed in (DEFAULT_SEED, 5)]
+    want = [sieve.start_vector(n, seed).tobytes() for n, seed in cases]
+    monkeypatch.setattr(arith, "BLOCK_PAIRS", block)
+    assert [sieve.start_vector(n, seed).tobytes() for n, seed in cases] == want
 
 
 def test_start_vector_is_standard_normal():
